@@ -1,8 +1,8 @@
 """Tensor-product codes over prime fields: encoding, plane testing,
 robustness instrumentation, and unique decoding experiments."""
 
-from .errors import CapacityError, FieldMismatchError, ShapeError, ZeroCodeError
-from .field import FieldElement, PrimeField, nullspace, rref, solve
+from .errors import CapacityError, InvariantError, ShapeError, ZeroCodeError
+from .field import PrimeField, nullspace, rref, solve
 from .linear_code import (
     AMBIGUOUS,
     INCONSISTENT,
@@ -11,7 +11,6 @@ from .linear_code import (
     PartialWord,
     hamming74,
     hamming_distance,
-    hamming_weight,
     load_code,
     parity_code,
     parse_code,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import InvariantError, ShapeError
 from .linear_code import AMBIGUOUS, ErasureFailure, PartialWord
 from .tensor_code import LineIndex, PlaneIndex, TensorCode, TensorWord, all_planes
 
@@ -102,58 +102,40 @@ class InconsistencyReport:
         return int(np.take(self.disagreement, plane.coord, axis=plane.axis - 1).sum())
 
 
-def _restrict_opinion_to_axis(
-    opinion: np.ndarray, own_axis: int, other_axis: int, other_coord: int
-) -> np.ndarray:
-    # The opinion of plane (own_axis, .) lives on the axes != own_axis in
-    # ascending order; fixing original axis ``other_axis`` at a coordinate
-    # lands on position other_axis-1 or other_axis-2 of that array.
-    pos = other_axis - 1 if other_axis < own_axis else other_axis - 2
-    return np.take(opinion, other_coord, axis=pos)
-
-
 def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyReport:
     """Build the disagreement tensor, almost-fixed set, and heavy sets."""
     code = opinions.code
     m, n = code.m, code.n
     d = code.base.minimum_distance()
-    E = np.zeros((n,) * m, dtype=np.uint8)
+    # opinion_at[b] holds, at each point x, the opinion of plane (b + 1, x_b).
+    opinion_at = [
+        np.stack([opinions.opinions[PlaneIndex(b, i)].opinion for i in range(n)], axis=b - 1)
+        for b in range(1, m + 1)
+    ]
 
-    # Pairwise plane disagreements. Planes on the same axis never intersect.
-    for b1, b2 in itertools.combinations(range(1, m + 1), 2):
-        for i1 in range(n):
-            op1 = opinions.opinions[PlaneIndex(b1, i1)].opinion
-            for i2 in range(n):
-                op2 = opinions.opinions[PlaneIndex(b2, i2)].opinion
-                slice1 = _restrict_opinion_to_axis(op1, b1, b2, i2)
-                slice2 = _restrict_opinion_to_axis(op2, b2, b1, i1)
-                diff = slice1 != slice2
-                if diff.any():
-                    # Distinct codewords of the (m-2)-fold power differ in
-                    # at least d^(m-2) positions.
-                    assert int(diff.sum()) >= d ** (m - 2)
-                    indexer: list = [slice(None)] * m
-                    indexer[b1 - 1] = i1
-                    indexer[b2 - 1] = i2
-                    E[tuple(indexer)][diff] = 1
+    # Planes on the same axis never intersect. Where two planes meet, their
+    # opinions restrict to codewords of the (m-2)-fold power, and distinct
+    # ones differ in at least d^(m-2) positions.
+    disagree = np.zeros((n,) * m, dtype=bool)
+    for b, c in itertools.combinations(range(m), 2):
+        diff = opinion_at[b] != opinion_at[c]
+        counts = diff.sum(axis=tuple(a for a in range(m) if a not in (b, c)))
+        if ((counts > 0) & (counts < d ** (m - 2))).any():
+            raise InvariantError(
+                f"planes on axes {b + 1} and {c + 1} disagree in fewer than d^(m-2) points"
+            )
+        disagree |= diff
 
     # Points some containing plane wants changed.
-    wants_change = np.zeros((n,) * m, dtype=bool)
-    for pl, op in opinions.opinions.items():
-        view = np.take(word.entries, pl.coord, axis=pl.axis - 1)
-        mask = op.opinion != view
-        indexer = [slice(None)] * m
-        indexer[pl.axis - 1] = pl.coord
-        wants_change[tuple(indexer)] |= mask
+    wants_change = np.logical_or.reduce([op != word.entries for op in opinion_at])
+    to_fix = tuple(tuple(int(c) for c in pt) for pt in np.argwhere(wants_change & ~disagree))
 
-    to_fix_mask = wants_change & (E == 0)
-    to_fix = tuple(tuple(int(c) for c in pt) for pt in np.argwhere(to_fix_mask))
-
+    E = disagree.astype(np.uint8)
     heavy_planes = []
-    for pl in all_planes(m, n):
-        marks = int(np.take(E, pl.coord, axis=pl.axis - 1).sum())
-        if 2 * marks >= d ** (m - 1):
-            heavy_planes.append(pl)
+    for b in range(m):
+        marks = E.sum(axis=tuple(a for a in range(m) if a != b), dtype=np.int64)
+        heavy = np.flatnonzero(2 * marks >= d ** (m - 1))
+        heavy_planes.extend(PlaneIndex(b + 1, int(i)) for i in heavy)
 
     heavy_lines = []
     for axis in range(1, m + 1):
@@ -165,7 +147,7 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
         code=code,
         disagreement=E,
         to_fix=to_fix,
-        heavy_planes=tuple(sorted(heavy_planes)),
+        heavy_planes=tuple(heavy_planes),
         heavy_lines=tuple(heavy_lines),
     )
 
@@ -224,7 +206,8 @@ def heavy_free_subcube(report: InconsistencyReport) -> SubcubeSets:
     """Drop each heavy plane's coordinate from its axis.
 
     The surviving subcube carries no disagreement marks, and the number of
-    removed planes is at most 2|E|m / d^(m-1); both facts are asserted.
+    removed planes is at most 2|E|m / d^(m-1); InvariantError is raised if
+    either fails.
     """
     code = report.code
     m, n = code.m, code.n
@@ -236,9 +219,10 @@ def heavy_free_subcube(report: InconsistencyReport) -> SubcubeSets:
         tuple(i for i in range(n) if i not in heavy_by_axis[b]) for b in range(1, m + 1)
     )
     subcube = SubcubeSets(side=n, sets=sets)
-    if all(len(s) > 0 for s in sets):
-        assert not report.disagreement[np.ix_(*sets)].any()
-    assert subcube.removed * d ** (m - 1) <= 2 * report.support_size * m
+    if all(len(s) > 0 for s in sets) and report.disagreement[np.ix_(*sets)].any():
+        raise InvariantError("the subcube left by the heavy planes carries disagreement marks")
+    if subcube.removed * d ** (m - 1) > 2 * report.support_size * m:
+        raise InvariantError(f"{subcube.removed} removed planes exceed 2|E|m / d^(m-1)")
     return subcube
 
 

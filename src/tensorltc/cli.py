@@ -15,8 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .analysis import analyze_word
 from .decoding import DecoderConfig, decode_square
 from .errors import CapacityError, ShapeError
@@ -158,8 +156,8 @@ def cmd_params(args) -> int:
 def cmd_encode(args) -> int:
     code = TensorCode(_base_code(args), args.m)
     with open(args.message, "r", encoding="utf-8") as fh:
-        symbols = [int(v) for v in fh.read().split()]
-    word = code.encode(np.array(symbols, dtype=np.int64))
+        symbols = code.field.parse(fh.read().split())
+    word = code.encode(symbols)
     save_tensor(word, args.out)
     return EXIT_OK
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linear_code import ErasureFailure, LinearCode, PartialWord, hamming_distance
-from .tensor_code import TensorWord
+from .tensor_code import TensorWord, line_syndromes
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,6 @@ def decode_square(
     """
     entries = word.entries if isinstance(word, TensorWord) else np.asarray(word)
     n = cfg.base.n
-    p = cfg.base.p
     if entries.shape != (n, n):
         raise ShapeError(f"expected an {n} x {n} word, got shape {entries.shape}")
     entries = cfg.base.field.validate(entries)
@@ -203,8 +202,7 @@ def decode_square(
         output[:, j] = completed
 
     # Pass 5: verify membership and plausibility.
-    H = cfg.base.H
-    if ((output @ H.T) % p).any() or ((H @ output) % p).any():
+    if line_syndromes(cfg.base, output).any():
         trace.status = "not-a-codeword"
         return None, trace
     dist = hamming_distance(output, entries)

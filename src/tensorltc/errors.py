@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """An argument has the wrong length, shape, or index range."""
 
 
-class FieldMismatchError(ValueError):
-    """Two operands belong to different prime fields."""
-
-
 class ZeroCodeError(ValueError):
     """A construction would produce a code of dimension zero."""
 
@@ -18,4 +14,11 @@ class CapacityError(RuntimeError):
 
     Raised instead of silently degrading to an estimate; callers that can
     live with a bound must opt in explicitly.
+    """
+
+
+class InvariantError(RuntimeError):
+    """A fact the analysis proves for every word failed to hold.
+
+    This signals a fault in the implementation, not in its input.
     """

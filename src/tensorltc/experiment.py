@@ -36,7 +36,7 @@ from .local_testing import (
     robustness_exact,
     robustness_lower_bound,
 )
-from .tensor_code import TensorCode, TensorWord
+from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 KINDS = ("robustness", "rejection", "decode")
 MODES = ("random", "errors", "planted")
@@ -96,14 +96,10 @@ def distance_lower_bound(code: TensorCode, word: TensorWord) -> int:
     Counts violated line checks; one symbol change can repair at most
     m * (max parity-check column weight) of them.
     """
-    H = code.base.H
-    p = code.field.p
-    violated = 0
-    for axis in range(code.m):
-        syndromes = np.tensordot(H, word.entries, axes=([1], [axis])) % p
-        violated += int(np.count_nonzero(syndromes))
+    violated = int(np.count_nonzero(line_syndromes(code.base, word.entries)))
     if violated == 0:
         return 0
+    H = code.base.H
     max_col = int(np.count_nonzero(H, axis=0).max()) if H.size else 0
     if max_col == 0:
         return 0

@@ -7,11 +7,9 @@ elementwise operations. Everything here is exact (no floating point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import FieldMismatchError, ShapeError
+from .errors import ShapeError
 
 MAX_PRIME = 1 << 16  # keeps products inside 32-bit intermediates
 
@@ -53,9 +51,6 @@ class PrimeField:
 
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
-
-    def element(self, value: int) -> FieldElement:
-        return FieldElement(int(value) % self.p, self)
 
     # Elementwise arithmetic; ints in, ints out (arrays pass through numpy).
 
@@ -105,74 +100,14 @@ class PrimeField:
             raise ValueError(f"entries must lie in [0, {self.p})")
         return arr.astype(np.int64, copy=False)
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single value of GF(p), usable with the ordinary operators.
-
-    Mixing elements of different fields raises :class:`FieldMismatchError`.
-    """
-
-    value: int
-    field: PrimeField
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.p:
-            raise ValueError(f"value {self.value} outside [0, {self.field.p})")
-
-    def _coerce(self, other) -> FieldElement:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"operands from GF({self.field.p}) and GF({other.field.p})"
-                )
-            return other
-        if isinstance(other, (int, np.integer)):
-            return self.field.element(int(other))
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.add(self.value, other.value), self.field)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.sub(self.value, other.value), self.field)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.mul(self.value, other.value), self.field)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field.div(self.value, other.value), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __int__(self) -> int:
-        return self.value
+    def parse(self, tokens) -> np.ndarray:
+        """Text tokens as a 1-d array of symbols; ValueError unless each is
+        an integer in [0, p), however many digits it has."""
+        try:
+            arr = np.array([int(v) for v in tokens], dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"entries must lie in [0, {self.p})") from None
+        return self.validate(arr)
 
 
 def rref(field: PrimeField, matrix) -> tuple[np.ndarray, list[int], int]:

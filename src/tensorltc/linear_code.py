@@ -26,6 +26,7 @@ ENUM_CAP = 1 << 24  # max p**k for streaming codeword enumeration
 CODEBOOK_CAP = 1 << 20  # max p**k materialized as one dense array
 SYNDROME_CAP = 1 << 22  # max p**(n-k) for syndrome-table decoding
 PATTERN_CAP = 1 << 20  # max error patterns enumerated for a coset table
+FILE_CAP = 1 << 24  # max entries a code or tensor file header may declare
 _BLOCK = 1 << 14
 
 
@@ -38,10 +39,6 @@ class ErasureFailure(Enum):
 
 AMBIGUOUS = ErasureFailure.AMBIGUOUS
 INCONSISTENT = ErasureFailure.INCONSISTENT
-
-
-def hamming_weight(w) -> int:
-    return int(np.count_nonzero(np.asarray(w)))
 
 
 def hamming_distance(a, b) -> int:
@@ -84,17 +81,13 @@ class PartialWord:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def num_erased(self) -> int:
-        return int(np.count_nonzero(~self.known))
-
 
 class LinearCode:
     """A k-dimensional subspace of GF(p)^n given by a generator matrix.
 
     The stored generator is the RREF of the input rows, so two codes with
     the same row space compare equal. The parity-check matrix ``H``
-    satisfies ``G @ H.T = 0`` and has full rank n - k.
+    satisfies ``G H^T = 0`` and has full rank n - k.
     """
 
     def __init__(self, field: PrimeField, generator) -> None:
@@ -167,7 +160,7 @@ class LinearCode:
         w = self.field.validate(np.asarray(w))
         if w.shape != (self.n,):
             raise ShapeError(f"word length {w.shape} != n = {self.n}")
-        return not ((self.H @ w) % self.p).any()
+        return not self.syndrome(w).any()
 
     def syndrome(self, w) -> np.ndarray:
         w = self.field.validate(np.asarray(w))
@@ -183,10 +176,6 @@ class LinearCode:
         for j in range(self.k):
             msgs[:, j] = (idx // self.p ** (self.k - 1 - j)) % self.p
         return msgs
-
-    def message_from_index(self, index: int) -> np.ndarray:
-        """Message vector at position ``index`` in lexicographic order."""
-        return self._message_block(index, 1)[0]
 
     def codewords(self) -> np.ndarray:
         """All p**k codewords, row i encoding the i-th message in lex order."""
@@ -216,11 +205,6 @@ class LinearCode:
                     best = min(best, int(weights.min()))
             self._distance = best
         return self._distance
-
-    def relative_distance(self):
-        from fractions import Fraction
-
-        return Fraction(self.minimum_distance(), self.n)
 
     # -- nearest-codeword oracle --------------------------------------------
 
@@ -444,13 +428,12 @@ def _parse_code(fh) -> LinearCode:
         raise ValueError("code file must start with a 'p n k' header line")
     p, n, k = (int(v) for v in header)
     field = PrimeField(p)  # rejects non-prime moduli
+    if n * k > FILE_CAP:
+        raise ValueError(f"header declares {n * k} generator entries, above the cap {FILE_CAP}")
     values = fh.read().split()
     if len(values) != n * k:
         raise ValueError(f"expected {n * k} generator entries, found {len(values)}")
-    G = np.array([int(v) for v in values], dtype=np.int64).reshape(k, n)
-    if G.size and (G.min() < 0 or G.max() >= p):
-        raise ValueError(f"generator entries must lie in [0, {p})")
-    code = LinearCode(field, G)
+    code = LinearCode(field, field.parse(values).reshape(k, n))
     if code.k != k:
         warnings.warn(
             f"generator rows have rank {code.k}, not the declared k={k}; "

@@ -10,15 +10,17 @@ word's relative distance from the code.
 
 from __future__ import annotations
 
+import functools
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 
 import numpy as np
 
-from .errors import CapacityError, ShapeError
-from .linear_code import LinearCode
-from .tensor_code import PlaneIndex, TensorCode, TensorWord, all_planes
+from .errors import ShapeError
+from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 AXIS_MODES = ("all", "first-three")
 
@@ -30,34 +32,9 @@ def _tester_axes(level: int, axis_mode: str) -> tuple[int, ...]:
     return tuple(range(1, count + 1))
 
 
-def is_square_member(base: LinearCode, mat: np.ndarray) -> bool:
-    """Membership of an n x n array in the 2-fold power of ``base``."""
-    p = base.p
-    return not ((mat @ base.H.T) % p).any() and not ((base.H @ mat) % p).any()
-
-
-class PlaneTester:
-    """Uniformly random plane of an m-axis word, m >= 3.
-
-    ``axis_mode`` selects which axes the plane may be orthogonal to:
-    "all" uses every axis (the reading the robustness analysis relies on),
-    "first-three" restricts to axes 1..3 so both readings can be measured.
-    """
-
-    def __init__(self, code: TensorCode, axis_mode: str = "all"):
-        if code.m < 3:
-            raise ShapeError(f"the plane tester needs m >= 3, got m = {code.m}")
-        self.code = code
-        self.axis_mode = axis_mode
-        self.axes = _tester_axes(code.m, axis_mode)
-
-    def planes(self) -> list[PlaneIndex]:
-        return all_planes(self.code.m, self.code.n, self.axes)
-
-    def sample(self, rng: np.random.Generator) -> PlaneIndex:
-        axis = self.axes[int(rng.integers(0, len(self.axes)))]
-        coord = int(rng.integers(0, self.code.n))
-        return PlaneIndex(axis, coord)
+def _check_composable(code: TensorCode) -> None:
+    if code.m < 3:
+        raise ShapeError(f"composition needs m >= 3, got m = {code.m}")
 
 
 def robustness_lower_bound(code: TensorCode) -> Fraction:
@@ -69,8 +46,7 @@ def robustness_lower_bound(code: TensorCode) -> Fraction:
 
 def composed_robustness_bound(code: TensorCode) -> Fraction:
     """Product of the per-stage robustness bounds for levels m down to 3."""
-    if code.m < 3:
-        raise ShapeError(f"composition needs m >= 3, got m = {code.m}")
+    _check_composable(code)
     bound = Fraction(1)
     for level in range(3, code.m + 1):
         bound *= robustness_lower_bound(TensorCode(code.base, level))
@@ -99,118 +75,60 @@ def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all")
     return Fraction(int(dists.sum()), views.shape[0] * sub_flat.n)
 
 
-@dataclass
-class ViewOutcome:
-    """One composed-tester draw: the surviving two-axis slice of the word.
+@functools.cache
+def _free_pair_counts(m: int, axis_mode: str) -> tuple[tuple[tuple[int, int], int], ...]:
+    """For each pair (a, b) of 0-based axes, the number of tester axis-choice
+    sequences, levels m down to 3, that leave exactly a and b free."""
+    memo: dict[tuple[int, ...], Counter] = {}
 
-    ``fixed`` maps each collapsed original axis to the chosen coordinate;
-    ``free_axes`` are the two surviving original axes in ascending order.
+    def counts(remaining: tuple[int, ...]) -> Counter:
+        if len(remaining) == 2:
+            return Counter({remaining: 1})
+        if remaining not in memo:
+            total: Counter = Counter()
+            for rel in range(len(_tester_axes(len(remaining), axis_mode))):
+                total.update(counts(remaining[:rel] + remaining[rel + 1 :]))
+            memo[remaining] = total
+        return memo[remaining]
+
+    return tuple(sorted(counts(tuple(range(m))).items()))
+
+
+def _slice_fail_masks(
+    word: TensorWord, code: TensorCode
+) -> dict[tuple[int, int], np.ndarray]:
+    """Which two-axis slices of the word fail the square-power check.
+
+    For 0-based axes a < b the mask ranges over the other m - 2 axes in
+    ascending order; a slice fails exactly when some line along a or
+    along b inside it violates a base check.
     """
-
-    fixed: dict[int, int]
-    free_axes: tuple[int, int]
-    view: TensorWord
-    consistent: bool
-    local_distance: Fraction | None = None
-
-    def points(self) -> list[tuple[int, ...]]:
-        """The n^2 absolute coordinates read by this draw."""
-        m = len(self.fixed) + 2
-        n = self.view.n
-        out = []
-        a, b = self.free_axes
-        for i in range(n):
-            for j in range(n):
-                coords = [0] * m
-                for axis, value in self.fixed.items():
-                    coords[axis - 1] = value
-                coords[a - 1] = i
-                coords[b - 1] = j
-                out.append(tuple(coords))
-        return out
-
-
-class ComposedTester:
-    """Stagewise plane sampling from level m down to a two-axis view.
-
-    Stage j applies the plane tester of the j-fold power to the current
-    view, so after m - 2 stages the remaining view has n^2 points; it is
-    accepted exactly when it belongs to the 2-fold power.
-    """
-
-    def __init__(self, code: TensorCode, axis_mode: str = "all"):
-        if code.m < 3:
-            raise ShapeError(f"composition needs m >= 3, got m = {code.m}")
-        self.code = code
-        self.axis_mode = axis_mode
-
-    def stage_axis_counts(self) -> list[int]:
-        """Number of admissible axes at each stage, levels m down to 3."""
-        return [
-            len(_tester_axes(level, self.axis_mode))
-            for level in range(self.code.m, 2, -1)
-        ]
-
-    def sample_view(
-        self,
-        word: TensorWord,
-        rng: np.random.Generator,
-        with_distance: bool = False,
-    ) -> ViewOutcome:
-        self.code.check_shape(word)
-        entries = word.entries
-        remaining = list(range(1, self.code.m + 1))
-        fixed: dict[int, int] = {}
-        for level in range(self.code.m, 2, -1):
-            axes = _tester_axes(level, self.axis_mode)
-            rel = int(rng.integers(0, len(axes)))
-            coord = int(rng.integers(0, self.code.n))
-            fixed[remaining.pop(rel)] = coord
-            entries = np.take(entries, coord, axis=rel)
-        view = TensorWord(self.code.field, entries)
-        consistent = is_square_member(self.code.base, entries)
-        distance = None
-        if with_distance:
-            square = TensorCode(self.code.base, 2)
-            dist = square.flattened().distance_to_code(entries.reshape(-1))
-            distance = Fraction(dist, entries.size)
-        return ViewOutcome(
-            fixed=fixed,
-            free_axes=(remaining[0], remaining[1]),
-            view=view,
-            consistent=consistent,
-            local_distance=distance,
-        )
+    violated = line_syndromes(code.base, word.entries).any(axis=-1)
+    return {
+        (a, b): violated[a].any(axis=b - 1) | violated[b].any(axis=a)
+        for a, b in itertools.combinations(range(code.m), 2)
+    }
 
 
 def rejection_probability_exact(
     word: TensorWord, code: TensorCode, axis_mode: str = "all"
 ) -> Fraction:
-    """Probability the composed tester rejects, by enumerating every path."""
+    """Probability the composed tester rejects, over every tester path.
+
+    Each path fixes one coordinate per collapsed axis, so the paths that
+    leave a pair free reach each of its slices equally often; the count
+    of rejecting paths is a weighted sum of failing slices.
+    """
     code.check_shape(word)
-    if code.m < 3:
-        raise ShapeError(f"composition needs m >= 3, got m = {code.m}")
-    base = code.base
-    n = code.n
+    _check_composable(code)
     paths = 1
     for level in range(3, code.m + 1):
-        paths *= len(_tester_axes(level, axis_mode)) * n
-    if paths > (1 << 22):
-        raise CapacityError(f"exact enumeration of {paths} tester paths exceeds the cap")
-
-    def count(entries: np.ndarray, level: int) -> tuple[int, int]:
-        if level == 2:
-            return (0 if is_square_member(base, entries) else 1), 1
-        rejected = total = 0
-        for rel in range(len(_tester_axes(level, axis_mode))):
-            for coord in range(n):
-                r, t = count(np.take(entries, coord, axis=rel), level - 1)
-                rejected += r
-                total += t
-        return rejected, total
-
-    rejected, total = count(word.entries, code.m)
-    return Fraction(rejected, total)
+        paths *= len(_tester_axes(level, axis_mode)) * code.n
+    fails = _slice_fail_masks(word, code)
+    rejected = sum(
+        count * int(fails[pair].sum()) for pair, count in _free_pair_counts(code.m, axis_mode)
+    )
+    return Fraction(rejected, paths)
 
 
 @dataclass(frozen=True)
@@ -243,21 +161,27 @@ def rejection_probability_sampled(
     code.check_shape(word)
     if trials < 1:
         raise ValueError("need at least one trial")
-    tester = ComposedTester(code, axis_mode)
-    axis_counts = tester.stage_axis_counts()
+    _check_composable(code)
+    m = code.m
     rng = np.random.default_rng(seed)
-    axis_draws = np.column_stack(
-        [rng.integers(0, c, size=trials) for c in axis_counts]
-    )
-    coord_draws = rng.integers(0, code.n, size=(trials, len(axis_counts)))
-    base = code.base
+    axis_counts = [len(_tester_axes(level, axis_mode)) for level in range(m, 2, -1)]
+    axis_draws = np.column_stack([rng.integers(0, c, size=trials) for c in axis_counts])
+    coord_draws = rng.integers(0, code.n, size=(trials, m - 2))
+    # Replay every draw at once: pop the drawn axis from each trial's
+    # remaining axes and record its coordinate.
+    rows = np.arange(trials)
+    remaining = np.tile(np.arange(m), (trials, 1))
+    point = np.zeros((trials, m), dtype=np.int64)
+    for stage in range(m - 2):
+        rel = axis_draws[:, stage]
+        point[rows, remaining[rows, rel]] = coord_draws[:, stage]
+        keep = np.arange(m - stage)[None, :] != rel[:, None]
+        remaining = remaining[keep].reshape(trials, m - stage - 1)
     rejections = 0
-    for t in range(trials):
-        entries = word.entries
-        for s in range(len(axis_counts)):
-            entries = np.take(entries, coord_draws[t, s], axis=axis_draws[t, s])
-        if not is_square_member(base, entries):
-            rejections += 1
+    for (a, b), fail in _slice_fail_masks(word, code).items():
+        chosen = (remaining[:, 0] == a) & (remaining[:, 1] == b)
+        others = [c for c in range(m) if c not in (a, b)]
+        rejections += int(fail[tuple(point[chosen][:, others].T)].sum())
     return SampledRejection(
         estimate=Fraction(rejections, trials),
         rejections=rejections,

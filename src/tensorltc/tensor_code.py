@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .field import PrimeField
-from .linear_code import LinearCode
+from .linear_code import FILE_CAP, LinearCode
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +71,6 @@ class PlaneIndex:
 
     axis: int  # 1-based
     coord: int  # 0-based
-
-    def contains_point(self, point: tuple[int, ...]) -> bool:
-        return point[self.axis - 1] == self.coord
 
 
 @dataclass(frozen=True)
@@ -137,6 +134,17 @@ def all_lines(m: int, n: int, axis: int) -> list[LineIndex]:
         LineIndex(axis, fixed)
         for fixed in itertools.product(range(n), repeat=m - 1)
     ]
+
+
+def line_syndromes(base: LinearCode, entries: np.ndarray) -> np.ndarray:
+    """Syndromes of every axis-parallel line of an m-axis array.
+
+    Index ``a`` of the result holds the lines parallel to (0-based) axis
+    ``a``: the next m - 1 axes are the other axes in ascending order, the
+    last the n - k syndrome symbols. The array is a word of the m-fold
+    power exactly when the result is all zero.
+    """
+    return base.syndrome(np.stack([np.moveaxis(entries, a, -1) for a in range(entries.ndim)]))
 
 
 @dataclass
@@ -212,43 +220,28 @@ class TensorCode:
     def contains(self, word: TensorWord) -> bool:
         """Membership: every axis-parallel line must satisfy the base checks."""
         self.check_shape(word)
-        H = self.base.H
-        p = self.field.p
-        for axis in range(self.m):
-            syndromes = np.tensordot(H, word.entries, axes=([1], [axis])) % p
-            if syndromes.any():
-                return False
-        return True
+        return not line_syndromes(self.base, word.entries).any()
 
     # -- encoding -----------------------------------------------------------
 
     def encode(self, message, counter: EncodeCounter | None = None) -> TensorWord:
-        """Encode k^m symbols by rows-then-columns recursion.
+        """Encode k^m symbols by m mode products with the base generator.
 
-        The message is viewed as a k x k^(m-1) array: each row is encoded
-        by the (m-1)-fold encoder, then every column of the resulting
-        k x n^(m-1) array is encoded by the base code.
+        The message is viewed as a k x ... x k array and every line along
+        one axis at a time is encoded, last axis first; the counter grows
+        by the number of lines each product encodes.
         """
-        x = self.field.validate(np.asarray(message)).reshape(-1)
-        if x.size != self.dimension:
-            raise ShapeError(f"message length {x.size} != k^m = {self.dimension}")
-        flat = self._encode_level(x, self.m, counter)
-        return TensorWord(self.field, flat.reshape((self.n,) * self.m))
-
-    def _encode_level(self, x: np.ndarray, level: int, counter: EncodeCounter | None) -> np.ndarray:
+        entries = self.field.validate(np.asarray(message)).reshape(-1)
+        if entries.size != self.dimension:
+            raise ShapeError(f"message length {entries.size} != k^m = {self.dimension}")
         base = self.base
-        if level == 1:
+        for axis in reversed(range(self.m)):
+            # axes before ``axis`` still hold k message symbols, later ones n
+            lines = entries.reshape(base.k**axis, base.k, -1)
             if counter is not None:
-                counter.base_calls += 1
-            return base.encode(x)
-        k, n = base.k, base.n
-        rows = x.reshape(k, k ** (level - 1))
-        encoded_rows = np.stack(
-            [self._encode_level(row, level - 1, counter) for row in rows]
-        )  # (k, n^(level-1))
-        if counter is not None:
-            counter.base_calls += n ** (level - 1)
-        return (encoded_rows.T @ base.G).T.reshape(-1) % base.p
+                counter.base_calls += lines.shape[0] * lines.shape[2]
+            entries = (base.G.T @ lines) % base.p
+        return TensorWord(self.field, entries.reshape((self.n,) * self.m))
 
     # -- flat (Kronecker) view ------------------------------------------------
 
@@ -325,10 +318,13 @@ def _parse_tensor(fh) -> TensorWord:
         raise ValueError("tensor file must start with a 'p m n' header line")
     p, m, n = (int(v) for v in header)
     field = PrimeField(p)
+    # numpy arrays have at most 64 axes; bounding m also keeps n^m cheap to compute
+    if not 1 <= m <= 64 or n < 0 or n**m > FILE_CAP:
+        raise ValueError(
+            f"header declares an {n}^{m} tensor; files hold 1 to 64 axes "
+            f"and at most {FILE_CAP} entries"
+        )
     values = fh.read().split()
     if len(values) != n**m:
         raise ValueError(f"expected {n ** m} entries, found {len(values)}")
-    entries = np.array([int(v) for v in values], dtype=np.int64).reshape((n,) * m)
-    if entries.size and (entries.min() < 0 or entries.max() >= p):
-        raise ValueError(f"entries must lie in [0, {p})")
-    return TensorWord(field, entries)
+    return TensorWord(field, field.parse(values).reshape((n,) * m))

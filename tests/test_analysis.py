@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorltc
 from tensorltc.analysis import (
     LARGE_DISAGREEMENT,
     SMALL_DISAGREEMENT,
+    InconsistencyReport,
+    OpinionTable,
+    PlaneOpinion,
     SubcubeSets,
     analyze_word,
     certified_distance_bound,
@@ -16,6 +24,7 @@ from tensorltc.analysis import (
     robustness_floor_check,
     verify_heavy_cover,
 )
+from tensorltc.errors import InvariantError
 from tensorltc.linear_code import AMBIGUOUS, INCONSISTENT, ErasureFailure, repetition_code
 from tensorltc.local_testing import robustness_exact
 from tensorltc.noise import erase_planes, planted_word, random_codeword, random_word
@@ -268,3 +277,58 @@ def test_planted_word_generator_exercises_disagreements(cube3):
         ok, _ = verify_heavy_cover(report)
         assert ok
     assert hits > 0
+
+
+def forged_report(code, marks=(), heavy=()):
+    """An inconsistency report whose fields the analysis could never derive."""
+    E = np.zeros((code.n,) * code.m, dtype=np.uint8)
+    for point in marks:
+        E[point] = 1
+    return InconsistencyReport(
+        code=code, disagreement=E, to_fix=(), heavy_planes=tuple(heavy), heavy_lines=()
+    )
+
+
+def test_invariant_errors_on_forged_input(cube3):
+    # a mark outside every heavy plane leaves the subcube dirty
+    with pytest.raises(InvariantError):
+        heavy_free_subcube(forged_report(cube3, marks=[(1, 1, 1)]))
+    # removing a plane with no marks breaks the removed-plane bound
+    with pytest.raises(InvariantError):
+        heavy_free_subcube(forged_report(cube3, heavy=[PlaneIndex(1, 0)]))
+    # opinions that are not subcode codewords disagree in a single point
+    word = cube3.zero_word()
+    opinions = compute_opinions(word, cube3)
+    lonely = np.zeros((3, 3), dtype=np.int64)
+    lonely[0, 0] = 1
+    forged = dict(opinions.opinions)
+    forged[PlaneIndex(1, 0)] = PlaneOpinion(PlaneIndex(1, 0), lonely, 1)
+    with pytest.raises(InvariantError):
+        inconsistency(word, OpinionTable(cube3, word, forged))
+
+
+def test_invariant_errors_survive_optimized_mode():
+    # python -O strips assert statements; the invariants must not rely on them
+    script = (
+        "import numpy as np\n"
+        "from tensorltc import InvariantError, TensorCode, parity_code\n"
+        "from tensorltc.analysis import InconsistencyReport, heavy_free_subcube\n"
+        "assert False, 'assertions are live'\n"
+        "code = TensorCode(parity_code(3), 3)\n"
+        "E = np.zeros((3, 3, 3), dtype=np.uint8)\n"
+        "E[1, 1, 1] = 1\n"
+        "report = InconsistencyReport(code, E, (), (), ())\n"
+        "try:\n"
+        "    heavy_free_subcube(report)\n"
+        "except InvariantError:\n"
+        "    print('InvariantError')\n"
+    )
+    src = str(Path(tensorltc.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "InvariantError"

@@ -152,6 +152,43 @@ def test_usage_errors_exit_one(capsys, tmp_path):
     assert code == 1
 
 
+def test_out_of_range_integers_exit_one(capsys, tmp_path):
+    huge = "99999999999999999999"
+    word = tmp_path / "word.txt"
+    word.write_text(f"2 3 3\n{huge}" + " 0" * 26 + "\n")
+    code, _, err = run_cli(
+        capsys, "membership", "--family", "parity:3", "--m", "3", "--word", str(word)
+    )
+    assert code == 1 and "[0, 2)" in err
+    base = tmp_path / "code.txt"
+    base.write_text(f"2 3 2\n1 0 1\n0 1 {huge}\n")
+    word.write_text("2 3 3\n" + " 0" * 27 + "\n")
+    code, _, err = run_cli(
+        capsys, "membership", "--code", str(base), "--m", "3", "--word", str(word)
+    )
+    assert code == 1 and "[0, 2)" in err
+    message = tmp_path / "msg.txt"
+    message.write_text(f"1 0 1 {huge} 0 0 1 0\n")
+    code, _, err = run_cli(
+        capsys, "encode", "--family", "parity:3", "--m", "3",
+        "--message", str(message), "--out", str(tmp_path / "out.txt"),
+    )
+    assert code == 1 and "[0, 2)" in err
+
+
+def test_oversized_headers_exit_one_before_reading_the_body(capsys, tmp_path):
+    word = tmp_path / "word.txt"
+    word.write_text("2 1000000 1000000\n0 1\n")
+    code, _, err = run_cli(
+        capsys, "membership", "--family", "parity:3", "--m", "3", "--word", str(word)
+    )
+    assert code == 1 and "header" in err
+    base = tmp_path / "code.txt"
+    base.write_text("2 1000000 1000000\n0 1\n")
+    code, _, err = run_cli(capsys, "params", "--code", str(base), "--m", "3")
+    assert code == 1 and "header" in err
+
+
 def test_capacity_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "params", "--family", "random:30,26,2,0", "--m", "2")
     assert code == 2

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tensorltc.errors import FieldMismatchError, ShapeError
+from tensorltc.errors import ShapeError
 from tensorltc.field import PrimeField, nullspace, rref, solve
 
 
@@ -62,22 +62,6 @@ def test_field_axioms_exhaustive(p):
         assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
     for a in range(1, p):
         assert f.mul(a, f.inv(a)) == 1
-
-
-def test_field_elements():
-    gf7 = PrimeField(7)
-    a = gf7.element(3)
-    b = gf7.element(5)
-    assert (a + b).value == 1
-    assert (a - b).value == 5
-    assert (a * b).value == 1
-    assert (a / b).value == 2
-    assert (-a).value == 4
-    assert (a + 4).value == 0
-    assert a.inverse().value == 5
-    assert int(a) == 3
-    with pytest.raises(FieldMismatchError):
-        a + PrimeField(5).element(1)
 
 
 def test_rref_already_reduced():

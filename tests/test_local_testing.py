@@ -2,21 +2,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 
 from tensorltc.errors import ShapeError
 from tensorltc.linear_code import parity_code, repetition_code
 from tensorltc.local_testing import (
-    ComposedTester,
-    PlaneTester,
     composed_robustness_bound,
-    is_square_member,
     rejection_probability_exact,
     rejection_probability_sampled,
     robustness_exact,
     robustness_lower_bound,
 )
 from tensorltc.noise import random_word
-from tensorltc.tensor_code import TensorCode, TensorWord
+from tensorltc.tensor_code import TensorCode, TensorWord, all_planes
 
 
 def single_flip(code):
@@ -26,34 +24,20 @@ def single_flip(code):
 
 
 def test_plane_tester_requires_three_axes(parity3):
+    square = TensorCode(parity3, 2)
+    word = square.zero_word()
     with pytest.raises(ShapeError):
-        PlaneTester(TensorCode(parity3, 2))
+        robustness_exact(word, square)
+    with pytest.raises(ShapeError):
+        rejection_probability_exact(word, square)
+    with pytest.raises(ShapeError):
+        rejection_probability_sampled(word, square, 10, seed=0)
 
 
-def test_plane_enumeration(cube3, cube4):
-    assert len(PlaneTester(cube3).planes()) == 9
-    assert len(PlaneTester(cube4).planes()) == 12
-    restricted = PlaneTester(cube4, axis_mode="first-three")
-    assert {pl.axis for pl in restricted.planes()} == {1, 2, 3}
-
-
-def test_sample_determinism(cube3):
-    tester = PlaneTester(cube3)
-    a = tester.sample(np.random.default_rng(42))
-    b = tester.sample(np.random.default_rng(42))
-    assert a == b
-
-
-def test_sample_uniformity_chi_square(cube3):
-    tester = PlaneTester(cube3)
-    rng = np.random.default_rng(0)
-    counts = {pl: 0 for pl in tester.planes()}
-    draws = 9000
-    for _ in range(draws):
-        counts[tester.sample(rng)] += 1
-    expected = draws / 9
-    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
-    assert chi2 < 30  # 8 degrees of freedom; far tail
+def test_plane_enumeration():
+    assert len(all_planes(3, 3)) == 9
+    assert len(all_planes(4, 3)) == 12
+    assert {pl.axis for pl in all_planes(4, 3, axes=(1, 2, 3))} == {1, 2, 3}
 
 
 def test_robustness_lower_bound_values(parity3):
@@ -94,40 +78,12 @@ def test_first_three_axis_mode_changes_average(cube4):
     assert robustness_exact(word, cube4, "first-three") == Fraction(3, 9 * 27)
 
 
-def test_composed_view_m3_is_single_plane(cube3):
-    word = single_flip(cube3)
-    tester = ComposedTester(cube3)
-    outcome = tester.sample_view(word, np.random.default_rng(1), with_distance=True)
-    assert len(outcome.fixed) == 1
-    axis, coord = next(iter(outcome.fixed.items()))
-    view = np.take(word.entries, coord, axis=axis - 1)
-    assert np.array_equal(outcome.view.entries, view)
-    assert outcome.consistent == (outcome.local_distance == 0)
-
-
-def test_composed_view_m4_size_contract(cube4):
-    word = random_word(cube4, 3)
-    tester = ComposedTester(cube4)
-    outcome = tester.sample_view(word, np.random.default_rng(5))
-    assert len(outcome.fixed) == 2
-    assert outcome.view.entries.shape == (3, 3)
-    points = outcome.points()
-    assert len(points) == 9
-    for pt in points:
-        for axis, coord in outcome.fixed.items():
-            assert pt[axis - 1] == coord
-        assert word.entries[pt] == outcome.view.entries[
-            pt[outcome.free_axes[0] - 1], pt[outcome.free_axes[1] - 1]
-        ]
-
-
 def test_composed_completeness(cube4):
     rng = np.random.default_rng(7)
     word = cube4.encode(rng.integers(0, 2, size=16))
-    tester = ComposedTester(cube4)
-    for seed in range(50):
-        assert tester.sample_view(word, np.random.default_rng(seed)).consistent
-    assert rejection_probability_exact(word, cube4) == 0
+    for axis_mode in ("all", "first-three"):
+        assert rejection_probability_exact(word, cube4, axis_mode) == 0
+        assert rejection_probability_sampled(word, cube4, 200, 3, axis_mode).rejections == 0
 
 
 def test_rejection_exact_single_flip(cube3):
@@ -136,12 +92,14 @@ def test_rejection_exact_single_flip(cube3):
 
 
 def test_rejection_exact_matches_plane_enumeration(cube3):
+    # At m = 3 a tester path is one plane, in either axis mode.
     word = random_word(cube3, 11)
     inconsistent = 0
-    for pl in PlaneTester(cube3).planes():
+    for pl in all_planes(3, 3):
         view = np.take(word.entries, pl.coord, axis=pl.axis - 1)
-        inconsistent += not is_square_member(cube3.base, view)
-    assert rejection_probability_exact(word, cube3) == Fraction(inconsistent, 9)
+        inconsistent += not reference.is_square_member(cube3.base, view)
+    for axis_mode in ("all", "first-three"):
+        assert rejection_probability_exact(word, cube3, axis_mode) == Fraction(inconsistent, 9)
 
 
 def test_rejection_sampled_determinism(cube3):
@@ -174,11 +132,3 @@ def test_exact_path_count_m4(cube4):
     rejection = rejection_probability_exact(word, cube4)
     assert rejection.denominator in (108, 54, 36, 27, 12, 9, 4, 3, 2, 1)  # divides 108
     assert 108 % rejection.denominator == 0
-
-
-def test_view_outcome_free_axes_ascending(cube4):
-    word = random_word(cube4, 31)
-    tester = ComposedTester(cube4)
-    for seed in range(20):
-        outcome = tester.sample_view(word, np.random.default_rng(seed))
-        assert outcome.free_axes[0] < outcome.free_axes[1]
