@@ -250,6 +250,22 @@ def _decode_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultR
     )
 
 
+def _fill_caches(code: TensorCode, kind: str) -> None:
+    """Build every lazy cache the trials read, so that worker threads share
+    them instead of racing to build their own."""
+    base = code.base
+    base.minimum_distance()
+    if kind == "decode":
+        # fills the coset table or the packed codebook, whichever decoding uses
+        radius = DecoderConfig.for_code(base).radius
+        base.bounded_distance_decode(np.zeros(base.n, dtype=np.int64), radius)
+        return
+    if code.field.p**code.dimension <= ENUM_CAP:
+        code.flattened().packed_codebook()
+    if kind == "robustness":
+        code.sub().flattened().packed_codebook()
+
+
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     base = resolve_base_code(spec.base)
     if spec.kind == "decode":
@@ -260,6 +276,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             raise ShapeError(f"{spec.kind} experiments need m >= 3, got m = {spec.m}")
         code = TensorCode(base, spec.m)
         runner = _robustness_trial if spec.kind == "robustness" else _rejection_trial
+    _fill_caches(code, spec.kind)
     threads = max(1, int(os.environ.get("TENSORLTC_THREADS", "1")))
     trials = range(spec.trials)
     if threads > 1:

@@ -23,11 +23,12 @@ from .errors import CapacityError, ShapeError, ZeroCodeError
 from .field import PrimeField, rref, solve
 
 ENUM_CAP = 1 << 24  # max p**k for streaming codeword enumeration
-CODEBOOK_CAP = 1 << 20  # max p**k materialized as one dense array
+CODEBOOK_CAP = 1 << 20  # max p**k held in memory as a (packed) codebook
 SYNDROME_CAP = 1 << 22  # max p**(n-k) for syndrome-table decoding
 PATTERN_CAP = 1 << 20  # max error patterns enumerated for a coset table
 FILE_CAP = 1 << 24  # max entries a code or tensor file header may declare
-_BLOCK = 1 << 14
+_BLOCK = 1 << 14  # max codewords per enumerated block, or p when p is larger
+_PAIRS = 1 << 16  # (word, codeword) pairs per distance chunk; keeps temporaries in cache
 
 
 class ErasureFailure(Enum):
@@ -102,6 +103,7 @@ class LinearCode:
         self.H = self._parity_check(self.G, pivots)
         self._distance: int | None = None
         self._codebook: np.ndarray | None = None
+        self._packed: np.ndarray | None = None
         self._coset_tables: dict[int, dict[bytes, np.ndarray]] = {}
 
     @classmethod
@@ -170,12 +172,38 @@ class LinearCode:
 
     # -- exhaustive enumeration --------------------------------------------
 
-    def _message_block(self, start: int, count: int) -> np.ndarray:
-        idx = np.arange(start, start + count, dtype=np.int64)
-        msgs = np.empty((count, self.k), dtype=np.int64)
-        for j in range(self.k):
-            msgs[:, j] = (idx // self.p ** (self.k - 1 - j)) % self.p
-        return msgs
+    def _messages(self, indices) -> np.ndarray:
+        """Message vectors of lexicographic indices, first symbol most significant."""
+        powers = self.p ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
+        return (np.asarray(indices, dtype=np.int64)[..., None] // powers) % self.p
+
+    def _blocks(self):
+        """Every codeword in message order, as ``(start, block)`` pairs.
+
+        A block adds one prefix codeword, from the first k - r generator
+        rows, to the suffix codebook of the last r rows (the largest r >= 1
+        with p**r <= _BLOCK), which is built once, one row at a time.
+        Symbols are unsigned and wide enough for 2p - 2: after adding two
+        symbols, x - p wraps above x unless x >= p, so ``minimum(x, x - p)``
+        reduces mod p.
+        """
+        p, k, n = self.p, self.k, self.n
+        dtype = np.min_scalar_type(2 * (p - 1))
+        r = 1
+        while r < k and p ** (r + 1) <= _BLOCK:
+            r += 1
+        multiples = ((np.arange(p)[:, None, None] * self.G[k - r :]) % p).astype(dtype)
+        suffix = multiples[:, -1]
+        for j in reversed(range(r - 1)):  # prepend row j as the most significant digit
+            total = (multiples[:, j, None, :] + suffix).reshape(-1, n)
+            suffix = np.minimum(total, total - p)
+        if r == k:
+            yield 0, suffix
+            return
+        for b, prefix in enumerate(itertools.product(range(p), repeat=k - r)):
+            offset = (np.array(prefix, dtype=np.int64) @ self.G[: k - r]) % p
+            total = suffix + offset.astype(dtype)
+            yield b * suffix.shape[0], np.minimum(total, total - p)
 
     def codewords(self) -> np.ndarray:
         """All p**k codewords, row i encoding the i-th message in lex order."""
@@ -184,7 +212,8 @@ class LinearCode:
                 f"codebook of {self.num_codewords()} codewords exceeds cap {CODEBOOK_CAP}"
             )
         if self._codebook is None:
-            self._codebook = self.encode(self._message_block(0, self.num_codewords()))
+            blocks = [block for _, block in self._blocks()]
+            self._codebook = np.concatenate(blocks).astype(np.int64)
         return self._codebook
 
     def minimum_distance(self) -> int:
@@ -195,35 +224,76 @@ class LinearCode:
                 raise CapacityError(
                     f"distance enumeration over {total} codewords exceeds cap {ENUM_CAP}"
                 )
-            best = self.n
-            for start in range(0, total, _BLOCK):
-                block = self.encode(self._message_block(start, min(_BLOCK, total - start)))
-                weights = np.count_nonzero(block, axis=1)
-                if start == 0:
-                    weights = weights[1:]  # skip the zero codeword
-                if weights.size:
-                    best = min(best, int(weights.min()))
-            self._distance = best
+            # block 0 starts with the zero codeword; every block has p >= 2 rows
+            self._distance = min(
+                int(np.count_nonzero(block[1:] if start == 0 else block, axis=1).min())
+                for start, block in self._blocks()
+            )
         return self._distance
 
     # -- nearest-codeword oracle --------------------------------------------
 
-    def _block_distances(self, words: np.ndarray, block: np.ndarray) -> np.ndarray:
+    def _pack(self, words: np.ndarray) -> np.ndarray:
+        """Bit-plane form of (t, n) symbols: (t, planes, ceil(n/64)) uint64.
+
+        Plane j holds bit j of every symbol, so two words differ at a
+        position exactly when some plane differs there.
+        """
         t, n = words.shape
-        bs = block.shape[0]
-        if self.p <= 8 and t * bs * n > (1 << 22):
-            # Hamming distance via one-hot inner products; exact in float64.
-            matches = np.zeros((t, bs))
-            for a in range(self.p):
-                matches += (words == a).astype(np.float64) @ (block == a).T.astype(np.float64)
-            return (n - matches).astype(np.int64)
-        return (words[:, None, :] != block[None, :, :]).sum(axis=2, dtype=np.int64)
+        planes = (self.p - 1).bit_length()
+        bits = np.zeros((t, planes, -(-n // 64) * 64), dtype=np.uint8)
+        bits[..., :n] = (words[:, None, :] >> np.arange(planes, dtype=words.dtype)[:, None]) & 1
+        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+    def _pack_columns(self, block: np.ndarray) -> np.ndarray:
+        """Codewords packed column-wise: (planes, ceil(n/64), count)."""
+        return np.ascontiguousarray(self._pack(block).transpose(1, 2, 0))
+
+    def packed_codebook(self) -> np.ndarray | None:
+        """The codebook the nearest oracle scans, packed column-wise.
+
+        Built from the block enumerator on first use and cached when
+        p**k <= CODEBOOK_CAP; None above that, where the oracle streams
+        packed blocks instead.
+        """
+        if self.num_codewords() > CODEBOOK_CAP:
+            return None
+        if self._packed is None:
+            self._packed = np.concatenate(
+                [self._pack_columns(block) for _, block in self._blocks()], axis=2
+            )
+        return self._packed
+
+    def _scan(self, words: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least distance and its first column for each packed word."""
+        planes, width, count = columns.shape
+        step = max(1, _PAIRS // count)
+        best_d = np.empty(words.shape[0], dtype=np.int64)
+        best_i = np.empty(words.shape[0], dtype=np.int64)
+        for lo in range(0, words.shape[0], step):
+            chunk = words[lo : lo + step]
+            dist = np.zeros((chunk.shape[0], count), dtype=np.min_scalar_type(self.n))
+            for w in range(width):
+                diff = chunk[:, 0, w, None] ^ columns[0, w]
+                for j in range(1, planes):
+                    diff |= chunk[:, j, w, None] ^ columns[j, w]
+                dist += np.bitwise_count(diff)
+            i = dist.argmin(axis=1)  # the first minimum: the smallest message
+            best_i[lo : lo + step] = i
+            best_d[lo : lo + step] = dist[np.arange(i.size), i]
+        return best_d, best_i
 
     def nearest_batch(self, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Closest codewords to each row of ``words``.
 
         Returns ``(codewords, distances, message_indices)``. Ties are broken
         toward the lexicographically smallest message vector.
+
+        Words and codewords are compared in bit-plane form: each symbol is
+        split into ceil(log2 p) bits, each bit position packed into uint64
+        words, and the distance is the popcount of the OR over planes of
+        word XOR codeword. The packed codebook is cached up to CODEBOOK_CAP
+        codewords and streamed block by block above that.
         """
         words = self.field.validate(np.atleast_2d(np.asarray(words)))
         if words.shape[1] != self.n:
@@ -233,22 +303,19 @@ class LinearCode:
             raise CapacityError(
                 f"nearest-codeword search over {total} codewords exceeds cap {ENUM_CAP}"
             )
-        t = words.shape[0]
-        best_d = np.full(t, self.n + 1, dtype=np.int64)
-        best_i = np.zeros(t, dtype=np.int64)
-        for start in range(0, total, _BLOCK):
-            count = min(_BLOCK, total - start)
-            block = self.encode(self._message_block(start, count))
-            dists = self._block_distances(words, block)
-            d = dists.min(axis=1)
-            i = dists.argmin(axis=1)
-            better = d < best_d
-            best_d[better] = d[better]
-            best_i[better] = start + i[better]
-        msgs = np.empty((t, self.k), dtype=np.int64)
-        for j in range(self.k):
-            msgs[:, j] = (best_i // self.p ** (self.k - 1 - j)) % self.p
-        return self.encode(msgs), best_d, best_i
+        packed = self._pack(words)
+        cached = self.packed_codebook()
+        if cached is not None:
+            best_d, best_i = self._scan(packed, cached)
+        else:
+            best_d = np.full(words.shape[0], self.n + 1, dtype=np.int64)
+            best_i = np.zeros(words.shape[0], dtype=np.int64)
+            for start, block in self._blocks():
+                d, i = self._scan(packed, self._pack_columns(block))
+                better = d < best_d  # a later block wins only on a strict <
+                best_d[better] = d[better]
+                best_i[better] = start + i[better]
+        return self.encode(self._messages(best_i)), best_d, best_i
 
     def nearest_codeword(self, w) -> tuple[np.ndarray, int]:
         nearest, dists, _ = self.nearest_batch(np.asarray(w)[None, :])

@@ -20,6 +20,9 @@ from .errors import ShapeError
 from .field import PrimeField
 from .linear_code import FILE_CAP, LinearCode
 
+# numpy arrays have at most 64 axes; bounding m also keeps n^m cheap to compute
+MAX_AXES = 64
+
 
 @dataclass(frozen=True, eq=False)
 class TensorWord:
@@ -166,8 +169,8 @@ class TensorCode:
     """The m-fold tensor power of a base linear code."""
 
     def __init__(self, base: LinearCode, m: int):
-        if m < 1:
-            raise ShapeError(f"tensor exponent must be >= 1, got {m}")
+        if not 1 <= m <= MAX_AXES:
+            raise ShapeError(f"tensor exponent must lie in [1, {MAX_AXES}], got {m}")
         self.base = base
         self.m = m
 
@@ -318,10 +321,9 @@ def _parse_tensor(fh) -> TensorWord:
         raise ValueError("tensor file must start with a 'p m n' header line")
     p, m, n = (int(v) for v in header)
     field = PrimeField(p)
-    # numpy arrays have at most 64 axes; bounding m also keeps n^m cheap to compute
-    if not 1 <= m <= 64 or n < 0 or n**m > FILE_CAP:
+    if not 1 <= m <= MAX_AXES or n < 0 or n**m > FILE_CAP:
         raise ValueError(
-            f"header declares an {n}^{m} tensor; files hold 1 to 64 axes "
+            f"header declares an {n}^{m} tensor; files hold 1 to {MAX_AXES} axes "
             f"and at most {FILE_CAP} entries"
         )
     values = fh.read().split()

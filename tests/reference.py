@@ -2,9 +2,10 @@
 
 Each function is the loop form that the library's array form replaced:
 line checks one axis at a time, the recursive encoder, the composed
-tester walked path by path or draw by draw, and the pairwise plane loop
-behind the disagreement tensor. The differential tests require the two
-forms to agree exactly.
+tester walked path by path or draw by draw, the pairwise plane loop
+behind the disagreement tensor, and the nearest-codeword oracle that
+re-encodes the codebook block by block and compares unpacked symbols.
+The differential tests require the two forms to agree exactly.
 """
 
 from __future__ import annotations
@@ -156,3 +157,42 @@ def inconsistency(word: TensorWord, opinions) -> tuple:
         for fixed in np.argwhere(E.sum(axis=axis - 1, dtype=np.int64) >= d)
     )
     return E, to_fix, heavy_planes, heavy_lines
+
+
+# -- nearest-codeword oracle ---------------------------------------------------
+
+BLOCK = 1 << 14
+
+
+def messages(code, indices: np.ndarray) -> np.ndarray:
+    """The messages with the given lexicographic indices."""
+    msgs = np.empty((indices.size, code.k), dtype=np.int64)
+    for j in range(code.k):
+        msgs[:, j] = (indices // code.p ** (code.k - 1 - j)) % code.p
+    return msgs
+
+
+def codewords(code) -> np.ndarray:
+    return code.encode(messages(code, np.arange(code.num_codewords())))
+
+
+def minimum_distance(code) -> int:
+    return int(np.count_nonzero(codewords(code)[1:], axis=1).min())
+
+
+def nearest_batch(code, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re-encode each block of messages, compare symbol by symbol and keep
+    the first strict minimum."""
+    words = np.atleast_2d(np.asarray(words, dtype=np.int64))
+    t, total = words.shape[0], code.num_codewords()
+    best_d = np.full(t, code.n + 1, dtype=np.int64)
+    best_i = np.zeros(t, dtype=np.int64)
+    for start in range(0, total, BLOCK):
+        block = code.encode(messages(code, np.arange(start, min(start + BLOCK, total))))
+        dists = (words[:, None, :] != block[None, :, :]).sum(axis=2, dtype=np.int64)
+        d = dists.min(axis=1)
+        i = dists.argmin(axis=1)
+        better = d < best_d
+        best_d[better] = d[better]
+        best_i[better] = start + i[better]
+    return code.encode(messages(code, best_i)), best_d, best_i

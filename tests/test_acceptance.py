@@ -245,7 +245,7 @@ def test_criterion_5_unique_extension(cube3, m3_sweep, m4_sweep):
 
 def test_criterion_6_encoder(cube3, cube4):
     flat3 = cube3.flattened()
-    messages = flat3._message_block(0, 256)
+    messages = flat3._messages(np.arange(256))
     mismatches = 0
     for msg in messages:
         if not np.array_equal(cube3.encode(msg).flat(), flat3.encode(msg)):
@@ -275,7 +275,7 @@ def test_criterion_7_strong_local_testing(cube3, cube4, m3_sweep):
 
     codeword_rejections = 0
     flat3 = cube3.flattened()
-    for msg in flat3._message_block(0, 256):
+    for msg in flat3._messages(np.arange(256)):
         word = cube3.encode(msg)
         if rejection_probability_exact(word, cube3) != 0:
             codeword_rejections += 1

@@ -1,4 +1,6 @@
 import json
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from tensorltc.experiment import (
     trial_seed,
     violations,
 )
-from tensorltc.linear_code import hamming74, parity_code
+from tensorltc.linear_code import LinearCode, hamming74, parity_code
 from tensorltc.noise import random_codeword
 from tensorltc.tensor_code import TensorCode, save_tensor
 
@@ -189,6 +191,17 @@ def test_oversized_headers_exit_one_before_reading_the_body(capsys, tmp_path):
     assert code == 1 and "header" in err
 
 
+@pytest.mark.parametrize("m", ["99999999999999999999", "65"])
+def test_tensor_exponent_outside_1_to_64_exits_one(capsys, tmp_path, m):
+    code, _, err = run_cli(capsys, "params", "--family", "parity:3", "--m", m)
+    assert code == 1 and "[1, 64]" in err
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", "robustness", "--family", "parity:3",
+        "--m", m, "--trials", "1", "--out", str(tmp_path / "rows.csv"),
+    )
+    assert code == 1 and "[1, 64]" in err
+
+
 def test_capacity_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "params", "--family", "random:30,26,2,0", "--m", "2")
     assert code == 2
@@ -248,6 +261,32 @@ def test_experiment_threads_do_not_change_output(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TENSORLTC_THREADS", "4")
     threaded = run_experiment(spec)
     assert sequential == threaded
+
+
+@pytest.mark.parametrize("kind", ["robustness", "decode"])
+def test_threaded_experiment_enumerates_each_code_once(capsys, tmp_path, monkeypatch, kind):
+    """Every lazy codebook is built before the trials fan out over threads."""
+    family, m = ("parity:3", "3") if kind == "robustness" else ("repetition:30", "2")
+    argv = ["experiment", "--kind", kind, "--family", family, "--m", m, "--trials", "40"]
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "one.csv"))
+    assert code == 0
+
+    enumerations = Counter()
+    blocks = LinearCode._blocks
+
+    def slow_counting_blocks(self):
+        enumerations[id(self)] += 1
+        time.sleep(0.05)  # hands the other thread the interpreter mid-build
+        return blocks(self)
+
+    monkeypatch.setattr(LinearCode, "_blocks", slow_counting_blocks)
+    monkeypatch.setenv("TENSORLTC_THREADS", "2")
+    code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "two.csv"))
+    assert code == 0
+    # robustness: the base distance, the flat codebook and the plane-view
+    # codebook; decode: the distance and the codebook of the base code
+    assert sorted(enumerations.values()) == ([1, 1, 1] if kind == "robustness" else [2])
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
 def test_violation_rows_exit_four(capsys, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorltc import linear_code
 from tensorltc.analysis import OpinionTable, PlaneOpinion, compute_opinions, inconsistency
 from tensorltc.errors import ZeroCodeError
 from tensorltc.experiment import distance_lower_bound
@@ -23,10 +24,11 @@ AXIS_MODES = ("all", "first-three")
 
 
 @st.composite
-def codes(draw, p=st.sampled_from([2, 3, 5]), n=st.integers(2, 4)):
-    """A random base code: a uniform generator matrix of nonzero rank."""
+def codes(draw, p=st.sampled_from([2, 3, 5]), n=st.integers(2, 4), max_k=None):
+    """A random base code: a uniform generator matrix of nonzero rank, with
+    k at most ``max_k[p]`` when given."""
     p, n = draw(p), draw(n)
-    k = draw(st.integers(1, n))
+    k = draw(st.integers(1, n if max_k is None else min(n, max_k[p])))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     try:
         return LinearCode(PrimeField(p), rng.integers(0, p, size=(k, n)))
@@ -145,3 +147,53 @@ def test_exact_rejection_without_path_cap():
     entries[(0,) * 12] = 1
     rejection = rejection_probability_exact(TensorWord(code.field, entries), code)
     assert rejection == Fraction(1, 2**10)
+
+
+# -- nearest-codeword oracle ---------------------------------------------------
+
+# At most 1,024, 729, 625 and 169 codewords; GF(13) symbols take four
+# bit-planes, and n up to 70 crosses the 64-bit word boundary.
+ORACLE_MAX_K = {2: 10, 3: 6, 5: 4, 13: 2}
+wide_codes = codes(p=st.sampled_from([2, 3, 5, 13]), n=st.integers(1, 70), max_k=ORACLE_MAX_K)
+ORACLE_PATHS = (
+    {},  # cached packed codebook, one chunk of words
+    {"_BLOCK": 30, "_PAIRS": 7},  # cached, built from many blocks, a few words per chunk
+    {"CODEBOOK_CAP": 1, "_BLOCK": 30},  # packed blocks streamed from the enumerator
+)
+
+
+def oracle_batch(code: LinearCode, rng: np.random.Generator) -> np.ndarray:
+    """Random words, codewords, codewords with one symbol changed, and
+    repeats of all of these, so that distances tie."""
+    p, n = code.p, code.n
+    picks = reference.codewords(code)[rng.integers(0, code.num_codewords(), size=3)]
+    near = picks.copy()
+    near[np.arange(3), rng.integers(0, n, size=3)] = rng.integers(0, p, size=3)
+    words = np.concatenate([rng.integers(0, p, size=(5, n)), picks, near])
+    return np.concatenate([words, words[rng.integers(0, len(words), size=4)]])
+
+
+@PROPERTY
+@given(wide_codes, st.sampled_from(ORACLE_PATHS), st.integers(0, 2**32 - 1))
+def test_nearest_batch_matches_reencoding_reference(code, path, seed):
+    words = oracle_batch(code, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in path.items():
+            mp.setattr(linear_code, name, value)
+        result = code.nearest_batch(words)
+        assert (code.packed_codebook() is None) == ("CODEBOOK_CAP" in path)
+    for got, expected in zip(result, reference.nearest_batch(code, words)):
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+@PROPERTY
+@given(wide_codes, st.sampled_from([1 << 14, 30]))
+def test_enumeration_matches_reencoding_reference(code, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear_code, "_BLOCK", block)
+        codebook = code.codewords()
+        distance = code.minimum_distance()
+    assert codebook.dtype == np.int64
+    assert np.array_equal(codebook, reference.codewords(code))
+    assert distance == reference.minimum_distance(code)

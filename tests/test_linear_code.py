@@ -274,17 +274,6 @@ def test_nearest_batch_matches_singletons():
         assert np.array_equal(cw, batch_cw[i])
 
 
-def test_block_distance_paths_agree():
-    # force the one-hot matmul path and compare with the broadcast path
-    code = parity_code(3)
-    rng = np.random.default_rng(2)
-    words = rng.integers(0, 2, size=(1500, 3))
-    block = rng.integers(0, 2, size=(1200, 3))
-    fast = code._block_distances(words, block)
-    slow = (words[:, None, :] != block[None, :, :]).sum(axis=2)
-    assert np.array_equal(fast, slow)
-
-
 def test_hamming_distance_helper():
     assert hamming_distance([1, 2, 3], [1, 0, 3]) == 1
     with pytest.raises(ShapeError):
