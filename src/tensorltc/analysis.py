@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvariantError, ShapeError
-from .linear_code import AMBIGUOUS, ErasureFailure, PartialWord
+from .linear_code import AMBIGUOUS, ErasureFailure, first_failure
 from .tensor_code import LineIndex, PlaneIndex, TensorCode, TensorWord, all_planes
 
 
@@ -234,9 +234,9 @@ def extend_from_subcube(
     Entries outside S_1 x ... x S_m are ignored. Proceeds axis by axis:
     every line parallel to the axis, with the other coordinates inside the
     already-completed region, is erasure-decoded from its surviving
-    coordinates. Unique whenever every axis keeps more than n - d
-    coordinates; otherwise AMBIGUOUS (or INCONSISTENT when the known part
-    fits no codeword). The final word is verified for membership.
+    coordinates, all in one batch. Unique whenever every axis keeps more
+    than n - d coordinates; otherwise AMBIGUOUS (or INCONSISTENT when the
+    known part fits no codeword). The final word is verified for membership.
     """
     code.check_shape(word)
     axis_sets = sets.sets if isinstance(sets, SubcubeSets) else tuple(sets)
@@ -246,21 +246,21 @@ def extend_from_subcube(
     if any(len(s) == 0 for s in axis_sets):
         return AMBIGUOUS
     values = word.entries.copy()
-    for b in range(1, code.m + 1):
-        surviving = sorted(axis_sets[b - 1])
+    for axis in range(code.m):
         known = np.zeros(n, dtype=bool)
-        known[list(surviving)] = True
+        known[list(axis_sets[axis])] = True
         if known.all():
             continue
-        other_ranges = [range(n)] * (b - 1) + [sorted(axis_sets[a - 1]) for a in range(b + 1, code.m + 1)]
-        for other in itertools.product(*other_ranges):
-            indexer: list = list(other)
-            indexer.insert(b - 1, slice(None))
-            line = values[tuple(indexer)]
-            completed = code.base.erasure_decode(PartialWord(line % code.field.p, known))
-            if isinstance(completed, ErasureFailure):
-                return completed
-            values[tuple(indexer)] = completed
+        # the lines along this axis whose later coordinates lie in the subcube
+        index = np.ix_(
+            *[np.arange(n) if a <= axis else sorted(axis_sets[a]) for a in range(code.m)]
+        )
+        lines = np.moveaxis(values[index], axis, -1)
+        completed, status = code.base.erasure_decode_batch(lines.reshape(-1, n), known)
+        failure = first_failure(status)
+        if failure is not None:
+            return failure
+        values[index] = np.moveaxis(completed.reshape(lines.shape), -1, axis)
     result = TensorWord(code.field, values % code.field.p)
     if not code.contains(result):
         return ErasureFailure.INCONSISTENT

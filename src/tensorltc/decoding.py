@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeError
-from .linear_code import ErasureFailure, LinearCode, PartialWord, hamming_distance
+from .linear_code import LinearCode, first_failure, hamming_distance
 from .tensor_code import TensorWord, line_syndromes
 
 
@@ -116,9 +116,10 @@ def inconsistent_entries(
     return marks
 
 
-def _meets(count: int, threshold: Fraction, n: int) -> bool:
+def _removed(counts: np.ndarray, threshold: Fraction, n: int) -> np.ndarray:
     # count >= threshold * n, exactly, and never drop a clean line
-    return count > 0 and count * threshold.denominator >= threshold.numerator * n
+    least = max(1, -(-threshold.numerator * n // threshold.denominator))
+    return np.flatnonzero(counts >= least)
 
 
 def decode_square(
@@ -127,7 +128,8 @@ def decode_square(
     """Decode an n x n word to the 2-fold power of the configured base.
 
     Returns (codeword, trace) on success and (None, trace) on failure.
-    Any returned word is a verified member of the square code.
+    Any returned word is a verified member of the square code. A failing
+    erasure pass reports the first failing row, or column, in index order.
     """
     entries = word.entries if isinstance(word, TensorWord) else np.asarray(word)
     n = cfg.base.n
@@ -136,23 +138,12 @@ def decode_square(
     entries = cfg.base.field.validate(entries)
     trace = DecodeTrace(budget=cfg.error_budget())
 
-    # Pass 1: bounded-distance decode every row and every column.
-    row_decoded = np.zeros((n, n), dtype=np.int64)
-    col_decoded = np.zeros((n, n), dtype=np.int64)
-    row_failed = np.zeros(n, dtype=bool)
-    col_failed = np.zeros(n, dtype=bool)
-    for i in range(n):
-        decoded = cfg.base.bounded_distance_decode(entries[i], cfg.radius)
-        if decoded is None:
-            row_failed[i] = True
-        else:
-            row_decoded[i] = decoded
-    for j in range(n):
-        decoded = cfg.base.bounded_distance_decode(entries[:, j], cfg.radius)
-        if decoded is None:
-            col_failed[j] = True
-        else:
-            col_decoded[:, j] = decoded
+    # Pass 1: bounded-distance decode every row and every column, in one batch.
+    decoded, failed = cfg.base.bounded_distance_decode_batch(
+        np.concatenate([entries, entries.T]), cfg.radius
+    )
+    row_decoded, col_decoded = decoded[:n], decoded[n:].T
+    row_failed, col_failed = failed[:n], failed[n:]
 
     # Pass 2: mark entries where the passes disagree.
     marks = inconsistent_entries(row_decoded, col_decoded, row_failed, col_failed)
@@ -166,10 +157,10 @@ def decode_square(
     trace.bad_cols = int((col_counts >= cfg.radius).sum())
 
     # Pass 3: remove lines at the removal threshold.
-    removed_rows = [i for i in range(n) if _meets(int(row_counts[i]), cfg.removal_threshold, n)]
-    removed_cols = [j for j in range(n) if _meets(int(col_counts[j]), cfg.removal_threshold, n)]
-    trace.removed_rows = tuple(removed_rows)
-    trace.removed_cols = tuple(removed_cols)
+    removed_rows = _removed(row_counts, cfg.removal_threshold, n)
+    removed_cols = _removed(col_counts, cfg.removal_threshold, n)
+    trace.removed_rows = tuple(removed_rows.tolist())
+    trace.removed_cols = tuple(removed_cols.tolist())
     surviving_rows = np.setdiff1d(np.arange(n), removed_rows)
     surviving_cols = np.setdiff1d(np.arange(n), removed_cols)
     if surviving_rows.size == 0 or surviving_cols.size == 0:
@@ -177,29 +168,28 @@ def decode_square(
         return None, trace
 
     # Pass 4: treat removed lines as erasures and re-extend from the
-    # surviving submatrix of consistently decoded values.
-    col_known = np.zeros(n, dtype=bool)
-    col_known[surviving_cols] = True
+    # surviving submatrix of consistently decoded values: one erasure batch
+    # over the surviving rows, then one over every column.
     output = np.zeros((n, n), dtype=np.int64)
-    for i in surviving_rows:
-        if col_known.all():
-            output[i] = row_decoded[i]  # full row already decoded to a codeword
-            continue
-        completed = cfg.base.erasure_decode(PartialWord(row_decoded[i], col_known))
-        if isinstance(completed, ErasureFailure):
-            trace.status = f"row-erasure-{completed.value}"
+    output[surviving_rows] = row_decoded[surviving_rows]  # each a decoded codeword
+    if removed_cols.size:
+        col_known = np.zeros(n, dtype=bool)
+        col_known[surviving_cols] = True
+        completed, status = cfg.base.erasure_decode_batch(output[surviving_rows], col_known)
+        failure = first_failure(status)
+        if failure is not None:
+            trace.status = f"row-erasure-{failure.value}"
             return None, trace
-        output[i] = completed
-    row_known = np.zeros(n, dtype=bool)
-    row_known[surviving_rows] = True
-    for j in range(n):
-        if row_known.all():
-            break  # every column is fully filled by decoded rows
-        completed = cfg.base.erasure_decode(PartialWord(output[:, j], row_known))
-        if isinstance(completed, ErasureFailure):
-            trace.status = f"column-erasure-{completed.value}"
+        output[surviving_rows] = completed
+    if removed_rows.size:
+        row_known = np.zeros(n, dtype=bool)
+        row_known[surviving_rows] = True
+        completed, status = cfg.base.erasure_decode_batch(output.T, row_known)
+        failure = first_failure(status)
+        if failure is not None:
+            trace.status = f"column-erasure-{failure.value}"
             return None, trace
-        output[:, j] = completed
+        output = np.ascontiguousarray(completed.T)
 
     # Pass 5: verify membership and plausibility.
     if line_syndromes(cfg.base, output).any():

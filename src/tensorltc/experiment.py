@@ -258,7 +258,7 @@ def _fill_caches(code: TensorCode, kind: str) -> None:
     if kind == "decode":
         # fills the coset table or the packed codebook, whichever decoding uses
         radius = DecoderConfig.for_code(base).radius
-        base.bounded_distance_decode(np.zeros(base.n, dtype=np.int64), radius)
+        base.bounded_distance_decode_batch(np.zeros((1, base.n), dtype=np.int64), radius)
         return
     if code.field.p**code.dimension <= ENUM_CAP:
         code.flattened().packed_codebook()
@@ -269,6 +269,10 @@ def _fill_caches(code: TensorCode, kind: str) -> None:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     base = resolve_base_code(spec.base)
     if spec.kind == "decode":
+        if spec.m != 2:
+            raise ShapeError(
+                f"decode experiments run on the square power; m must be 2, got m = {spec.m}"
+            )
         code = TensorCode(base, 2)
         runner = _decode_trial
     else:

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CapacityError, ShapeError, ZeroCodeError
-from .field import PrimeField, rref, solve
+from .field import PrimeField, rref
 
 ENUM_CAP = 1 << 24  # max p**k for streaming codeword enumeration
 CODEBOOK_CAP = 1 << 20  # max p**k held in memory as a (packed) codebook
@@ -40,6 +40,11 @@ class ErasureFailure(Enum):
 
 AMBIGUOUS = ErasureFailure.AMBIGUOUS
 INCONSISTENT = ErasureFailure.INCONSISTENT
+
+
+def first_failure(status: list[ErasureFailure | None]) -> ErasureFailure | None:
+    """The first failure in an erasure batch's status list, or None."""
+    return next((s for s in status if s is not None), None)
 
 
 def hamming_distance(a, b) -> int:
@@ -104,7 +109,7 @@ class LinearCode:
         self._distance: int | None = None
         self._codebook: np.ndarray | None = None
         self._packed: np.ndarray | None = None
-        self._coset_tables: dict[int, dict[bytes, np.ndarray]] = {}
+        self._coset_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def from_generator(cls, p, generator) -> LinearCode:
@@ -343,74 +348,120 @@ class LinearCode:
 
     # -- decoding ------------------------------------------------------------
 
-    def erasure_decode(self, partial: PartialWord) -> np.ndarray | ErasureFailure:
-        """Complete a partial word to the unique agreeing codeword.
+    def erasure_decode_batch(
+        self, values, known
+    ) -> tuple[np.ndarray, list[ErasureFailure | None]]:
+        """Complete every row of ``values`` from its ``known`` positions.
 
-        Solves x @ G = w on the known coordinates. Returns the codeword if
-        it is unique, AMBIGUOUS if several codewords agree, INCONSISTENT if
-        none does. With at most d - 1 erasures of a true codeword the
-        completion is always that codeword.
+        Returns ``(codewords, status)``. Status i is None when row i agrees
+        with a unique codeword, AMBIGUOUS when several codewords agree and
+        INCONSISTENT when none does; failed rows of ``codewords`` are zero.
+
+        One row reduction serves every row: G with its known columns moved
+        first is brought to RREF R. The r pivots that fall among the known
+        columns make an information set of the known part, so a row b fits
+        some codeword exactly when b[pivots] @ R[:r] repeats b on the known
+        columns; the fit is unique exactly when r = k, and then that
+        product is the codeword.
         """
-        if partial.n != self.n:
-            raise ShapeError(f"partial word length {partial.n} != n = {self.n}")
-        known = partial.known
-        A = self.G[:, known].T
-        b = partial.values[known] % self.p
-        result = solve(self.field, A, b)
-        if result is None:
-            return INCONSISTENT
-        x, homogeneous = result
-        if homogeneous.shape[0] > 0:
-            return AMBIGUOUS
-        return self.encode(x)
+        values = np.asarray(values, dtype=np.int64)
+        known = np.asarray(known, dtype=bool)
+        if values.ndim != 2 or values.shape[1] != self.n or known.shape != (self.n,):
+            raise ShapeError(f"expected rows of length n = {self.n} and a length-n known mask")
+        order = np.concatenate([np.flatnonzero(known), np.flatnonzero(~known)])
+        R, pivots, _ = rref(self.field, self.G[:, order])
+        size = int(known.sum())
+        rank = sum(c < size for c in pivots)
+        b = values[:, order[:size]] % self.p
+        fit = (b[:, pivots[:rank]] @ R[:rank]) % self.p
+        inconsistent = (fit[:, :size] != b).any(axis=1)
+        codewords = np.zeros_like(values)
+        if rank < self.k:
+            return codewords, [INCONSISTENT if bad else AMBIGUOUS for bad in inconsistent]
+        codewords[np.ix_(~inconsistent, order)] = fit[~inconsistent]
+        return codewords, [INCONSISTENT if bad else None for bad in inconsistent]
 
-    def _coset_table(self, radius: int) -> dict[bytes, np.ndarray]:
-        """Syndrome -> minimal-weight error pattern, for weights <= radius."""
+    def erasure_decode(self, partial: PartialWord) -> np.ndarray | ErasureFailure:
+        """Complete a partial word to the unique agreeing codeword, else
+        AMBIGUOUS or INCONSISTENT (see :meth:`erasure_decode_batch`). With at
+        most d - 1 erasures of a true codeword the completion is that codeword."""
+        codewords, status = self.erasure_decode_batch(partial.values[None], partial.known)
+        return codewords[0] if status[0] is None else status[0]
+
+    def _coset_table(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted syndrome keys and the coset leader of each.
+
+        A syndrome's key is its base-p integer, below p**(n-k). Its leader
+        is the first error pattern of weight <= radius that has it, in the
+        order weight, positions, values. The table holds at most one row
+        per pattern, whatever p**(n-k) is.
+        """
         if radius not in self._coset_tables:
-            table: dict[bytes, np.ndarray] = {}
             p, n = self.p, self.n
-            for weight in range(radius + 1):
-                for positions in itertools.combinations(range(n), weight):
-                    for values in itertools.product(range(1, p), repeat=weight):
-                        e = np.zeros(n, dtype=np.int64)
-                        e[list(positions)] = values
-                        key = self.syndrome(e).tobytes()
-                        table.setdefault(key, e)
-            self._coset_tables[radius] = table
+            blocks = []
+            for weight in range(min(radius, n) + 1):
+                positions = np.array(list(itertools.combinations(range(n), weight)), int)
+                values = np.array(list(itertools.product(range(1, p), repeat=weight)), int)
+                # pattern (c, v) of this weight holds values[v] at positions[c]
+                block = np.zeros((len(positions), len(values), n), dtype=np.int64)
+                c = np.arange(len(positions))[:, None, None]
+                v = np.arange(len(values))[:, None]
+                block[c, v, positions[:, None, :]] = values
+                blocks.append(block.reshape(-1, n))
+            patterns = np.concatenate(blocks)
+            keys, first = np.unique(self._syndrome_keys(patterns), return_index=True)
+            self._coset_tables[radius] = (keys, patterns[first])
         return self._coset_tables[radius]
+
+    def _syndrome_keys(self, words: np.ndarray) -> np.ndarray:
+        return self.syndrome(words) @ self.p ** np.arange(self.n - self.k, dtype=np.int64)
 
     def _pattern_count(self, radius: int) -> int:
         return sum(
             math.comb(self.n, w) * (self.p - 1) ** w for w in range(radius + 1)
         )
 
-    def bounded_distance_decode(self, w, radius: int) -> np.ndarray | None:
-        """The unique codeword within ``radius`` of ``w``, else None.
+    def bounded_distance_decode_batch(
+        self, words, radius: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Decode every row of ``words`` within ``radius``.
 
-        Uniqueness is guaranteed for radius <= floor((d-1)/2); for larger
-        radii some codeword within range is returned. Uses a syndrome table
-        when the syndrome space and pattern count are small, otherwise the
-        exhaustive nearest-codeword search.
+        Returns ``(codewords, failed)``: failed[i] is True when no codeword
+        lies within ``radius`` of row i, and then row i of ``codewords`` is
+        zero. Uniqueness is guaranteed for radius <= floor((d-1)/2); for
+        larger radii some codeword within range is returned. Uses the coset
+        table (one syndrome product, one sorted-key lookup) when the
+        syndrome space and pattern count are small, otherwise one pass of
+        the nearest-codeword oracle.
         """
-        w = self.field.validate(np.asarray(w))
-        if w.shape != (self.n,):
-            raise ShapeError(f"word length {w.shape} != n = {self.n}")
+        words = self.field.validate(np.asarray(words))
+        if words.ndim != 2 or words.shape[1] != self.n:
+            raise ShapeError(f"expected rows of length n = {self.n}, got shape {words.shape}")
         syndrome_ok = (
             self.p ** (self.n - self.k) <= SYNDROME_CAP
             and self._pattern_count(radius) <= PATTERN_CAP
         )
         if syndrome_ok:
-            table = self._coset_table(radius)
-            e = table.get(self.syndrome(w).tobytes())
-            if e is None:
-                return None
-            return (w - e) % self.p
-        if self.num_codewords() <= ENUM_CAP:
-            codeword, dist = self.nearest_codeword(w)
-            return codeword if dist <= radius else None
-        raise CapacityError(
-            "bounded-distance decoding infeasible: syndrome and enumeration caps exceeded"
-        )
+            keys, leaders = self._coset_table(radius)
+            syndrome_keys = self._syndrome_keys(words)
+            at = np.minimum(np.searchsorted(keys, syndrome_keys), keys.size - 1)
+            failed = keys[at] != syndrome_keys
+            codewords = (words - leaders[at]) % self.p
+        elif self.num_codewords() <= ENUM_CAP:
+            codewords, dists, _ = self.nearest_batch(words)
+            failed = dists > radius
+        else:
+            raise CapacityError(
+                "bounded-distance decoding infeasible: syndrome and enumeration caps exceeded"
+            )
+        codewords[failed] = 0
+        return codewords, failed
+
+    def bounded_distance_decode(self, w, radius: int) -> np.ndarray | None:
+        """The unique codeword within ``radius`` of ``w``, else None (see
+        :meth:`bounded_distance_decode_batch`)."""
+        codewords, failed = self.bounded_distance_decode_batch(np.asarray(w)[None], radius)
+        return None if failed[0] else codewords[0]
 
     def unique_decoding_radius(self) -> int:
         return (self.minimum_distance() - 1) // 2

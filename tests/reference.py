@@ -3,18 +3,28 @@
 Each function is the loop form that the library's array form replaced:
 line checks one axis at a time, the recursive encoder, the composed
 tester walked path by path or draw by draw, the pairwise plane loop
-behind the disagreement tensor, and the nearest-codeword oracle that
-re-encodes the codebook block by block and compares unpacked symbols.
-The differential tests require the two forms to agree exactly.
+behind the disagreement tensor, the nearest-codeword oracle that
+re-encodes the codebook block by block and compares unpacked symbols,
+and the line decoders run one line at a time: bounded-distance decoding
+through a bytes-keyed coset dict, erasure decoding through one linear
+solve per line, and the square decoder and subcube extension that loop
+over lines. The differential tests require the two forms to agree
+exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 
+from tensorltc import linear_code
+from tensorltc.decoding import DecodeTrace, inconsistent_entries
+from tensorltc.errors import ShapeError
+from tensorltc.field import solve
+from tensorltc.linear_code import AMBIGUOUS, INCONSISTENT, ErasureFailure, PartialWord
 from tensorltc.tensor_code import EncodeCounter, LineIndex, PlaneIndex, TensorCode, TensorWord
 
 
@@ -196,3 +206,157 @@ def nearest_batch(code, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         best_d[better] = d[better]
         best_i[better] = start + i[better]
     return code.encode(messages(code, best_i)), best_d, best_i
+
+
+# -- line decoders ------------------------------------------------------------
+
+
+def erasure_decode(code, partial: PartialWord) -> np.ndarray | ErasureFailure:
+    """Solve x @ G = w on the known coordinates of one line."""
+    known = partial.known
+    result = solve(code.field, code.G[:, known].T, partial.values[known] % code.p)
+    if result is None:
+        return INCONSISTENT
+    x, homogeneous = result
+    if homogeneous.shape[0] > 0:
+        return AMBIGUOUS
+    return code.encode(x)
+
+
+_COSET_DICTS: dict = {}
+
+
+def coset_dict(code, radius: int) -> dict[bytes, np.ndarray]:
+    """Syndrome bytes -> the first pattern of weight <= radius with that
+    syndrome, enumerated by weight, then positions, then values."""
+    key = (code, radius)
+    if key not in _COSET_DICTS:
+        table: dict[bytes, np.ndarray] = {}
+        p, n = code.p, code.n
+        for weight in range(radius + 1):
+            for positions in itertools.combinations(range(n), weight):
+                for values in itertools.product(range(1, p), repeat=weight):
+                    e = np.zeros(n, dtype=np.int64)
+                    e[list(positions)] = values
+                    table.setdefault(code.syndrome(e).tobytes(), e)
+        _COSET_DICTS[key] = table
+    return _COSET_DICTS[key]
+
+
+def bounded_distance_decode(code, w, radius: int) -> np.ndarray | None:
+    """One line: a dict lookup of its syndrome when the syndrome space and
+    pattern count are under the caps, else the nearest codeword."""
+    w = np.asarray(w, dtype=np.int64)
+    patterns = sum(math.comb(code.n, t) * (code.p - 1) ** t for t in range(radius + 1))
+    if code.p ** (code.n - code.k) <= linear_code.SYNDROME_CAP and patterns <= linear_code.PATTERN_CAP:
+        e = coset_dict(code, radius).get(code.syndrome(w).tobytes())
+        return None if e is None else (w - e) % code.p
+    nearest, dists, _ = nearest_batch(code, w[None, :])
+    return nearest[0] if dists[0] <= radius else None
+
+
+def decode_square(word: TensorWord, cfg) -> tuple[TensorWord | None, DecodeTrace]:
+    """The row/column decoder with one decoder call per line."""
+    base, n = cfg.base, cfg.base.n
+    entries = word.entries
+    trace = DecodeTrace(budget=cfg.error_budget())
+    row_decoded = np.zeros((n, n), dtype=np.int64)
+    col_decoded = np.zeros((n, n), dtype=np.int64)
+    row_failed = np.zeros(n, dtype=bool)
+    col_failed = np.zeros(n, dtype=bool)
+    for i in range(n):
+        decoded = bounded_distance_decode(base, entries[i], cfg.radius)
+        if decoded is None:
+            row_failed[i] = True
+        else:
+            row_decoded[i] = decoded
+    for j in range(n):
+        decoded = bounded_distance_decode(base, entries[:, j], cfg.radius)
+        if decoded is None:
+            col_failed[j] = True
+        else:
+            col_decoded[:, j] = decoded
+
+    marks = inconsistent_entries(row_decoded, col_decoded, row_failed, col_failed)
+    trace.inconsistent = marks
+    trace.row_failed = row_failed
+    trace.col_failed = col_failed
+    row_counts = marks.sum(axis=1, dtype=np.int64)
+    col_counts = marks.sum(axis=0, dtype=np.int64)
+    trace.bad_rows = int((row_counts >= cfg.radius).sum())
+    trace.bad_cols = int((col_counts >= cfg.radius).sum())
+
+    def meets(count: int) -> bool:
+        t = cfg.removal_threshold
+        return count > 0 and count * t.denominator >= t.numerator * n
+
+    removed_rows = [i for i in range(n) if meets(int(row_counts[i]))]
+    removed_cols = [j for j in range(n) if meets(int(col_counts[j]))]
+    trace.removed_rows = tuple(removed_rows)
+    trace.removed_cols = tuple(removed_cols)
+    surviving_rows = np.setdiff1d(np.arange(n), removed_rows)
+    surviving_cols = np.setdiff1d(np.arange(n), removed_cols)
+    if surviving_rows.size == 0 or surviving_cols.size == 0:
+        trace.status = "all-lines-removed"
+        return None, trace
+
+    col_known = np.zeros(n, dtype=bool)
+    col_known[surviving_cols] = True
+    output = np.zeros((n, n), dtype=np.int64)
+    for i in surviving_rows:
+        if col_known.all():
+            output[i] = row_decoded[i]
+            continue
+        completed = erasure_decode(base, PartialWord(row_decoded[i], col_known))
+        if isinstance(completed, ErasureFailure):
+            trace.status = f"row-erasure-{completed.value}"
+            return None, trace
+        output[i] = completed
+    row_known = np.zeros(n, dtype=bool)
+    row_known[surviving_rows] = True
+    for j in range(n):
+        if row_known.all():
+            break
+        completed = erasure_decode(base, PartialWord(output[:, j], row_known))
+        if isinstance(completed, ErasureFailure):
+            trace.status = f"column-erasure-{completed.value}"
+            return None, trace
+        output[:, j] = completed
+
+    if ((output @ base.H.T) % base.p).any() or ((base.H @ output) % base.p).any():
+        trace.status = "not-a-codeword"
+        return None, trace
+    dist = int(np.count_nonzero(output != entries))
+    trace.result_distance = dist
+    if dist > (minimum_distance(base) ** 2 - 1) // 2:
+        trace.status = "beyond-unique-radius"
+        return None, trace
+    return TensorWord(base.field, output), trace
+
+
+def extend_from_subcube(word: TensorWord, axis_sets, code: TensorCode):
+    """Erasure-decode the lines of each axis one at a time, in product order."""
+    if len(axis_sets) != code.m:
+        raise ShapeError("one coordinate set per axis")
+    n = code.n
+    if any(len(s) == 0 for s in axis_sets):
+        return AMBIGUOUS
+    values = word.entries.copy()
+    for b in range(1, code.m + 1):
+        known = np.zeros(n, dtype=bool)
+        known[list(axis_sets[b - 1])] = True
+        if known.all():
+            continue
+        other_ranges = [range(n)] * (b - 1) + [sorted(axis_sets[a - 1]) for a in range(b + 1, code.m + 1)]
+        for other in itertools.product(*other_ranges):
+            indexer: list = list(other)
+            indexer.insert(b - 1, slice(None))
+            line = values[tuple(indexer)]
+            completed = erasure_decode(code.base, PartialWord(line % code.field.p, known))
+            if isinstance(completed, ErasureFailure):
+                return completed
+            values[tuple(indexer)] = completed
+    result = TensorWord(code.field, values % code.field.p)
+    if not contains(code, result):
+        return INCONSISTENT
+    return result

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorltc import cli
+from tensorltc.errors import ShapeError
 from tensorltc.experiment import (
     ExperimentSpec,
     ResultRow,
@@ -253,6 +260,18 @@ def test_experiment_decode_kind(capsys, tmp_path):
     assert all(",decode_exact,1,5,true" in line for line in rows)
 
 
+def test_experiment_decode_kind_requires_square_power(capsys, tmp_path):
+    out = tmp_path / "dec.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", "decode", "--family", "repetition:5",
+        "--m", "7", "--trials", "2", "--out", str(out),
+    )
+    assert code == 1 and "m must be 2" in err
+    assert not out.exists()
+    with pytest.raises(ShapeError):
+        run_experiment(ExperimentSpec(kind="decode", base="repetition:5", m=3, trials=1))
+
+
 def test_experiment_threads_do_not_change_output(capsys, tmp_path, monkeypatch):
     spec = ExperimentSpec(
         kind="robustness", base="parity:3", m=3, mode="random", trials=10, seed=77
@@ -341,3 +360,66 @@ def test_experiment_survives_lower_bound_distance_mode():
     rows = run_experiment(spec)
     assert all(row.distance_mode == "lower_bound" for row in rows)
     assert all(row.bound_satisfied == "true" for row in rows)
+
+
+# -- malformed input files ---------------------------------------------------------
+
+JUNK = st.sampled_from(["x", "1.5", "-1", "0x1", "nan", "99999999999999999999", "-0", "1e3", ""])
+
+
+@st.composite
+def malformed_file(draw, valid_header, count_of) -> bytes:
+    """The ``p a b`` header ``valid_header`` with a body of ``count_of(a, b)``
+    symbols, then at most one kind of damage: a header number changed, a
+    junk header token, a short header, a junk body token, one symbol too
+    many or too few, or raw bytes in place of the text."""
+    header = list(valid_header)
+    damage = draw(st.integers(0, 9))
+    if damage == 4:
+        header[draw(st.integers(0, 2))] = draw(st.integers(-1, 5))
+    p = max(2, header[0])
+    size = min(count_of(*header[1:]), 200)
+    body = [str(v) for v in draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))]
+    head = [str(v) for v in header]
+    if damage == 5:
+        head[draw(st.integers(0, 2))] = draw(JUNK)
+    elif damage == 6:
+        head = head[: draw(st.integers(0, 2))]
+    elif damage == 7 and body:
+        body[draw(st.integers(0, len(body) - 1))] = draw(JUNK)
+    elif damage == 8:
+        body = body[:-1] if draw(st.booleans()) else body + ["0"]
+    elif damage == 9:
+        return draw(st.binary(max_size=60))
+    return (" ".join(head) + "\n" + " ".join(body) + "\n").encode()
+
+
+def code_entries(n, k):
+    return max(0, n * k)
+
+
+def tensor_entries(m, n):
+    return n**m if 1 <= m <= 4 and n >= 0 else 0
+
+
+@pytest.mark.filterwarnings("ignore:generator rows have rank")
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_malformed_files_map_to_documented_exit_codes(data):
+    """membership, decode and analyze never let a traceback out: every
+    malformed code or word file ends in one of the exit codes 0-4."""
+    m = data.draw(st.integers(1, 3))
+    code_file = data.draw(malformed_file((2, 3, 2), code_entries))  # near a [3, 2] binary code
+    word_file = data.draw(malformed_file((2, m, 3), tensor_entries))
+    source = data.draw(st.sampled_from(["file", "parity:3"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        code_path, word_path = Path(tmp) / "code.txt", Path(tmp) / "word.txt"
+        code_path.write_bytes(code_file)
+        word_path.write_bytes(word_file)
+        base = ["--code", str(code_path)] if source == "file" else ["--family", source]
+        for command in ("membership", "decode", "analyze"):
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                status = cli.main([command, *base, "--m", str(m), "--word", str(word_path)])
+            assert status in range(5)
+            assert "Traceback" not in stderr.getvalue()

@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 
 from tensorltc.decoding import DecoderConfig, decode_square, inconsistent_entries
 from tensorltc.errors import ShapeError
 from tensorltc.linear_code import parity_code, repetition_code
-from tensorltc.noise import codeword_plus_errors, random_codeword
+from tensorltc.noise import codeword_plus_errors, random_codeword, random_word
 from tensorltc.tensor_code import TensorCode, TensorWord
 
 
@@ -149,3 +150,50 @@ def test_custom_radius_and_threshold(hamming):
         DecoderConfig.for_code(hamming, removal_threshold=Fraction(3, 2))
     with pytest.raises(ValueError):
         DecoderConfig.for_code(hamming, radius=-1)
+
+
+def decode_like_reference(word, cfg):
+    """decode_square's result, checked against the per-line reference."""
+    out, trace = decode_square(word, cfg)
+    expected, expected_trace = reference.decode_square(word, cfg)
+    assert out == expected
+    assert trace.to_json_dict() == expected_trace.to_json_dict()
+    return out, trace
+
+
+def test_pass_four_completes_removed_rows_and_columns(rep50_square):
+    cfg = DecoderConfig.for_code(rep50_square.base)
+    clean = random_codeword(rep50_square, 3)
+    noisy = clean.entries.copy()
+    noisy[20, :30] ^= 1  # 30 > radius errors in row 20
+    noisy[25:, 40] ^= 1  # and 25 > radius in column 40
+    out, trace = decode_like_reference(TensorWord(rep50_square.field, noisy), cfg)
+    assert trace.removed_rows == (20,) and trace.removed_cols == (40,)
+    assert out == clean and trace.result_distance == 55
+
+
+# A row reaching pass 4 is a decoded codeword, so its known part always
+# fits one: "row-erasure-inconsistent" cannot occur. Each other status is
+# reached on a hamming74^2 word with radius 1 and a low removal threshold.
+# In the last two, ambiguous and inconsistent columns alternate, so only
+# the first failing column gives the expected status.
+@pytest.mark.parametrize(
+    "status, errors, seed, threshold",
+    [
+        ("row-erasure-ambiguous", None, 2, Fraction(1, 7)),
+        ("column-erasure-ambiguous", 3, 27, Fraction(1, 7)),
+        ("column-erasure-inconsistent", None, 2, Fraction(1, 5)),
+        ("column-erasure-ambiguous", 8, 160, Fraction(1, 5)),
+        ("column-erasure-inconsistent", None, 199, Fraction(1, 5)),
+    ],
+)
+def test_pass_four_failure_statuses(hamming, status, errors, seed, threshold):
+    square = TensorCode(hamming, 2)
+    cfg = DecoderConfig.for_code(hamming, radius=1, removal_threshold=threshold)
+    if errors is None:
+        word = random_word(square, seed)
+    else:
+        word = codeword_plus_errors(square, errors, seed)[1]
+    out, trace = decode_like_reference(word, cfg)
+    assert out is None and trace.status == status
+    assert trace.removed_rows and trace.removed_cols

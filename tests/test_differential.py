@@ -10,13 +10,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorltc import linear_code
-from tensorltc.analysis import OpinionTable, PlaneOpinion, compute_opinions, inconsistency
+from tensorltc.analysis import (
+    OpinionTable,
+    PlaneOpinion,
+    compute_opinions,
+    extend_from_subcube,
+    inconsistency,
+)
+from tensorltc.decoding import DecoderConfig, decode_square
 from tensorltc.errors import ZeroCodeError
 from tensorltc.experiment import distance_lower_bound
 from tensorltc.field import PrimeField
-from tensorltc.linear_code import LinearCode
+from tensorltc.linear_code import (
+    ErasureFailure,
+    LinearCode,
+    PartialWord,
+    hamming74,
+    random_linear_code,
+    repetition_code,
+)
 from tensorltc.local_testing import rejection_probability_exact, rejection_probability_sampled
-from tensorltc.noise import planted_word, random_word
+from tensorltc.noise import codeword_plus_errors, planted_word, random_word
 from tensorltc.tensor_code import EncodeCounter, TensorCode, TensorWord, all_planes
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -197,3 +211,102 @@ def test_enumeration_matches_reencoding_reference(code, block):
     assert codebook.dtype == np.int64
     assert np.array_equal(codebook, reference.codewords(code))
     assert distance == reference.minimum_distance(code)
+
+
+# -- the line decoders -----------------------------------------
+
+decoder_codes = codes(n=st.integers(1, 8), max_k={2: 6, 3: 4, 5: 3})
+
+
+def noisy_lines(code: LinearCode, rng: np.random.Generator, max_errors: int) -> np.ndarray:
+    """Twelve lines: nine codewords with up to ``max_errors`` symbols
+    changed and three uniform random words."""
+    p, n = code.p, code.n
+    lines = code.encode(rng.integers(0, p, size=(12, code.k)))
+    for line in lines[:9]:
+        positions = rng.choice(n, size=int(rng.integers(0, min(max_errors, n) + 1)), replace=False)
+        line[positions] = (line[positions] + rng.integers(1, p, size=positions.size)) % p
+    lines[9:] = rng.integers(0, p, size=(3, n))
+    return lines
+
+
+@PROPERTY
+@given(decoder_codes, st.integers(0, 3), st.booleans(), st.integers(0, 2**32 - 1))
+def test_bounded_distance_batch_matches_per_line_reference(code, radius, enumerate_, seed):
+    words = noisy_lines(code, np.random.default_rng(seed), radius + 2)
+    with pytest.MonkeyPatch.context() as mp:
+        if enumerate_:  # the nearest-codeword path
+            mp.setattr(linear_code, "SYNDROME_CAP", 1)
+        decoded, failed = code.bounded_distance_decode_batch(words, radius)
+        single = code.bounded_distance_decode(words[0], radius)
+        expected = [reference.bounded_distance_decode(code, w, radius) for w in words]
+    assert decoded.dtype == np.int64 and failed.dtype == bool
+    for got, miss, want in zip(decoded, failed, expected):
+        assert miss == (want is None)
+        assert np.array_equal(got, np.zeros(code.n) if want is None else want)
+    assert (single is None) == (expected[0] is None)
+    assert single is None or np.array_equal(single, expected[0])
+
+
+@PROPERTY
+@given(decoder_codes, st.integers(0, 2**32 - 1))
+def test_erasure_batch_matches_per_line_reference(code, seed):
+    rng = np.random.default_rng(seed)
+    known = rng.random(code.n) < rng.random()  # often too few to fix the message
+    known[rng.integers(code.n)] = True
+    lines = noisy_lines(code, rng, 2)  # consistent, inconsistent and random lines
+    codewords, status = code.erasure_decode_batch(lines, known)
+    assert codewords.dtype == np.int64 and len(status) == len(lines)
+    for line, got, state in zip(lines, codewords, status):
+        want = reference.erasure_decode(code, PartialWord(line, known))
+        if isinstance(want, ErasureFailure):
+            assert state is want and not got.any()
+        else:
+            assert state is None and np.array_equal(got, want)
+    single = code.erasure_decode(PartialWord(lines[0], known))
+    assert single is status[0] if status[0] is not None else np.array_equal(single, codewords[0])
+
+
+# Codes with d >= 3 beside random ones, so that lines decode, disagree and
+# get removed in every way the decoder's passes allow.
+square_codes = st.one_of(
+    st.sampled_from(
+        [hamming74(), repetition_code(5), random_linear_code(6, 2, 3, 1), random_linear_code(7, 3, 2, 4)]
+    ),
+    codes(n=st.integers(3, 7), max_k={2: 3, 3: 2, 5: 2}),
+)
+
+
+@PROPERTY
+@given(
+    square_codes,
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from([None, Fraction(1, 7), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_decode_square_matches_per_line_reference(code, radius, threshold, seed):
+    square = TensorCode(code, 2)
+    cfg = DecoderConfig.for_code(code, radius=radius, removal_threshold=threshold)
+    n = code.n
+    rng = np.random.default_rng(seed)
+    noisy = codeword_plus_errors(square, int(rng.integers(0, n + 1)), seed)[1]
+    overloaded = codeword_plus_errors(square, int(rng.integers(n, n * n // 2 + 1)), seed)[1]
+    for word in (noisy, overloaded, random_word(square, seed)):
+        decoded, trace = decode_square(word, cfg)
+        expected, expected_trace = reference.decode_square(word, cfg)
+        assert decoded == expected
+        assert trace.to_json_dict() == expected_trace.to_json_dict()
+
+
+@PROPERTY
+@given(codes(n=st.integers(1, 6), max_k={2: 4, 3: 3, 5: 2}), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_extend_from_subcube_matches_per_line_reference(base, m, seed):
+    code = TensorCode(base, m)
+    rng = np.random.default_rng(seed)
+    n = code.n
+    sets = tuple(
+        tuple(sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
+        for _ in range(m)
+    )
+    for word in (near_codeword(code, rng), random_word(code, seed)):
+        assert extend_from_subcube(word, sets, code) == reference.extend_from_subcube(word, sets, code)
