@@ -8,6 +8,7 @@ seed 0. The package is imported from this checkout's ``src/``.
     python3 scripts/cli_identity.py             # digest of the whole set
     python3 scripts/cli_identity.py --verbose   # plus one digest per command
     python3 scripts/cli_identity.py --only decode   # the decode-heavy slice
+    python3 scripts/cli_identity.py --only analyze  # plane opinions and analysis
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ def _words(tmp: Path) -> dict[str, Path]:
     specs["p3_4_err3"] = noise.codeword_plus_errors(p3_4, 3, 0)[1]
     specs["p3_5_err4"] = noise.codeword_plus_errors(p3_5, 4, 0)[1]
     specs["r3_err2"] = noise.codeword_plus_errors(r3, 2, 0)[1]
+    for name, cube in (("p3_3", p3_3), ("p3_4", p3_4), ("ham3", code("hamming74", 3)), ("r3", r3)):
+        specs[f"{name}_random"] = noise.random_word(cube, 0)
+        for errors in range(1, 5):
+            specs[f"{name}_err{errors}"] = noise.codeword_plus_errors(cube, errors, 0)[1]
     specs["rep_err30"] = noise.codeword_plus_errors(rep, 30, 0)[1]
     specs["rep_err1500"] = noise.codeword_plus_errors(rep, 1500, 0)[1]
     specs["rep_random"] = noise.random_word(rep, 0)
@@ -108,6 +113,22 @@ def _commands(w: dict[str, Path], tmp: Path) -> list[tuple[str, list[str], Path 
         argv = ["analyze", "--family", family, "--m", m, "--word", str(w[word])]
         cmds.append((slice_, [*argv, "--out", str(out)], out))
 
+    for family, m, prefix in (
+        ("parity:3", "3", "p3_3"),
+        ("parity:3", "4", "p3_4"),
+        ("hamming74", "3", "ham3"),
+        ("random:4,2,3,1", "3", "r3"),
+    ):
+        for word in [f"{prefix}_random"] + [f"{prefix}_err{e}" for e in range(1, 5)]:
+            base = ["--family", family, "--m", m, "--word", str(w[word])]
+            cmds.append(("analyze", ["analyze", *base, "--out", str(out)], out))
+            cmds.append(("analyze", ["robustness", *base, "--axes", "m"], None))
+            cmds.append(("analyze", ["robustness", *base, "--axes", "3"], None))
+    experiment("analyze", "--kind", "robustness", "--family", "parity:3", "--m", "3",
+               "--axes", "3", "--trials", "20")
+    experiment("analyze", "--kind", "robustness", "--family", "parity:3", "--m", "4",
+               "--mode", "errors", "--errors", "3", "--axes", "3", "--trials", "8")
+
     trace = tmp / "trace.json"
     decodes = [("repetition:50", name) for name in
                ("rep_err30", "rep_err1500", "rep_random", "rep_row_burst")]
@@ -142,7 +163,7 @@ def _commands(w: dict[str, Path], tmp: Path) -> list[tuple[str, list[str], Path 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--only", choices=["decode", "other"], help="run one slice of the set")
+    parser.add_argument("--only", choices=["analyze", "decode", "other"], help="run one slice of the set")
     parser.add_argument("--verbose", action="store_true", help="print one digest per command")
     args = parser.parse_args()
     total = hashlib.sha256()

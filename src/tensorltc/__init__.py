@@ -2,7 +2,7 @@
 robustness instrumentation, and unique decoding experiments."""
 
 from .errors import CapacityError, InvariantError, ShapeError, ZeroCodeError
-from .field import PrimeField, nullspace, rref, solve
+from .field import PrimeField, rref
 from .linear_code import (
     AMBIGUOUS,
     INCONSISTENT,

@@ -13,6 +13,7 @@ bound on the word's distance to the code.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,13 +32,31 @@ class PlaneOpinion:
     distance: int  # Hamming distance from the plane's view
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpinionTable:
-    """Nearest-subcode-codeword opinions for all m*n planes of a word."""
+    """Nearest-subcode-codeword opinions for all m*n planes of a word.
+
+    Plane (b + 1, i) sits at index [b, i]: ``nearest`` holds its flattened
+    opinion, shape (m, n, n^(m-1)), and ``distances`` its distance from the
+    plane's view, shape (m, n).
+    """
 
     code: TensorCode
     word: TensorWord
-    opinions: dict[PlaneIndex, PlaneOpinion]
+    nearest: np.ndarray
+    distances: np.ndarray
+
+    @functools.cached_property
+    def opinions(self) -> dict[PlaneIndex, PlaneOpinion]:
+        shape = (self.code.n,) * (self.code.m - 1)
+        return {
+            pl: PlaneOpinion(
+                pl,
+                self.nearest[pl.axis - 1, pl.coord].reshape(shape),
+                int(self.distances[pl.axis - 1, pl.coord]),
+            )
+            for pl in all_planes(self.code.m, self.code.n)
+        }
 
     def mean_local_distance(self) -> Fraction:
         """Average relative local distance over the uniform plane choice.
@@ -45,9 +64,8 @@ class OpinionTable:
         Coincides exactly with the plane tester's expected relative local
         distance (all-axes mode).
         """
-        total = sum(op.distance for op in self.opinions.values())
         view_size = self.code.n ** (self.code.m - 1)
-        return Fraction(total, len(self.opinions) * view_size)
+        return Fraction(int(self.distances.sum()), self.distances.size * view_size)
 
 
 def compute_opinions(word: TensorWord, code: TensorCode) -> OpinionTable:
@@ -56,40 +74,49 @@ def compute_opinions(word: TensorWord, code: TensorCode) -> OpinionTable:
     code.check_shape(word)
     if code.m < 2:
         raise ShapeError("opinions need m >= 2")
-    planes = all_planes(code.m, code.n)
-    views = np.stack(
-        [np.take(word.entries, pl.coord, axis=pl.axis - 1).reshape(-1) for pl in planes]
-    )
-    sub_flat = code.sub().flattened()
-    nearest, dists, _ = sub_flat.nearest_batch(views)
-    shape = (code.n,) * (code.m - 1)
-    opinions = {
-        pl: PlaneOpinion(pl, nearest[idx].reshape(shape), int(dists[idx]))
-        for idx, pl in enumerate(planes)
-    }
-    return OpinionTable(code=code, word=word, opinions=opinions)
+    nearest, distances = code.plane_opinions(word)
+    return OpinionTable(code=code, word=word, nearest=nearest, distances=distances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InconsistencyReport:
     """Disagreement structure extracted from a word's plane opinions.
 
     ``disagreement`` is the binary tensor with a 1 wherever two
-    intersecting planes' opinions differ; ``to_fix`` lists the almost-fixed
-    points (no disagreement, but some containing plane wants the word's
-    value changed). Heavy planes carry at least (d^(m-1))/2 marks and
-    heavy lines at least d marks.
+    intersecting planes' opinions differ; ``fix_mask`` marks the
+    almost-fixed points (no disagreement, but some containing plane wants
+    the word's value changed). Heavy planes carry at least (d^(m-1))/2
+    marks: ``heavy[b, i]`` flags plane (b + 1, i). Heavy lines carry at
+    least d marks: ``heavy_line_masks[b]`` ranges over the lines along
+    axis b + 1, indexed by the other axes in ascending order. The point
+    and index tuples are derived on first access.
     """
 
     code: TensorCode
     disagreement: np.ndarray  # uint8, shape (n,)*m
-    to_fix: tuple[tuple[int, ...], ...]
-    heavy_planes: tuple[PlaneIndex, ...]
-    heavy_lines: tuple[LineIndex, ...]
+    fix_mask: np.ndarray  # bool, shape (n,)*m
+    heavy: np.ndarray  # bool, shape (m, n)
+    heavy_line_masks: tuple[np.ndarray, ...]  # m bool arrays of shape (n,)*(m-1)
+
+    @functools.cached_property
+    def to_fix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, np.argwhere(self.fix_mask).tolist()))
+
+    @functools.cached_property
+    def heavy_planes(self) -> tuple[PlaneIndex, ...]:
+        return tuple(PlaneIndex(b + 1, i) for b, i in np.argwhere(self.heavy).tolist())
+
+    @functools.cached_property
+    def heavy_lines(self) -> tuple[LineIndex, ...]:
+        return tuple(
+            LineIndex(b + 1, tuple(fixed))
+            for b, mask in enumerate(self.heavy_line_masks)
+            for fixed in np.argwhere(mask).tolist()
+        )
 
     @property
     def num_to_fix(self) -> int:
-        return len(self.to_fix)
+        return int(self.fix_mask.sum())
 
     @property
     def support_size(self) -> int:
@@ -108,10 +135,7 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
     m, n = code.m, code.n
     d = code.base.minimum_distance()
     # opinion_at[b] holds, at each point x, the opinion of plane (b + 1, x_b).
-    opinion_at = [
-        np.stack([opinions.opinions[PlaneIndex(b, i)].opinion for i in range(n)], axis=b - 1)
-        for b in range(1, m + 1)
-    ]
+    opinion_at = [np.moveaxis(opinions.nearest[b].reshape((n,) * m), 0, b) for b in range(m)]
 
     # Planes on the same axis never intersect. Where two planes meet, their
     # opinions restrict to codewords of the (m-2)-fold power, and distinct
@@ -128,27 +152,17 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
 
     # Points some containing plane wants changed.
     wants_change = np.logical_or.reduce([op != word.entries for op in opinion_at])
-    to_fix = tuple(tuple(int(c) for c in pt) for pt in np.argwhere(wants_change & ~disagree))
 
     E = disagree.astype(np.uint8)
-    heavy_planes = []
-    for b in range(m):
-        marks = E.sum(axis=tuple(a for a in range(m) if a != b), dtype=np.int64)
-        heavy = np.flatnonzero(2 * marks >= d ** (m - 1))
-        heavy_planes.extend(PlaneIndex(b + 1, int(i)) for i in heavy)
-
-    heavy_lines = []
-    for axis in range(1, m + 1):
-        line_counts = E.sum(axis=axis - 1, dtype=np.int64)
-        for fixed in np.argwhere(line_counts >= d):
-            heavy_lines.append(LineIndex(axis, tuple(int(c) for c in fixed)))
-
+    marks = np.stack(
+        [E.sum(axis=tuple(a for a in range(m) if a != b), dtype=np.int64) for b in range(m)]
+    )
     return InconsistencyReport(
         code=code,
         disagreement=E,
-        to_fix=to_fix,
-        heavy_planes=tuple(heavy_planes),
-        heavy_lines=tuple(heavy_lines),
+        fix_mask=wants_change & ~disagree,
+        heavy=2 * marks >= d ** (m - 1),
+        heavy_line_masks=tuple(E.sum(axis=b, dtype=np.int64) >= d for b in range(m)),
     )
 
 
@@ -181,12 +195,13 @@ def verify_heavy_cover(report: InconsistencyReport) -> tuple[bool, list[tuple[in
     Returns (ok, counterexample points). A counterexample would falsify
     the implementation, not the underlying claim.
     """
-    heavy = set(report.heavy_planes)
-    witnesses = []
-    for pt in np.argwhere(report.disagreement):
-        point = tuple(int(c) for c in pt)
-        if not any(PlaneIndex(b, point[b - 1]) in heavy for b in range(1, report.code.m + 1)):
-            witnesses.append(point)
+    m = report.code.m
+    # covered[x] is true when some plane (b + 1, x_b) through x is heavy
+    covered = functools.reduce(
+        np.logical_or,
+        [np.expand_dims(report.heavy[b], tuple(a for a in range(m) if a != b)) for b in range(m)],
+    )
+    witnesses = list(map(tuple, np.argwhere(report.disagreement.astype(bool) & ~covered).tolist()))
     return (not witnesses), witnesses
 
 
@@ -212,12 +227,7 @@ def heavy_free_subcube(report: InconsistencyReport) -> SubcubeSets:
     code = report.code
     m, n = code.m, code.n
     d = code.base.minimum_distance()
-    heavy_by_axis: dict[int, set[int]] = {b: set() for b in range(1, m + 1)}
-    for pl in report.heavy_planes:
-        heavy_by_axis[pl.axis].add(pl.coord)
-    sets = tuple(
-        tuple(i for i in range(n) if i not in heavy_by_axis[b]) for b in range(1, m + 1)
-    )
+    sets = tuple(tuple(np.flatnonzero(~heavy).tolist()) for heavy in report.heavy)
     subcube = SubcubeSets(side=n, sets=sets)
     if all(len(s) > 0 for s in sets) and report.disagreement[np.ix_(*sets)].any():
         raise InvariantError("the subcube left by the heavy planes carries disagreement marks")

@@ -143,39 +143,3 @@ def rref(field: PrimeField, matrix) -> tuple[np.ndarray, list[int], int]:
             break
     return A, pivots, r
 
-
-def nullspace(field: PrimeField, matrix) -> np.ndarray:
-    """Basis (as rows) of {x : matrix @ x = 0} over GF(p)."""
-    A, pivots, rank = rref(field, matrix)
-    cols = A.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for row, f in enumerate(free):
-        basis[row, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[row, pc] = field.neg(int(A[i, f]))
-    return basis
-
-
-def solve(field: PrimeField, A, b) -> tuple[np.ndarray, np.ndarray] | None:
-    """Solve ``A @ x = b`` over GF(p).
-
-    Returns ``(x, nullspace_basis)`` for a consistent system, where the
-    basis rows span the solution set's homogeneous part (empty array when
-    the solution is unique), or ``None`` when no solution exists.
-    """
-    A = field.array(A)
-    b = field.array(b)
-    if A.ndim != 2 or b.ndim != 1:
-        raise ShapeError("A must be 2-d and b 1-d")
-    if A.shape[0] != b.shape[0]:
-        raise ShapeError(f"A has {A.shape[0]} rows but b has length {b.shape[0]}")
-    rows, cols = A.shape
-    aug = np.concatenate([A, b[:, None]], axis=1)
-    R, pivots, rank = rref(field, aug)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = R[i, cols]
-    return x, nullspace(field, A)

@@ -56,23 +56,15 @@ def composed_robustness_bound(code: TensorCode) -> Fraction:
 def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all") -> Fraction:
     """Expected relative local distance of a random plane view, exactly.
 
-    Every plane view's distance to the (m-1)-fold power is computed with
-    the exhaustive nearest-codeword oracle on the flattened subcode.
+    Every plane view's distance to the (m-1)-fold power comes from the
+    code's plane-view oracle, which the analyzer shares.
     """
     code.check_shape(word)
     if code.m < 3:
         raise ShapeError(f"the plane tester needs m >= 3, got m = {code.m}")
     axes = _tester_axes(code.m, axis_mode)
-    sub_flat = code.sub().flattened()
-    views = np.stack(
-        [
-            np.take(word.entries, coord, axis=axis - 1).reshape(-1)
-            for axis in axes
-            for coord in range(code.n)
-        ]
-    )
-    _, dists, _ = sub_flat.nearest_batch(views)
-    return Fraction(int(dists.sum()), views.shape[0] * sub_flat.n)
+    dists = code.plane_opinions(word)[1][: len(axes)]
+    return Fraction(int(dists.sum()), dists.size * code.n ** (code.m - 1))
 
 
 @functools.cache

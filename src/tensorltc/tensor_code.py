@@ -272,6 +272,28 @@ class TensorCode:
             self._sub = cached
         return cached
 
+    def plane_opinions(self, word: TensorWord) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest (m-1)-fold-power codeword to every plane view, and its distance.
+
+        Plane (b + 1, i) sits at index [b, i] of both results, in the order
+        of ``all_planes``: ``nearest`` has shape (m, n, n^(m-1)) and
+        ``distances`` shape (m, n). All m*n views go through one oracle
+        call. The last word's results are memoised on its entries' bytes,
+        so the tester and the analyzer share them; the arrays are read-only.
+        """
+        self.check_shape(word)
+        key = word.entries.tobytes()
+        memo = getattr(self, "_plane_memo", None)
+        if memo is not None and memo[0] == key:
+            return memo[1], memo[2]
+        m, n = self.m, self.n
+        views = np.stack([np.moveaxis(word.entries, b, 0) for b in range(m)])
+        nearest, distances, _ = self.sub().flattened().nearest_batch(views.reshape(m * n, -1))
+        nearest, distances = nearest.reshape(m, n, -1), distances.reshape(m, n)
+        nearest.flags.writeable = distances.flags.writeable = False
+        self._plane_memo = (key, nearest, distances)
+        return nearest, distances
+
     def distance_to(self, word: TensorWord) -> int:
         """Exact Hamming distance from the word to the code (brute force)."""
         self.check_shape(word)

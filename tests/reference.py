@@ -2,30 +2,41 @@
 
 Each function is the loop form that the library's array form replaced:
 line checks one axis at a time, the recursive encoder, the composed
-tester walked path by path or draw by draw, the pairwise plane loop
-behind the disagreement tensor, the nearest-codeword oracle that
-re-encodes the codebook block by block and compares unpacked symbols,
-and the line decoders run one line at a time: bounded-distance decoding
-through a bytes-keyed coset dict, erasure decoding through one linear
-solve per line, and the square decoder and subcube extension that loop
-over lines. The differential tests require the two forms to agree
-exactly.
+tester walked path by path or draw by draw, the plane opinions gathered
+one plane at a time into a dict, each with its own oracle call for the
+tester, the pairwise plane loop behind the disagreement tensor, the
+heavy-plane cover checked point by point and the subcube built from
+sets, the nearest-codeword oracle that re-encodes the codebook block by
+block and compares unpacked symbols, and the line decoders run one line
+at a time: bounded-distance decoding through a bytes-keyed coset dict,
+erasure decoding through one linear solve per line, and the square
+decoder and subcube extension that loop over lines. ``solve`` and
+``nullspace`` are the GF(p) solvers the per-line erasure decoder uses.
+The differential tests require the two forms to agree exactly.
 """
-
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from tensorltc import linear_code
+from tensorltc.analysis import LARGE_DISAGREEMENT, SMALL_DISAGREEMENT, PlaneOpinion
 from tensorltc.decoding import DecodeTrace, inconsistent_entries
-from tensorltc.errors import ShapeError
-from tensorltc.field import solve
+from tensorltc.errors import InvariantError, ShapeError
+from tensorltc.field import PrimeField, rref
 from tensorltc.linear_code import AMBIGUOUS, INCONSISTENT, ErasureFailure, PartialWord
-from tensorltc.tensor_code import EncodeCounter, LineIndex, PlaneIndex, TensorCode, TensorWord
+from tensorltc.tensor_code import (
+    EncodeCounter,
+    LineIndex,
+    PlaneIndex,
+    TensorCode,
+    TensorWord,
+    all_planes,
+)
 
 
 def tester_axis_count(level: int, axis_mode: str) -> int:
@@ -112,6 +123,93 @@ def sampled_rejections(
             entries = np.take(entries, coord_draws[t, s], axis=axis_draws[t, s])
         rejections += not is_square_member(code.base, entries)
     return rejections
+
+
+# -- plane opinions and the disagreement analysis ------------------------------
+
+
+def plane_views(word: TensorWord, planes) -> np.ndarray:
+    return np.stack(
+        [np.take(word.entries, pl.coord, axis=pl.axis - 1).reshape(-1) for pl in planes]
+    )
+
+
+def compute_opinions(word: TensorWord, code: TensorCode) -> dict[PlaneIndex, PlaneOpinion]:
+    """One view per plane, one oracle call, one dict entry per plane."""
+    planes = all_planes(code.m, code.n)
+    nearest, dists, _ = code.sub().flattened().nearest_batch(plane_views(word, planes))
+    shape = (code.n,) * (code.m - 1)
+    return {
+        pl: PlaneOpinion(pl, nearest[idx].reshape(shape), int(dists[idx]))
+        for idx, pl in enumerate(planes)
+    }
+
+
+def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all") -> Fraction:
+    """The tester's own oracle call over the views of its axes."""
+    axes = range(1, tester_axis_count(code.m, axis_mode) + 1)
+    sub_flat = code.sub().flattened()
+    views = plane_views(word, [PlaneIndex(b, i) for b in axes for i in range(code.n)])
+    _, dists, _ = sub_flat.nearest_batch(views)
+    return Fraction(int(dists.sum()), views.shape[0] * sub_flat.n)
+
+
+def verify_heavy_cover(code: TensorCode, E: np.ndarray, heavy_planes) -> tuple[bool, list]:
+    """Look up every mark's m planes in the set of heavy planes."""
+    heavy = set(heavy_planes)
+    witnesses = []
+    for pt in np.argwhere(E):
+        point = tuple(int(c) for c in pt)
+        if not any(PlaneIndex(b, point[b - 1]) in heavy for b in range(1, code.m + 1)):
+            witnesses.append(point)
+    return (not witnesses), witnesses
+
+
+def heavy_free_subcube(
+    code: TensorCode, E: np.ndarray, heavy_planes
+) -> tuple[tuple[int, ...], ...]:
+    """Per-axis sets of the coordinates of no heavy plane, with both checks."""
+    m, n = code.m, code.n
+    d = code.base.minimum_distance()
+    heavy_by_axis: dict[int, set[int]] = {b: set() for b in range(1, m + 1)}
+    for pl in heavy_planes:
+        heavy_by_axis[pl.axis].add(pl.coord)
+    sets = tuple(
+        tuple(i for i in range(n) if i not in heavy_by_axis[b]) for b in range(1, m + 1)
+    )
+    if all(len(s) > 0 for s in sets) and E[np.ix_(*sets)].any():
+        raise InvariantError("the subcube left by the heavy planes carries disagreement marks")
+    removed = sum(n - len(s) for s in sets)
+    if removed * d ** (m - 1) > 2 * int(E.sum()) * m:
+        raise InvariantError(f"{removed} removed planes exceed 2|E|m / d^(m-1)")
+    return sets
+
+
+def analysis_json(word: TensorWord, code: TensorCode) -> dict:
+    """The analyzer's JSON report, assembled from the loop forms."""
+    m, n = code.m, code.n
+    d = code.base.minimum_distance()
+    opinions = compute_opinions(word, code)
+    E, to_fix, heavy_planes, _ = inconsistency(word, SimpleNamespace(code=code, opinions=opinions))
+    support = int(E.sum())
+    sets = heavy_free_subcube(code, E, heavy_planes)
+    lhs = Fraction(sum(op.distance for op in opinions.values()), len(opinions) * n ** (m - 1))
+    rhs = Fraction(support, m * E.size) + Fraction(len(to_fix), E.size)
+    if 2 * m * support < d**m:
+        bound = Fraction(2 * m * support, n * d ** (m - 1)) + Fraction(len(to_fix), n**m)
+        branch = SMALL_DISAGREEMENT
+    else:
+        bound, branch = Fraction(1), LARGE_DISAGREEMENT
+    return {
+        "wt_E": str(Fraction(support, E.size)),
+        "num_to_fix": len(to_fix),
+        "heavy_planes": [[pl.axis, pl.coord] for pl in heavy_planes],
+        "removed_planes": sum(n - len(s) for s in sets),
+        "bound_lhs": str(lhs),
+        "bound_rhs": str(rhs),
+        "branch": branch,
+        "certified_distance_bound": str(bound),
+    }
 
 
 def _restrict_opinion_to_axis(
@@ -209,6 +307,43 @@ def nearest_batch(code, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # -- line decoders ------------------------------------------------------------
+
+
+def nullspace(field: PrimeField, matrix) -> np.ndarray:
+    """Basis (as rows) of {x : matrix @ x = 0} over GF(p)."""
+    A, pivots, rank = rref(field, matrix)
+    cols = A.shape[1]
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for row, f in enumerate(free):
+        basis[row, f] = 1
+        for i, pc in enumerate(pivots):
+            basis[row, pc] = field.neg(int(A[i, f]))
+    return basis
+
+
+def solve(field: PrimeField, A, b) -> tuple[np.ndarray, np.ndarray] | None:
+    """Solve ``A @ x = b`` over GF(p).
+
+    Returns ``(x, nullspace_basis)`` for a consistent system, where the
+    basis rows span the solution set's homogeneous part (empty array when
+    the solution is unique), or ``None`` when no solution exists.
+    """
+    A = field.array(A)
+    b = field.array(b)
+    if A.ndim != 2 or b.ndim != 1:
+        raise ShapeError("A must be 2-d and b 1-d")
+    if A.shape[0] != b.shape[0]:
+        raise ShapeError(f"A has {A.shape[0]} rows but b has length {b.shape[0]}")
+    rows, cols = A.shape
+    aug = np.concatenate([A, b[:, None]], axis=1)
+    R, pivots, rank = rref(field, aug)
+    if cols in pivots:
+        return None
+    x = np.zeros(cols, dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = R[i, cols]
+    return x, nullspace(field, A)
 
 
 def erasure_decode(code, partial: PartialWord) -> np.ndarray | ErasureFailure:

@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
 import tensorltc
 from tensorltc.analysis import (
@@ -13,7 +15,6 @@ from tensorltc.analysis import (
     SMALL_DISAGREEMENT,
     InconsistencyReport,
     OpinionTable,
-    PlaneOpinion,
     SubcubeSets,
     analyze_word,
     certified_distance_bound,
@@ -25,7 +26,13 @@ from tensorltc.analysis import (
     verify_heavy_cover,
 )
 from tensorltc.errors import InvariantError
-from tensorltc.linear_code import AMBIGUOUS, INCONSISTENT, ErasureFailure, repetition_code
+from tensorltc.linear_code import (
+    AMBIGUOUS,
+    INCONSISTENT,
+    ErasureFailure,
+    LinearCode,
+    repetition_code,
+)
 from tensorltc.local_testing import robustness_exact
 from tensorltc.noise import erase_planes, planted_word, random_codeword, random_word
 from tensorltc.tensor_code import LineIndex, PlaneIndex, TensorCode, TensorWord, all_planes
@@ -78,6 +85,54 @@ def test_opinion_mean_equals_exact_robustness(cube3):
         word = random_word(cube3, seed)
         table = compute_opinions(word, cube3)
         assert table.mean_local_distance() == robustness_exact(word, cube3)
+
+
+# -- the shared plane-view oracle ----------------------------------------------
+
+
+def test_tester_and_analyzer_share_one_oracle_call(parity3, monkeypatch):
+    code = TensorCode(parity3, 4)
+    word = random_word(code, 3)
+    calls = Counter()
+    nearest_batch = LinearCode.nearest_batch
+
+    def counting_nearest_batch(self, words):
+        calls[self.n] += 1
+        return nearest_batch(self, words)
+
+    monkeypatch.setattr(LinearCode, "nearest_batch", counting_nearest_batch)
+    rho = robustness_exact(word, code)
+    table = compute_opinions(word, code)
+    # an equal word in a new array, and the other axis mode, hit the memo too
+    rho_three = robustness_exact(TensorWord(code.field, word.entries.copy()), code, "first-three")
+    assert calls == {27: 1}  # one call on the flat [27, 8] plane code
+    assert table.mean_local_distance() == rho == reference.robustness_exact(word, code)
+    assert rho_three == reference.robustness_exact(word, code, "first-three")
+
+
+def test_plane_opinions_follow_in_place_mutation(cube3):
+    word = random_word(cube3, 8)
+    before = compute_opinions(word, cube3)
+    assert robustness_exact(word, cube3) == before.mean_local_distance()
+    word.entries[1, 2, 0] = 1 - word.entries[1, 2, 0]
+    after = compute_opinions(word, cube3)
+    expected = reference.compute_opinions(word, cube3)
+    assert after.nearest is not before.nearest
+    for pl, op in after.opinions.items():
+        assert op.distance == expected[pl].distance
+        assert np.array_equal(op.opinion, expected[pl].opinion)
+    assert robustness_exact(word, cube3) == reference.robustness_exact(word, cube3)
+
+
+def test_plane_opinions_are_read_only(cube3):
+    word = random_word(cube3, 9)
+    nearest, distances = cube3.plane_opinions(word)
+    assert nearest.shape == (3, 3, 9) and distances.shape == (3, 3)
+    opinion = compute_opinions(word, cube3).opinions[PlaneIndex(2, 1)].opinion
+    for array in (nearest, distances, opinion):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
 
 
 def test_inconsistency_on_codeword(cube3):
@@ -281,11 +336,20 @@ def test_planted_word_generator_exercises_disagreements(cube3):
 
 def forged_report(code, marks=(), heavy=()):
     """An inconsistency report whose fields the analysis could never derive."""
-    E = np.zeros((code.n,) * code.m, dtype=np.uint8)
+    m, n = code.m, code.n
+    E = np.zeros((n,) * m, dtype=np.uint8)
     for point in marks:
         E[point] = 1
+    heavy_mask = np.zeros((m, n), dtype=bool)
+    for pl in heavy:
+        heavy_mask[pl.axis - 1, pl.coord] = True
+    no_lines = tuple(np.zeros((n,) * (m - 1), dtype=bool) for _ in range(m))
     return InconsistencyReport(
-        code=code, disagreement=E, to_fix=(), heavy_planes=tuple(heavy), heavy_lines=()
+        code=code,
+        disagreement=E,
+        fix_mask=np.zeros(E.shape, dtype=bool),
+        heavy=heavy_mask,
+        heavy_line_masks=no_lines,
     )
 
 
@@ -299,12 +363,11 @@ def test_invariant_errors_on_forged_input(cube3):
     # opinions that are not subcode codewords disagree in a single point
     word = cube3.zero_word()
     opinions = compute_opinions(word, cube3)
-    lonely = np.zeros((3, 3), dtype=np.int64)
-    lonely[0, 0] = 1
-    forged = dict(opinions.opinions)
-    forged[PlaneIndex(1, 0)] = PlaneOpinion(PlaneIndex(1, 0), lonely, 1)
+    nearest, distances = opinions.nearest.copy(), opinions.distances.copy()
+    nearest[0, 0, 0] = 1  # plane (1, 0) holds a lone one at its corner
+    distances[0, 0] = 1
     with pytest.raises(InvariantError):
-        inconsistency(word, OpinionTable(cube3, word, forged))
+        inconsistency(word, OpinionTable(cube3, word, nearest, distances))
 
 
 def test_invariant_errors_survive_optimized_mode():
@@ -317,7 +380,8 @@ def test_invariant_errors_survive_optimized_mode():
         "code = TensorCode(parity_code(3), 3)\n"
         "E = np.zeros((3, 3, 3), dtype=np.uint8)\n"
         "E[1, 1, 1] = 1\n"
-        "report = InconsistencyReport(code, E, (), (), ())\n"
+        "lines = (np.zeros((3, 3), dtype=bool),) * 3\n"
+        "report = InconsistencyReport(code, E, E == 2, np.zeros((3, 3), dtype=bool), lines)\n"
         "try:\n"
         "    heavy_free_subcube(report)\n"
         "except InvariantError:\n"

@@ -308,6 +308,16 @@ def test_threaded_experiment_enumerates_each_code_once(capsys, tmp_path, monkeyp
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 
+def test_threaded_robustness_experiment_writes_the_same_csv(capsys, tmp_path, monkeypatch):
+    """Worker threads share the code's one-entry plane-opinion memo."""
+    argv = ["experiment", "--kind", "robustness", "--family", "parity:3", "--m", "4",
+            "--mode", "errors", "--errors", "2", "--trials", "16", "--seed", "5"]
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "one.csv"))[0] == 0
+    monkeypatch.setenv("TENSORLTC_THREADS", "2")
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "two.csv"))[0] == 0
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
 def test_violation_rows_exit_four(capsys, tmp_path, monkeypatch):
     bad_row = ResultRow(
         trial=0, kind="robustness", mode="random", m=3, n=3, seed=1,

@@ -1,24 +1,26 @@
 """Differential tests: each whole-tensor path against its loop reference."""
 
+import importlib.util
+import inspect
+import sys
 from fractions import Fraction
 from math import ceil
 
 import numpy as np
 import pytest
 import reference
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from tensorltc import linear_code
+from tensorltc import analysis, linear_code
 from tensorltc.analysis import (
     OpinionTable,
-    PlaneOpinion,
     compute_opinions,
     extend_from_subcube,
     inconsistency,
 )
 from tensorltc.decoding import DecoderConfig, decode_square
-from tensorltc.errors import ZeroCodeError
+from tensorltc.errors import InvariantError, ZeroCodeError
 from tensorltc.experiment import distance_lower_bound
 from tensorltc.field import PrimeField
 from tensorltc.linear_code import (
@@ -29,9 +31,13 @@ from tensorltc.linear_code import (
     random_linear_code,
     repetition_code,
 )
-from tensorltc.local_testing import rejection_probability_exact, rejection_probability_sampled
+from tensorltc.local_testing import (
+    rejection_probability_exact,
+    rejection_probability_sampled,
+    robustness_exact,
+)
 from tensorltc.noise import codeword_plus_errors, planted_word, random_word
-from tensorltc.tensor_code import EncodeCounter, TensorCode, TensorWord, all_planes
+from tensorltc.tensor_code import EncodeCounter, LineIndex, PlaneIndex, TensorCode, TensorWord
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 AXIS_MODES = ("all", "first-three")
@@ -113,19 +119,21 @@ def mixed_opinions(code: TensorCode, rng: np.random.Generator) -> tuple[TensorWo
     """A near-codeword and plane opinions that are codewords of the
     (m-1)-fold power: each is the plane's view of one codeword, or, for
     about a third of the planes, an unrelated codeword."""
-    p = code.field.p
+    p, m, n = code.field.p, code.m, code.n
     sub = code.sub()
     clean = code.encode(rng.integers(0, p, size=code.dimension)).entries
     word = near_codeword(code, rng)
-    opinions = {}
-    for pl in all_planes(code.m, code.n):
-        if rng.random() < 1 / 3:
-            opinion = sub.encode(rng.integers(0, p, size=sub.dimension)).entries
-        else:
-            opinion = np.take(clean, pl.coord, axis=pl.axis - 1)
-        view = np.take(word.entries, pl.coord, axis=pl.axis - 1)
-        opinions[pl] = PlaneOpinion(pl, opinion, int(np.count_nonzero(opinion != view)))
-    return word, OpinionTable(code=code, word=word, opinions=opinions)
+    nearest = np.empty((m, n, n ** (m - 1)), dtype=np.int64)
+    for b in range(m):
+        for i in range(n):
+            if rng.random() < 1 / 3:
+                opinion = sub.encode(rng.integers(0, p, size=sub.dimension)).entries
+            else:
+                opinion = np.take(clean, i, axis=b)
+            nearest[b, i] = opinion.reshape(-1)
+    views = np.stack([np.moveaxis(word.entries, b, 0) for b in range(m)]).reshape(nearest.shape)
+    distances = np.count_nonzero(nearest != views, axis=2)
+    return word, OpinionTable(code=code, word=word, nearest=nearest, distances=distances)
 
 
 def assert_report_matches(word, opinions):
@@ -151,6 +159,136 @@ def test_inconsistency_matches_pairwise_loop_on_nearest_opinions(parity3, m):
     for seed in range(15):
         for word in (random_word(code, seed), planted_word(code, seed)):
             assert_report_matches(word, compute_opinions(word, code))
+
+
+# -- plane opinions, the heavy-plane cover and the subcube -----------------------
+
+# The plane-view oracle scans the (m-1)-fold power's p^(k^(m-1)) codewords:
+# at most 6,561 here (GF(3), k = 2, m = 4).
+opinion_codes = codes(max_k={2: 2, 3: 2, 5: 1})
+
+
+def outcome(f, *args):
+    """f(*args), or the class of the InvariantError it raises."""
+    try:
+        return f(*args)
+    except InvariantError as exc:
+        return type(exc)
+
+
+def subcube_sets(module, report):
+    subcube = outcome(module.heavy_free_subcube, report)
+    return subcube if isinstance(subcube, type) else subcube.sets
+
+
+def check_analysis(module, base, m, axis_mode, seed):
+    """Every array form of ``module`` against the loop references."""
+    code = TensorCode(base, m)
+    for word in (near_codeword(code, np.random.default_rng(seed)), random_word(code, seed)):
+        table = module.compute_opinions(word, code)
+        expected = reference.compute_opinions(word, code)
+        assert list(table.opinions) == list(expected)
+        for pl, op in table.opinions.items():
+            assert op.plane == pl and op.distance == expected[pl].distance
+            assert np.array_equal(op.opinion, expected[pl].opinion)
+        rho = robustness_exact(word, code, axis_mode)
+        assert rho == reference.robustness_exact(word, code, axis_mode)
+
+        report = module.inconsistency(word, table)
+        E, to_fix, heavy_planes, heavy_lines = reference.inconsistency(word, table)
+        assert np.array_equal(report.disagreement, E)
+        assert report.to_fix == to_fix and report.num_to_fix == len(to_fix)
+        assert report.heavy_planes == heavy_planes
+        assert report.heavy_lines == heavy_lines
+        assert module.verify_heavy_cover(report) == reference.verify_heavy_cover(
+            code, E, heavy_planes
+        )
+        expected_sets = outcome(reference.heavy_free_subcube, code, E, heavy_planes)
+        assert subcube_sets(module, report) == expected_sets
+        doc = outcome(lambda: module.analyze_word(word, code).to_json_dict())
+        assert doc == outcome(reference.analysis_json, word, code)
+
+
+def check_forged_report(module, base, m, seed):
+    """Cover and subcube of reports with random marks and heavy planes."""
+    code = TensorCode(base, m)
+    n = code.n
+    rng = np.random.default_rng(seed)
+    E = (rng.random((n,) * m) < rng.random() / 2).astype(np.uint8)
+    heavy = rng.random((m, n)) < rng.random()
+    lines = tuple(rng.random((n,) * (m - 1)) < 0.3 for _ in range(m))
+    report = module.InconsistencyReport(code, E, rng.random(E.shape) < 0.2, heavy, lines)
+    planes = tuple(PlaneIndex(b + 1, i) for b in range(m) for i in range(n) if heavy[b, i])
+    assert report.heavy_planes == planes
+    assert report.to_fix == tuple(tuple(int(c) for c in pt) for pt in np.argwhere(report.fix_mask))
+    assert report.heavy_lines == tuple(
+        LineIndex(b + 1, tuple(int(c) for c in fixed))
+        for b in range(m)
+        for fixed in np.argwhere(lines[b])
+    )
+    assert module.verify_heavy_cover(report) == reference.verify_heavy_cover(code, E, planes)
+    assert subcube_sets(module, report) == outcome(reference.heavy_free_subcube, code, E, planes)
+
+
+ANALYSIS_ARGS = (
+    opinion_codes, st.integers(3, 4), st.sampled_from(AXIS_MODES), st.integers(0, 2**32 - 1)
+)
+FORGED_ARGS = (codes(), st.integers(3, 4), st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(*ANALYSIS_ARGS)
+def test_analysis_arrays_match_loop_references(base, m, axis_mode, seed):
+    check_analysis(analysis, base, m, axis_mode, seed)
+
+
+@PROPERTY
+@given(*FORGED_ARGS)
+def test_cover_and_subcube_match_loop_references_on_forged_reports(base, m, seed):
+    check_forged_report(analysis, base, m, seed)
+
+
+MUTATIONS = {
+    "covered along the next axis": (
+        "if a != b)) for b in range(m)]",
+        "if a != (b + 1) % m)) for b in range(m)]",
+        check_forged_report,
+        FORGED_ARGS,
+    ),
+    "strict heavy-plane threshold": (
+        "heavy=2 * marks >= d ** (m - 1)",
+        "heavy=2 * marks > d ** (m - 1)",
+        check_analysis,
+        ANALYSIS_ARGS,
+    ),
+    "strict heavy-line threshold": (
+        "dtype=np.int64) >= d for b",
+        "dtype=np.int64) > d for b",
+        check_analysis,
+        ANALYSIS_ARGS,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_analysis_properties_catch_mutations(monkeypatch, name):
+    """A copy of the analysis module with one expression changed, held in
+    memory, must fail the property that guards that expression."""
+    old, new, check, args = MUTATIONS[name]
+    source = inspect.getsource(analysis)
+    assert source.count(old) == 1
+    spec = importlib.util.spec_from_loader("tensorltc.mutated_analysis", loader=None)
+    mutant = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, mutant)
+    exec(compile(source.replace(old, new), analysis.__file__, "exec"), mutant.__dict__)
+
+    @settings(PROPERTY, phases=[Phase.generate], report_multiple_bugs=False)
+    @given(st.tuples(*args))
+    def mutated_property(values):
+        check(mutant, *values)
+
+    with pytest.raises(AssertionError):
+        mutated_property()
 
 
 def test_exact_rejection_without_path_cap():
