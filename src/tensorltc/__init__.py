@@ -24,13 +24,9 @@ from .tensor_code import (
     PlaneIndex,
     TensorCode,
     TensorWord,
-    all_lines,
     all_planes,
-    extract_line,
-    extract_plane,
     load_tensor,
     parse_tensor,
-    plane_contains_line,
     save_tensor,
 )
 

@@ -22,14 +22,7 @@ import numpy as np
 
 from .errors import InvariantError, ShapeError
 from .linear_code import AMBIGUOUS, ErasureFailure, first_failure
-from .tensor_code import LineIndex, PlaneIndex, TensorCode, TensorWord, all_planes
-
-
-@dataclass(frozen=True)
-class PlaneOpinion:
-    plane: PlaneIndex
-    opinion: np.ndarray  # (m-1)-axis array, nearest subcode codeword
-    distance: int  # Hamming distance from the plane's view
+from .tensor_code import LineIndex, PlaneIndex, TensorCode, TensorWord
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,21 +35,8 @@ class OpinionTable:
     """
 
     code: TensorCode
-    word: TensorWord
     nearest: np.ndarray
     distances: np.ndarray
-
-    @functools.cached_property
-    def opinions(self) -> dict[PlaneIndex, PlaneOpinion]:
-        shape = (self.code.n,) * (self.code.m - 1)
-        return {
-            pl: PlaneOpinion(
-                pl,
-                self.nearest[pl.axis - 1, pl.coord].reshape(shape),
-                int(self.distances[pl.axis - 1, pl.coord]),
-            )
-            for pl in all_planes(self.code.m, self.code.n)
-        }
 
     def mean_local_distance(self) -> Fraction:
         """Average relative local distance over the uniform plane choice.
@@ -75,7 +55,7 @@ def compute_opinions(word: TensorWord, code: TensorCode) -> OpinionTable:
     if code.m < 2:
         raise ShapeError("opinions need m >= 2")
     nearest, distances = code.plane_opinions(word)
-    return OpinionTable(code=code, word=word, nearest=nearest, distances=distances)
+    return OpinionTable(code=code, nearest=nearest, distances=distances)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +104,6 @@ class InconsistencyReport:
 
     def relative_weight(self) -> Fraction:
         return Fraction(self.support_size, self.disagreement.size)
-
-    def plane_mark_count(self, plane: PlaneIndex) -> int:
-        return int(np.take(self.disagreement, plane.coord, axis=plane.axis - 1).sum())
 
 
 def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyReport:

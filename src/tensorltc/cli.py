@@ -70,10 +70,14 @@ def _add_code_args(sub, default_m: int | None = None):
         sub.add_argument("--m", type=int, default=default_m, help="tensor exponent")
 
 
-def _base_code(args):
+def _base_spec(args) -> str:
     if bool(args.family) == bool(args.code):
         raise ValueError("exactly one of --family or --code is required")
-    return resolve_base_code(args.family if args.family else f"file:{args.code}")
+    return args.family if args.family else f"file:{args.code}"
+
+
+def _base_code(args):
+    return resolve_base_code(_base_spec(args))
 
 
 def _load_word(code: TensorCode, path: str) -> TensorWord:
@@ -237,7 +241,7 @@ def cmd_decode(args) -> int:
 def cmd_experiment(args) -> int:
     spec = ExperimentSpec(
         kind=args.kind,
-        base=args.family if args.family else f"file:{args.code}",
+        base=_base_spec(args),
         m=args.m,
         mode=args.mode,
         errors=args.errors,
@@ -246,8 +250,6 @@ def cmd_experiment(args) -> int:
         axis_mode=_axis_mode(args.axes),
         sample_trials=args.sample_trials,
     )
-    if bool(args.family) == bool(args.code):
-        raise ValueError("exactly one of --family or --code is required")
     rows = run_experiment(spec)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         if args.format == "csv":

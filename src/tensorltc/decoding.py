@@ -26,16 +26,13 @@ class DecoderConfig:
     """Parameters of the row/column decoder for the square power of ``base``.
 
     ``radius`` is the per-line decoding radius (defaults to the unique
-    decoding radius), ``removal_threshold`` the fraction of marked entries
-    at which a line is dropped (defaults to alpha/2), and
-    ``budget_constant`` the denominator of the guaranteed error budget
-    alpha^2 n^2 / constant.
+    decoding radius) and ``removal_threshold`` the fraction of marked
+    entries at which a line is dropped (defaults to alpha/2).
     """
 
     base: LinearCode
     radius: int
     removal_threshold: Fraction
-    budget_constant: int = 100
 
     @classmethod
     def for_code(
@@ -43,7 +40,6 @@ class DecoderConfig:
         base: LinearCode,
         radius: int | None = None,
         removal_threshold: Fraction | None = None,
-        budget_constant: int = 100,
     ) -> DecoderConfig:
         if radius is None:
             radius = base.unique_decoding_radius()
@@ -54,15 +50,15 @@ class DecoderConfig:
             raise ValueError("removal threshold must be a fraction of n in [0, 1]")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
-        return cls(base, radius, removal_threshold, budget_constant)
+        return cls(base, radius, removal_threshold)
 
     @property
     def alpha(self) -> Fraction:
         return Fraction(self.radius, self.base.n)
 
     def error_budget(self) -> int:
-        """floor(alpha^2 n^2 / constant) correctable errors."""
-        return int(self.alpha**2 * self.base.n**2 / self.budget_constant)
+        """floor(alpha^2 n^2 / 100) correctable errors."""
+        return int(self.alpha**2 * self.base.n**2 / 100)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .errors import ShapeError
 from .linear_code import (
     ENUM_CAP,
     LinearCode,
+    check_generator_size,
     hamming74,
     load_code,
     parity_code,
@@ -62,14 +63,17 @@ def resolve_base_code(spec: str) -> LinearCode:
 
     Families: ``parity:n``, ``repetition:n``, ``hamming74``,
     ``random:n,k,p,seed``; anything prefixed ``file:`` (or containing a
-    path separator) is loaded from disk.
+    path separator) is loaded from disk. A family, like a code file, may
+    hold at most FILE_CAP generator entries (n * k).
     """
     if spec.startswith("file:"):
         return load_code(spec[len("file:") :])
     name, _, arg = spec.partition(":")
     if name == "parity":
+        check_generator_size(int(arg), int(arg) - 1, spec)
         return parity_code(int(arg))
     if name == "repetition":
+        check_generator_size(int(arg), 1, spec)
         return repetition_code(int(arg))
     if name == "hamming74":
         if arg:
@@ -79,6 +83,7 @@ def resolve_base_code(spec: str) -> LinearCode:
         parts = [int(v) for v in arg.split(",")]
         if len(parts) != 4:
             raise ValueError("random codes need n,k,p,seed")
+        check_generator_size(parts[0], parts[1], spec)
         return random_linear_code(*parts)
     if os.path.sep in spec or os.path.exists(spec):
         return load_code(spec)
@@ -161,12 +166,18 @@ def _make_word(code: TensorCode, spec: ExperimentSpec, seed: int) -> TensorWord:
     return noise.planted_word(code, seed)
 
 
-def _robustness_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
-    seed = trial_seed(spec.seed, trial)
-    word = _make_word(code, spec, seed)
-    rho = robustness_exact(word, code, spec.axis_mode)
-    delta, mode = word_relative_distance(code, word)
-    bound = robustness_lower_bound(code) * delta
+def _row(
+    code: TensorCode,
+    spec: ExperimentSpec,
+    trial: int,
+    seed: int,
+    delta: Fraction,
+    distance_mode: str,
+    statistic: str,
+    value,
+    bound,
+    satisfied: bool,
+) -> ResultRow:
     return ResultRow(
         trial=trial,
         kind=spec.kind,
@@ -175,12 +186,21 @@ def _robustness_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> Res
         n=code.n,
         seed=seed,
         true_distance=str(delta),
-        distance_mode=mode,
-        statistic="robustness_exact",
-        value=str(rho),
+        distance_mode=distance_mode,
+        statistic=statistic,
+        value=str(value),
         bound=str(bound),
-        bound_satisfied=str(rho >= bound).lower(),
+        bound_satisfied=str(satisfied).lower(),
     )
+
+
+def _robustness_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
+    seed = trial_seed(spec.seed, trial)
+    word = _make_word(code, spec, seed)
+    rho = robustness_exact(word, code, spec.axis_mode)
+    delta, mode = word_relative_distance(code, word)
+    bound = robustness_lower_bound(code) * delta
+    return _row(code, spec, trial, seed, delta, mode, "robustness_exact", rho, bound, rho >= bound)
 
 
 def _rejection_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
@@ -193,36 +213,12 @@ def _rejection_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> Resu
             word, code, spec.sample_trials, seed, spec.axis_mode
         )
         slack = Fraction(3 * sampled.standard_error).limit_denominator(10**9)
-        satisfied = sampled.estimate + slack >= bound
-        return ResultRow(
-            trial=trial,
-            kind=spec.kind,
-            mode=spec.mode,
-            m=code.m,
-            n=code.n,
-            seed=seed,
-            true_distance=str(delta),
-            distance_mode=mode,
-            statistic="rejection_sampled",
-            value=str(sampled.estimate),
-            bound=str(bound),
-            bound_satisfied=str(satisfied).lower(),
-        )
-    rejection = rejection_probability_exact(word, code, spec.axis_mode)
-    return ResultRow(
-        trial=trial,
-        kind=spec.kind,
-        mode=spec.mode,
-        m=code.m,
-        n=code.n,
-        seed=seed,
-        true_distance=str(delta),
-        distance_mode=mode,
-        statistic="rejection_exact",
-        value=str(rejection),
-        bound=str(bound),
-        bound_satisfied=str(rejection >= bound).lower(),
-    )
+        statistic, value = "rejection_sampled", sampled.estimate
+        satisfied = value + slack >= bound
+    else:
+        statistic, value = "rejection_exact", rejection_probability_exact(word, code, spec.axis_mode)
+        satisfied = value >= bound
+    return _row(code, spec, trial, seed, delta, mode, statistic, value, bound, satisfied)
 
 
 def _decode_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
@@ -234,20 +230,9 @@ def _decode_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultR
     budget = cfg.error_budget()
     unique_radius = (code.base.minimum_distance() ** 2 - 1) // 2
     mode = "exact" if spec.errors <= unique_radius else "upper_bound"
-    return ResultRow(
-        trial=trial,
-        kind=spec.kind,
-        mode=spec.mode,
-        m=2,
-        n=code.n,
-        seed=seed,
-        true_distance=str(Fraction(spec.errors, code.blocklength)),
-        distance_mode=mode,
-        statistic="decode_exact",
-        value="1" if success else "0",
-        bound=str(budget),
-        bound_satisfied=str(success or spec.errors > budget).lower(),
-    )
+    delta = Fraction(spec.errors, code.blocklength)
+    satisfied = success or spec.errors > budget
+    return _row(code, spec, trial, seed, delta, mode, "decode_exact", int(success), budget, satisfied)
 
 
 def _fill_caches(code: TensorCode, kind: str) -> None:

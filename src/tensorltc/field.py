@@ -1,8 +1,8 @@
 """Exact arithmetic in prime fields GF(p) and dense linear algebra over them.
 
 Matrices and vectors are plain numpy integer arrays with entries reduced
-into [0, p); a :class:`PrimeField` instance supplies the modulus and the
-elementwise operations. Everything here is exact (no floating point).
+into [0, p); a :class:`PrimeField` instance supplies the modulus, scalar
+inverses and range checks. Everything here is exact (no floating point).
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """The field GF(p) for a prime modulus p with 2 <= p < 2**16.
 
-    Operations accept plain ints or numpy arrays of ints and return values
-    reduced into [0, p). Instances are immutable and safe to share.
+    Arrays it makes or checks hold ints reduced into [0, p). Instances are
+    immutable and safe to share.
     """
 
     def __init__(self, p: int):
@@ -41,7 +41,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
-        self._inverse_table: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -52,43 +51,12 @@ class PrimeField:
     def __hash__(self) -> int:
         return hash(("PrimeField", self.p))
 
-    # Elementwise arithmetic; ints in, ints out (arrays pass through numpy).
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
+    def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroDivisionError on zero input."""
-        if np.ndim(a) == 0:
-            a = int(a) % self.p
-            if a == 0:
-                raise ZeroDivisionError("zero has no inverse in GF(p)")
-            return pow(a, self.p - 2, self.p)
-        table = self._inverses()
-        a = np.asarray(a) % self.p
-        if np.any(a == 0):
+        a = int(a) % self.p
+        if a == 0:
             raise ZeroDivisionError("zero has no inverse in GF(p)")
-        return table[a]
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def _inverses(self) -> np.ndarray:
-        if self._inverse_table is None:
-            table = np.zeros(self.p, dtype=np.int64)
-            for v in range(1, self.p):
-                table[v] = pow(v, self.p - 2, self.p)
-            self._inverse_table = table
-        return self._inverse_table
+        return pow(a, self.p - 2, self.p)
 
     def array(self, data) -> np.ndarray:
         """Copy ``data`` into an int64 array reduced mod p."""

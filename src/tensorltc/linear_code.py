@@ -1,11 +1,10 @@
 """Linear [n, k, d] codes over GF(p).
 
 A :class:`LinearCode` keeps a canonical (RREF) generator matrix together
-with a parity-check matrix, and offers encoding, membership, restriction,
-duals, exhaustive distance / nearest-codeword oracles, erasure decoding,
-and bounded-distance decoding. All exhaustive searches are guarded by
-explicit capacity caps and raise :class:`CapacityError` rather than
-silently taking forever.
+with a parity-check matrix, and offers encoding, membership, exhaustive
+distance / nearest-codeword oracles, erasure decoding, and bounded-distance
+decoding. All exhaustive searches are guarded by explicit capacity caps
+and raise :class:`CapacityError` rather than silently taking forever.
 """
 
 from __future__ import annotations
@@ -47,6 +46,12 @@ def first_failure(status: list[ErasureFailure | None]) -> ErasureFailure | None:
     return next((s for s in status if s is not None), None)
 
 
+def check_generator_size(n: int, k: int, source: str) -> None:
+    """Refuse a k x n generator above FILE_CAP entries before it is allocated."""
+    if n * k > FILE_CAP:
+        raise ValueError(f"{source} declares {n * k} generator entries, above the cap {FILE_CAP}")
+
+
 def hamming_distance(a, b) -> int:
     a = np.asarray(a)
     b = np.asarray(b)
@@ -76,13 +81,6 @@ class PartialWord:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "known", known)
 
-    @classmethod
-    def from_optional(cls, entries) -> PartialWord:
-        """Build from a sequence where ``None`` marks an erasure."""
-        known = np.array([e is not None for e in entries], dtype=bool)
-        values = np.array([0 if e is None else int(e) for e in entries], dtype=np.int64)
-        return cls(values, known)
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
@@ -110,11 +108,6 @@ class LinearCode:
         self._codebook: np.ndarray | None = None
         self._packed: np.ndarray | None = None
         self._coset_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    @classmethod
-    def from_generator(cls, p, generator) -> LinearCode:
-        field = p if isinstance(p, PrimeField) else PrimeField(p)
-        return cls(field, generator)
 
     def _parity_check(self, G: np.ndarray, pivots: list[int]) -> np.ndarray:
         # Standard-form complement: with G[:, pivots] = I_k, the checks are
@@ -322,30 +315,6 @@ class LinearCode:
                 best_i[better] = start + i[better]
         return self.encode(self._messages(best_i)), best_d, best_i
 
-    def nearest_codeword(self, w) -> tuple[np.ndarray, int]:
-        nearest, dists, _ = self.nearest_batch(np.asarray(w)[None, :])
-        return nearest[0], int(dists[0])
-
-    def distance_to_code(self, w) -> int:
-        return self.nearest_codeword(w)[1]
-
-    # -- derived codes -------------------------------------------------------
-
-    def restrict(self, coords) -> LinearCode:
-        """The code {c|_S : c in C} on the given sorted coordinate subset."""
-        S = sorted(set(int(i) for i in coords))
-        if not S:
-            raise ShapeError("restriction needs a nonempty coordinate set")
-        if S[0] < 0 or S[-1] >= self.n:
-            raise ShapeError(f"coordinates out of range [0, {self.n})")
-        return LinearCode(self.field, self.G[:, S])
-
-    def dual(self) -> LinearCode:
-        """The code of all words orthogonal to every codeword."""
-        if self.k == self.n:
-            raise ZeroCodeError("the dual of the full space is the zero code")
-        return LinearCode(self.field, self.H)
-
     # -- decoding ------------------------------------------------------------
 
     def erasure_decode_batch(
@@ -546,8 +515,7 @@ def _parse_code(fh) -> LinearCode:
         raise ValueError("code file must start with a 'p n k' header line")
     p, n, k = (int(v) for v in header)
     field = PrimeField(p)  # rejects non-prime moduli
-    if n * k > FILE_CAP:
-        raise ValueError(f"header declares {n * k} generator entries, above the cap {FILE_CAP}")
+    check_generator_size(n, k, "header")
     values = fh.read().split()
     if len(values) != n * k:
         raise ValueError(f"expected {n * k} generator entries, found {len(values)}")

@@ -12,19 +12,6 @@ from .errors import ShapeError
 from .tensor_code import PlaneIndex, TensorCode, TensorWord
 
 
-def bernoulli_channel(word: TensorWord, rate: float, seed: int) -> TensorWord:
-    """Independently replace each entry, with probability ``rate``, by a
-    uniformly random different value."""
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must lie in [0, 1], got {rate}")
-    rng = np.random.default_rng(seed)
-    entries = word.entries.copy()
-    hit = rng.random(entries.shape) < rate
-    offsets = rng.integers(1, word.field.p, size=entries.shape)
-    entries[hit] = (entries[hit] + offsets[hit]) % word.field.p
-    return TensorWord(word.field, entries)
-
-
 def exact_errors_channel(word: TensorWord, t: int, seed: int) -> TensorWord:
     """Change exactly ``t`` distinct positions to uniformly random
     different values, so the output is at Hamming distance exactly t."""

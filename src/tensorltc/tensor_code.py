@@ -57,9 +57,6 @@ class TensorWord:
         """Row-major flattening; axis 1 varies slowest."""
         return self.entries.reshape(-1)
 
-    def point(self, coords: tuple[int, ...]) -> int:
-        return int(self.entries[tuple(coords)])
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, TensorWord)
@@ -87,56 +84,10 @@ class LineIndex:
     axis: int
     fixed: tuple[int, ...]
 
-    def point(self, i: int) -> tuple[int, ...]:
-        coords = list(self.fixed)
-        coords.insert(self.axis - 1, i)
-        return tuple(coords)
-
-
-def plane_contains_line(plane: PlaneIndex, line: LineIndex) -> bool:
-    """True when every point of the line lies in the plane."""
-    if plane.axis == line.axis:
-        return False
-    pos = plane.axis - 1 if plane.axis < line.axis else plane.axis - 2
-    return line.fixed[pos] == plane.coord
-
-
-def extract_plane(word: TensorWord, plane: PlaneIndex) -> TensorWord:
-    """Restrict to a plane; the result has m - 1 axes in the original order."""
-    if word.m < 2:
-        raise ShapeError("plane extraction needs at least two axes")
-    if not 1 <= plane.axis <= word.m:
-        raise ShapeError(f"axis {plane.axis} outside [1, {word.m}]")
-    if not 0 <= plane.coord < word.n:
-        raise ShapeError(f"coordinate {plane.coord} outside [0, {word.n})")
-    return TensorWord(word.field, np.take(word.entries, plane.coord, axis=plane.axis - 1))
-
-
-def extract_line(word: TensorWord, line: LineIndex) -> np.ndarray:
-    """The n entries along the line, ordered by the free coordinate."""
-    if not 1 <= line.axis <= word.m:
-        raise ShapeError(f"axis {line.axis} outside [1, {word.m}]")
-    if len(line.fixed) != word.m - 1:
-        raise ShapeError(f"expected {word.m - 1} fixed coordinates, got {len(line.fixed)}")
-    if any(not 0 <= c < word.n for c in line.fixed):
-        raise ShapeError(f"fixed coordinates outside [0, {word.n})")
-    indexer: list = list(line.fixed)
-    indexer.insert(line.axis - 1, slice(None))
-    return word.entries[tuple(indexer)].copy()
-
 
 def all_planes(m: int, n: int, axes: tuple[int, ...] | None = None) -> list[PlaneIndex]:
     axes = tuple(range(1, m + 1)) if axes is None else axes
     return [PlaneIndex(b, i) for b in axes for i in range(n)]
-
-
-def all_lines(m: int, n: int, axis: int) -> list[LineIndex]:
-    import itertools
-
-    return [
-        LineIndex(axis, fixed)
-        for fixed in itertools.product(range(n), repeat=m - 1)
-    ]
 
 
 def line_syndromes(base: LinearCode, entries: np.ndarray) -> np.ndarray:
@@ -205,14 +156,6 @@ class TensorCode:
             relative_distance=Fraction(d, n) ** m,
         )
 
-    def zero_word(self) -> TensorWord:
-        return TensorWord(self.field, np.zeros((self.n,) * self.m, dtype=np.int64))
-
-    def word(self, entries) -> TensorWord:
-        w = TensorWord(self.field, np.asarray(entries, dtype=np.int64))
-        self.check_shape(w)
-        return w
-
     def check_shape(self, word: TensorWord) -> None:
         if word.m != self.m or word.n != self.n or word.field != self.field:
             raise ShapeError(
@@ -248,17 +191,15 @@ class TensorCode:
 
     # -- flat (Kronecker) view ------------------------------------------------
 
-    def kron_generator(self) -> np.ndarray:
-        """Generator of the product code as a flat k^m x n^m matrix."""
-        return functools.reduce(
-            lambda a, b: np.kron(a, b) % self.field.p, [self.base.G] * self.m
-        )
-
     def flattened(self) -> LinearCode:
-        """The same code as a flat [n^m, k^m] linear code (cached)."""
+        """The same code as a flat [n^m, k^m] linear code, its generator the
+        m-fold Kronecker power of the base generator (cached)."""
         cached = getattr(self, "_flattened", None)
         if cached is None:
-            cached = LinearCode(self.field, self.kron_generator())
+            generator = functools.reduce(
+                lambda a, b: np.kron(a, b) % self.field.p, [self.base.G] * self.m
+            )
+            cached = LinearCode(self.field, generator)
             self._flattened = cached
         return cached
 
@@ -297,12 +238,7 @@ class TensorCode:
     def distance_to(self, word: TensorWord) -> int:
         """Exact Hamming distance from the word to the code (brute force)."""
         self.check_shape(word)
-        return self.flattened().distance_to_code(word.flat())
-
-    def nearest(self, word: TensorWord) -> tuple[TensorWord, int]:
-        self.check_shape(word)
-        flat, dist = self.flattened().nearest_codeword(word.flat())
-        return TensorWord(self.field, flat.reshape(word.entries.shape)), dist
+        return int(self.flattened().nearest_batch(word.flat())[1][0])
 
 
 # -- file format --------------------------------------------------------------

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
 from tensorltc import linear_code
-from tensorltc.analysis import LARGE_DISAGREEMENT, SMALL_DISAGREEMENT, PlaneOpinion
+from tensorltc.analysis import LARGE_DISAGREEMENT, SMALL_DISAGREEMENT
 from tensorltc.decoding import DecodeTrace, inconsistent_entries
 from tensorltc.errors import InvariantError, ShapeError
 from tensorltc.field import PrimeField, rref
@@ -37,6 +37,10 @@ from tensorltc.tensor_code import (
     TensorWord,
     all_planes,
 )
+
+
+def zero_word(code: TensorCode) -> TensorWord:
+    return TensorWord(code.field, np.zeros((code.n,) * code.m, dtype=np.int64))
 
 
 def tester_axis_count(level: int, axis_mode: str) -> int:
@@ -134,14 +138,35 @@ def plane_views(word: TensorWord, planes) -> np.ndarray:
     )
 
 
-def compute_opinions(word: TensorWord, code: TensorCode) -> dict[PlaneIndex, PlaneOpinion]:
+@dataclass(frozen=True)
+class Opinion:
+    plane: PlaneIndex
+    opinion: np.ndarray  # (m-1)-axis array, nearest subcode codeword
+    distance: int  # Hamming distance from the plane's view
+
+
+def compute_opinions(word: TensorWord, code: TensorCode) -> dict[PlaneIndex, Opinion]:
     """One view per plane, one oracle call, one dict entry per plane."""
     planes = all_planes(code.m, code.n)
     nearest, dists, _ = code.sub().flattened().nearest_batch(plane_views(word, planes))
     shape = (code.n,) * (code.m - 1)
     return {
-        pl: PlaneOpinion(pl, nearest[idx].reshape(shape), int(dists[idx]))
+        pl: Opinion(pl, nearest[idx].reshape(shape), int(dists[idx]))
         for idx, pl in enumerate(planes)
+    }
+
+
+def table_opinions(table) -> dict[PlaneIndex, Opinion]:
+    """The per-plane records of an ``OpinionTable``, read plane by plane
+    from index [b, i] of its arrays."""
+    shape = (table.code.n,) * (table.code.m - 1)
+    return {
+        pl: Opinion(
+            pl,
+            table.nearest[pl.axis - 1, pl.coord].reshape(shape),
+            int(table.distances[pl.axis - 1, pl.coord]),
+        )
+        for pl in all_planes(table.code.m, table.code.n)
     }
 
 
@@ -190,7 +215,7 @@ def analysis_json(word: TensorWord, code: TensorCode) -> dict:
     m, n = code.m, code.n
     d = code.base.minimum_distance()
     opinions = compute_opinions(word, code)
-    E, to_fix, heavy_planes, _ = inconsistency(word, SimpleNamespace(code=code, opinions=opinions))
+    E, to_fix, heavy_planes, _ = inconsistency(word, code, opinions)
     support = int(E.sum())
     sets = heavy_free_subcube(code, E, heavy_planes)
     lhs = Fraction(sum(op.distance for op in opinions.values()), len(opinions) * n ** (m - 1))
@@ -222,17 +247,18 @@ def _restrict_opinion_to_axis(
     return np.take(opinion, other_coord, axis=pos)
 
 
-def inconsistency(word: TensorWord, opinions) -> tuple:
+def inconsistency(
+    word: TensorWord, code: TensorCode, opinions: dict[PlaneIndex, Opinion]
+) -> tuple:
     """(E, to_fix, heavy_planes, heavy_lines) from the pairwise plane loop."""
-    code = opinions.code
     m, n = code.m, code.n
     d = code.base.minimum_distance()
     E = np.zeros((n,) * m, dtype=np.uint8)
     for b1, b2 in itertools.combinations(range(1, m + 1), 2):
         for i1 in range(n):
-            op1 = opinions.opinions[PlaneIndex(b1, i1)].opinion
+            op1 = opinions[PlaneIndex(b1, i1)].opinion
             for i2 in range(n):
-                op2 = opinions.opinions[PlaneIndex(b2, i2)].opinion
+                op2 = opinions[PlaneIndex(b2, i2)].opinion
                 diff = _restrict_opinion_to_axis(op1, b1, b2, i2) != _restrict_opinion_to_axis(
                     op2, b2, b1, i1
                 )
@@ -244,7 +270,7 @@ def inconsistency(word: TensorWord, opinions) -> tuple:
                     E[tuple(indexer)][diff] = 1
 
     wants_change = np.zeros((n,) * m, dtype=bool)
-    for pl, op in opinions.opinions.items():
+    for pl, op in opinions.items():
         view = np.take(word.entries, pl.coord, axis=pl.axis - 1)
         indexer = [slice(None)] * m
         indexer[pl.axis - 1] = pl.coord
@@ -318,7 +344,7 @@ def nullspace(field: PrimeField, matrix) -> np.ndarray:
     for row, f in enumerate(free):
         basis[row, f] = 1
         for i, pc in enumerate(pivots):
-            basis[row, pc] = field.neg(int(A[i, f]))
+            basis[row, pc] = -int(A[i, f]) % field.p
     return basis
 
 

@@ -283,7 +283,6 @@ def test_criterion_7_strong_local_testing(cube3, cube4, m3_sweep):
         if rejection_probability_exact(random_codeword(cube4, seed), cube4) != 0:
             codeword_rejections += 1
 
-    flat4 = cube4.flattened()
     bound4 = composed_robustness_bound(cube4)
     sampled_failures = 0
     sampled_words = (
@@ -298,7 +297,7 @@ def test_criterion_7_strong_local_testing(cube3, cube4, m3_sweep):
             word = codeword_plus_errors(cube4, 1 + seed % 4, seed)[1]
         else:
             word = random_codeword(cube4, seed)
-        delta = Fraction(flat4.distance_to_code(word.flat()), cube4.blocklength)
+        delta = Fraction(cube4.distance_to(word), cube4.blocklength)
         sampled = rejection_probability_sampled(
             word, cube4, SAMPLED_TRIALS, seed=index
         )

@@ -48,13 +48,13 @@ def planted_cross(cube3):
     """
     donor = np.zeros(8, dtype=int)
     donor[0] = 1
-    entries = cube3.zero_word().entries.copy()
+    entries = reference.zero_word(cube3).entries
     entries[0] = cube3.encode(donor).entries[0]
     return TensorWord(cube3.field, entries)
 
 
 def single_flip(code, point=None):
-    entries = code.zero_word().entries.copy()
+    entries = reference.zero_word(code).entries
     entries[point if point is not None else (0,) * code.m] = 1
     return TensorWord(code.field, entries)
 
@@ -62,22 +62,22 @@ def single_flip(code, point=None):
 def test_opinions_on_codeword(cube3):
     word = cube3.encode(np.arange(8) % 2)
     table = compute_opinions(word, cube3)
-    assert len(table.opinions) == 9
-    for pl, op in table.opinions.items():
+    assert table.nearest.shape == (3, 3, 9)
+    for pl in all_planes(3, 3):
         view = np.take(word.entries, pl.coord, axis=pl.axis - 1)
-        assert op.distance == 0
-        assert np.array_equal(op.opinion, view)
+        assert table.distances[pl.axis - 1, pl.coord] == 0
+        assert np.array_equal(table.nearest[pl.axis - 1, pl.coord], view.reshape(-1))
     assert table.mean_local_distance() == 0
 
 
 def test_opinions_single_flip(cube3):
     word = single_flip(cube3)
     table = compute_opinions(word, cube3)
-    disagreeing = [pl for pl, op in table.opinions.items() if op.distance > 0]
-    assert sorted(disagreeing) == [PlaneIndex(1, 0), PlaneIndex(2, 0), PlaneIndex(3, 0)]
-    for pl in disagreeing:
-        assert table.opinions[pl].distance == 1
-        assert not table.opinions[pl].opinion.any()  # opinion is the zero plane
+    disagreeing = np.argwhere(table.distances > 0).tolist()
+    assert disagreeing == [[0, 0], [1, 0], [2, 0]]  # planes (1, 0), (2, 0) and (3, 0)
+    for b, i in disagreeing:
+        assert table.distances[b, i] == 1
+        assert not table.nearest[b, i].any()  # opinion is the zero plane
 
 
 def test_opinion_mean_equals_exact_robustness(cube3):
@@ -118,9 +118,9 @@ def test_plane_opinions_follow_in_place_mutation(cube3):
     after = compute_opinions(word, cube3)
     expected = reference.compute_opinions(word, cube3)
     assert after.nearest is not before.nearest
-    for pl, op in after.opinions.items():
-        assert op.distance == expected[pl].distance
-        assert np.array_equal(op.opinion, expected[pl].opinion)
+    for pl, op in expected.items():
+        assert after.distances[pl.axis - 1, pl.coord] == op.distance
+        assert np.array_equal(after.nearest[pl.axis - 1, pl.coord], op.opinion.reshape(-1))
     assert robustness_exact(word, cube3) == reference.robustness_exact(word, cube3)
 
 
@@ -128,7 +128,7 @@ def test_plane_opinions_are_read_only(cube3):
     word = random_word(cube3, 9)
     nearest, distances = cube3.plane_opinions(word)
     assert nearest.shape == (3, 3, 9) and distances.shape == (3, 3)
-    opinion = compute_opinions(word, cube3).opinions[PlaneIndex(2, 1)].opinion
+    opinion = compute_opinions(word, cube3).nearest[1, 1]  # plane (2, 1)
     for array in (nearest, distances, opinion):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def test_inconsistency_planted_cross(cube3, planted_cross):
         LineIndex(3, (0, 0)),
         LineIndex(3, (0, 2)),
     }
-    assert report.plane_mark_count(PlaneIndex(1, 0)) == 4
+    assert report.disagreement[0].sum() == 4  # every mark lies in plane (1, 0)
     assert report.relative_weight() == Fraction(4, 27)
 
 
@@ -202,7 +202,8 @@ def test_heavy_cover(cube3, planted_cross):
     table = compute_opinions(planted_cross, cube3)
     ok, witnesses = verify_heavy_cover(inconsistency(planted_cross, table))
     assert ok and witnesses == []
-    empty = inconsistency(cube3.zero_word(), compute_opinions(cube3.zero_word(), cube3))
+    zero = reference.zero_word(cube3)
+    empty = inconsistency(zero, compute_opinions(zero, cube3))
     assert verify_heavy_cover(empty) == (True, [])
 
 
@@ -215,7 +216,8 @@ def test_heavy_cover_random_words(cube3):
 
 
 def test_subcube_from_clean_word(cube3):
-    report = inconsistency(cube3.zero_word(), compute_opinions(cube3.zero_word(), cube3))
+    zero = reference.zero_word(cube3)
+    report = inconsistency(zero, compute_opinions(zero, cube3))
     subcube = heavy_free_subcube(report)
     assert subcube.sets == ((0, 1, 2),) * 3
     assert subcube.removed == 0
@@ -361,13 +363,13 @@ def test_invariant_errors_on_forged_input(cube3):
     with pytest.raises(InvariantError):
         heavy_free_subcube(forged_report(cube3, heavy=[PlaneIndex(1, 0)]))
     # opinions that are not subcode codewords disagree in a single point
-    word = cube3.zero_word()
+    word = reference.zero_word(cube3)
     opinions = compute_opinions(word, cube3)
     nearest, distances = opinions.nearest.copy(), opinions.distances.copy()
     nearest[0, 0, 0] = 1  # plane (1, 0) holds a lone one at its corner
     distances[0, 0] = 1
     with pytest.raises(InvariantError):
-        inconsistency(word, OpinionTable(cube3, word, nearest, distances))
+        inconsistency(word, OpinionTable(cube3, nearest, distances))
 
 
 def test_invariant_errors_survive_optimized_mode():

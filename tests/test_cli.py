@@ -209,6 +209,14 @@ def test_tensor_exponent_outside_1_to_64_exits_one(capsys, tmp_path, m):
     assert code == 1 and "[1, 64]" in err
 
 
+@pytest.mark.parametrize(
+    "family", ["parity:1000000", "repetition:100000000000", "random:1000000,500000,2,0"]
+)
+def test_oversized_family_exits_one_before_allocating(capsys, family):
+    code, _, err = run_cli(capsys, "params", "--family", family, "--m", "1")
+    assert code == 1 and "above the cap" in err and "Traceback" not in err
+
+
 def test_capacity_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "params", "--family", "random:30,26,2,0", "--m", "2")
     assert code == 2

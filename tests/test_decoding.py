@@ -39,11 +39,6 @@ def test_error_budget_examples(rep50, hamming):
     assert degenerate.error_budget() == 0
 
 
-def test_budget_constant_is_configurable(rep50):
-    cfg = DecoderConfig.for_code(rep50, budget_constant=50)
-    assert cfg.error_budget() == 24 * 24 // 50
-
-
 def test_inconsistent_entries():
     a = np.zeros((3, 3), dtype=int)
     b = np.zeros((3, 3), dtype=int)

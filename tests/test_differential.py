@@ -133,12 +133,14 @@ def mixed_opinions(code: TensorCode, rng: np.random.Generator) -> tuple[TensorWo
             nearest[b, i] = opinion.reshape(-1)
     views = np.stack([np.moveaxis(word.entries, b, 0) for b in range(m)]).reshape(nearest.shape)
     distances = np.count_nonzero(nearest != views, axis=2)
-    return word, OpinionTable(code=code, word=word, nearest=nearest, distances=distances)
+    return word, OpinionTable(code=code, nearest=nearest, distances=distances)
 
 
 def assert_report_matches(word, opinions):
     report = inconsistency(word, opinions)
-    E, to_fix, heavy_planes, heavy_lines = reference.inconsistency(word, opinions)
+    E, to_fix, heavy_planes, heavy_lines = reference.inconsistency(
+        word, opinions.code, reference.table_opinions(opinions)
+    )
     assert report.disagreement.dtype == E.dtype
     assert np.array_equal(report.disagreement, E)
     assert report.to_fix == to_fix
@@ -187,15 +189,17 @@ def check_analysis(module, base, m, axis_mode, seed):
     for word in (near_codeword(code, np.random.default_rng(seed)), random_word(code, seed)):
         table = module.compute_opinions(word, code)
         expected = reference.compute_opinions(word, code)
-        assert list(table.opinions) == list(expected)
-        for pl, op in table.opinions.items():
-            assert op.plane == pl and op.distance == expected[pl].distance
-            assert np.array_equal(op.opinion, expected[pl].opinion)
+        assert table.nearest.shape == (m, code.n, code.n ** (m - 1))
+        assert table.distances.shape == (m, code.n)
+        for pl, op in expected.items():
+            b, i = pl.axis - 1, pl.coord
+            assert table.distances[b, i] == op.distance
+            assert np.array_equal(table.nearest[b, i], op.opinion.reshape(-1))
         rho = robustness_exact(word, code, axis_mode)
         assert rho == reference.robustness_exact(word, code, axis_mode)
 
         report = module.inconsistency(word, table)
-        E, to_fix, heavy_planes, heavy_lines = reference.inconsistency(word, table)
+        E, to_fix, heavy_planes, heavy_lines = reference.inconsistency(word, code, expected)
         assert np.array_equal(report.disagreement, E)
         assert report.to_fix == to_fix and report.num_to_fix == len(to_fix)
         assert report.heavy_planes == heavy_planes

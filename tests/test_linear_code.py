@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tensorltc.errors import CapacityError, ShapeError, ZeroCodeError
+from tensorltc.field import PrimeField
 from tensorltc.linear_code import (
     AMBIGUOUS,
     INCONSISTENT,
@@ -43,13 +44,13 @@ def test_from_generator_parity():
 
 
 def test_from_generator_rank_collapse():
-    code = LinearCode.from_generator(2, [[1, 1], [1, 1]])
+    code = LinearCode(PrimeField(2), [[1, 1], [1, 1]])
     assert (code.n, code.k) == (2, 1)
     assert np.array_equal(code.G, [[1, 1]])
 
 
 def test_from_generator_full_space():
-    code = LinearCode.from_generator(3, np.eye(3, dtype=int))
+    code = LinearCode(PrimeField(3), np.eye(3, dtype=int))
     assert (code.n, code.k) == (3, 3)
     assert code.H.shape == (0, 3)
     assert code.is_codeword([2, 1, 0])
@@ -57,7 +58,7 @@ def test_from_generator_full_space():
 
 def test_from_generator_zero_matrix():
     with pytest.raises(ZeroCodeError):
-        LinearCode.from_generator(2, [[0, 0], [0, 0]])
+        LinearCode(PrimeField(2), [[0, 0], [0, 0]])
 
 
 def test_parity_check_orthogonal_on_random_codes():
@@ -120,17 +121,15 @@ def test_minimum_distance_capacity_guard():
 
 def test_nearest_codeword_examples():
     parity = parity_code(3)
-    cw, dist = parity.nearest_codeword([1, 1, 0])
-    assert dist == 0 and np.array_equal(cw, [1, 1, 0])
-    cw, dist = parity.nearest_codeword([1, 0, 0])
-    assert dist == 1
-    assert np.array_equal(cw, [0, 0, 0])  # message (0,0) wins the tie
+    cw, dist, _ = parity.nearest_batch([[1, 1, 0], [1, 0, 0]])
+    assert dist.tolist() == [0, 1]
+    assert np.array_equal(cw, [[1, 1, 0], [0, 0, 0]])  # message (0,0) wins the tie
     hamming = hamming74()
     original = hamming.encode([1, 0, 1, 1])
     flipped = original.copy()
     flipped[2] ^= 1
-    cw, dist = hamming.nearest_codeword(flipped)
-    assert dist == 1 and np.array_equal(cw, original)
+    cw, dist, _ = hamming.nearest_batch(flipped)
+    assert dist[0] == 1 and np.array_equal(cw[0], original)
 
 
 def test_nearest_distance_bounded_by_weight():
@@ -138,8 +137,8 @@ def test_nearest_distance_bounded_by_weight():
     code = random_linear_code(7, 3, 2, 2)
     for _ in range(30):
         w = rng.integers(0, 2, size=7)
-        _, dist = code.nearest_codeword(w)
-        assert dist <= np.count_nonzero(w)
+        _, dist, _ = code.nearest_batch(w)
+        assert dist[0] <= np.count_nonzero(w)
 
 
 def test_nearest_tie_break_is_lexicographic_message():
@@ -148,18 +147,6 @@ def test_nearest_tie_break_is_lexicographic_message():
     parity = parity_code(3)
     _, dist, index = parity.nearest_batch(np.array([[1, 0, 0]]))
     assert dist[0] == 1 and index[0] == 0
-
-
-def test_restrict_examples():
-    parity = parity_code(3)
-    sub = parity.restrict([0, 1])
-    assert (sub.n, sub.k) == (2, 2)  # projections cover all of GF(2)^2
-    assert parity.restrict(range(3)) == parity
-    rep = repetition_code(3)
-    sub = rep.restrict([0, 2])
-    assert sub == repetition_code(2)
-    with pytest.raises(ShapeError):
-        parity.restrict([])
 
 
 def test_restrict_injective_above_distance_threshold():
@@ -173,32 +160,24 @@ def test_restrict_injective_above_distance_threshold():
 
 
 def test_dual_examples():
+    # the rows of H generate the dual code
     parity = parity_code(3)
-    assert parity.dual() == repetition_code(3)
-    assert parity.dual().dual() == parity
-    simplex = hamming74().dual()
+    assert LinearCode(parity.field, parity.H) == repetition_code(3)
+    simplex = LinearCode(PrimeField(2), hamming74().H)
     assert (simplex.n, simplex.k) == (7, 3)
     weights = {int(np.count_nonzero(w)) for w in simplex.codewords() if w.any()}
     assert weights == {4}
-    with pytest.raises(ZeroCodeError):
-        LinearCode.from_generator(2, np.eye(2, dtype=int)).dual()
-
-
-def test_duality_pairing_random_codes():
-    for seed in range(5):
-        code = random_linear_code(7, 3, 3, seed)
-        dual = code.dual()
-        assert not ((code.G @ dual.G.T) % 3).any()
-        assert code.k + dual.k == code.n
+    with pytest.raises(ZeroCodeError):  # the full space has the zero code as dual
+        LinearCode(PrimeField(2), LinearCode(PrimeField(2), np.eye(2, dtype=int)).H)
 
 
 def test_erasure_decode_examples():
+    first_known = PartialWord([1, 0, 0], [True, False, False])
     rep = repetition_code(3)
-    out = rep.erasure_decode(PartialWord.from_optional([1, None, None]))
-    assert np.array_equal(out, [1, 1, 1])
+    assert np.array_equal(rep.erasure_decode(first_known), [1, 1, 1])
     parity = parity_code(3)
-    assert parity.erasure_decode(PartialWord.from_optional([1, None, None])) is AMBIGUOUS
-    assert parity.erasure_decode(PartialWord.from_optional([1, 1, 1])) is INCONSISTENT
+    assert parity.erasure_decode(first_known) is AMBIGUOUS
+    assert parity.erasure_decode(PartialWord([1, 1, 1], [True] * 3)) is INCONSISTENT
 
 
 def test_erasure_decode_recovers_within_distance():
@@ -216,7 +195,7 @@ def test_erasure_decode_recovers_within_distance():
 
 def test_partial_word_needs_a_known_entry():
     with pytest.raises(ValueError):
-        PartialWord.from_optional([None, None])
+        PartialWord([0, 0], [False, False])
 
 
 def test_bounded_distance_examples():
@@ -239,9 +218,9 @@ def test_bounded_distance_syndrome_matches_brute_force():
     for _ in range(40):
         w = rng.integers(0, 2, size=7)
         via_table = code.bounded_distance_decode(w, 1)
-        nearest, dist = code.nearest_codeword(w)
-        if dist <= 1:
-            assert np.array_equal(via_table, nearest)
+        nearest, dist, _ = code.nearest_batch(w)
+        if dist[0] <= 1:
+            assert np.array_equal(via_table, nearest[0])
         else:
             assert via_table is None
 
@@ -269,9 +248,9 @@ def test_nearest_batch_matches_singletons():
     words = rng.integers(0, 3, size=(10, 6))
     batch_cw, batch_d, _ = code.nearest_batch(words)
     for i, w in enumerate(words):
-        cw, dist = code.nearest_codeword(w)
-        assert dist == batch_d[i]
-        assert np.array_equal(cw, batch_cw[i])
+        cw, dist, _ = code.nearest_batch(w)
+        assert dist[0] == batch_d[i]
+        assert np.array_equal(cw[0], batch_cw[i])
 
 
 def test_hamming_distance_helper():

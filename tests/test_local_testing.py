@@ -18,14 +18,14 @@ from tensorltc.tensor_code import TensorCode, TensorWord, all_planes
 
 
 def single_flip(code):
-    entries = code.zero_word().entries.copy()
+    entries = reference.zero_word(code).entries
     entries[(0,) * code.m] = 1
     return TensorWord(code.field, entries)
 
 
 def test_plane_tester_requires_three_axes(parity3):
     square = TensorCode(parity3, 2)
-    word = square.zero_word()
+    word = reference.zero_word(square)
     with pytest.raises(ShapeError):
         robustness_exact(word, square)
     with pytest.raises(ShapeError):

@@ -4,7 +4,6 @@ import pytest
 from tensorltc.errors import ShapeError
 from tensorltc.linear_code import hamming_distance
 from tensorltc.noise import (
-    bernoulli_channel,
     codeword_plus_errors,
     erase_planes,
     exact_errors_channel,
@@ -38,19 +37,6 @@ def test_exact_errors_nonbinary():
     noisy = exact_errors_channel(word, 7, 3)
     assert hamming_distance(noisy.entries, word.entries) == 7
     assert noisy.entries.max() < 5
-
-
-def test_bernoulli_flip_statistics(cube3):
-    # total flips over 1000 seeded words ~ Binomial(27000, 1/2)
-    total = 0
-    for seed in range(1000):
-        word = cube3.zero_word()
-        noisy = bernoulli_channel(word, 0.5, seed)
-        total += hamming_distance(noisy.entries, word.entries)
-    mean = 27000 * 0.5
-    sigma = np.sqrt(27000 * 0.25)
-    assert abs(total - mean) <= 3 * sigma
-    assert bernoulli_channel(cube3.zero_word(), 0.0, 1) == cube3.zero_word()
 
 
 def test_erase_planes(cube3):

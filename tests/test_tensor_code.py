@@ -9,17 +9,11 @@ from tensorltc.field import PrimeField
 from tensorltc.linear_code import repetition_code
 from tensorltc.tensor_code import (
     EncodeCounter,
-    LineIndex,
-    PlaneIndex,
     TensorCode,
     TensorWord,
-    all_lines,
     all_planes,
-    extract_line,
-    extract_plane,
     load_tensor,
     parse_tensor,
-    plane_contains_line,
     save_tensor,
 )
 
@@ -37,7 +31,7 @@ def test_word_shape_validation():
 def test_linear_index_convention():
     # axis 1 slowest: point (i1, i2, i3) sits at flat index i1*n^2 + i2*n + i3
     ramp = TensorWord(PrimeField(11), np.arange(8).reshape(2, 2, 2))
-    assert ramp.point((1, 0, 1)) == 1 * 4 + 0 * 2 + 1
+    assert ramp.entries[1, 0, 1] == ramp.flat()[1 * 4 + 0 * 2 + 1] == 5
 
 
 def test_params_examples(parity3):
@@ -49,62 +43,17 @@ def test_params_examples(parity3):
     assert cube.params() == (27, 8, 8, Fraction(8, 27), Fraction(8, 27))
 
 
-def test_extract_plane_matrix_rows_and_columns():
-    gf5 = PrimeField(5)
-    mat = TensorWord(gf5, np.arange(9).reshape(3, 3) % 5)
-    row1 = extract_plane(mat, PlaneIndex(1, 1))
-    assert np.array_equal(row1.entries, mat.entries[1, :])
-    col2 = extract_plane(mat, PlaneIndex(2, 2))
-    assert np.array_equal(col2.entries, mat.entries[:, 2])
-
-
-def test_extract_plane_ramp_indices():
-    ramp = TensorWord(PrimeField(11), np.arange(8).reshape(2, 2, 2))
-    plane = extract_plane(ramp, PlaneIndex(2, 1))
-    assert plane.flat().tolist() == [2, 3, 6, 7]
-
-
-def test_extract_plane_bounds():
-    ramp = TensorWord(PrimeField(11), np.arange(8).reshape(2, 2, 2))
-    with pytest.raises(ShapeError):
-        extract_plane(ramp, PlaneIndex(4, 0))
-    with pytest.raises(ShapeError):
-        extract_plane(ramp, PlaneIndex(1, 2))
-    with pytest.raises(ShapeError):
-        extract_plane(TensorWord(PrimeField(11), np.arange(3)), PlaneIndex(1, 0))
-
-
-def test_extract_line():
-    ramp = TensorWord(PrimeField(11), np.arange(8).reshape(2, 2, 2))
-    assert extract_line(ramp, LineIndex(3, (1, 0))).tolist() == [4, 5]
-    assert extract_line(ramp, LineIndex(1, (0, 1))).tolist() == [1, 5]
-    mat = TensorWord(PrimeField(11), np.arange(4).reshape(2, 2))
-    assert extract_line(mat, LineIndex(1, (1,))).tolist() == [1, 3]  # a column
-    assert extract_line(mat, LineIndex(2, (1,))).tolist() == [2, 3]  # a row
-    with pytest.raises(ShapeError):
-        extract_line(mat, LineIndex(2, (1, 1)))
-
-
-def test_plane_line_containment():
-    line = LineIndex(2, (1, 0))  # m = 3, axis-2 line at x1=1, x3=0
-    assert plane_contains_line(PlaneIndex(1, 1), line)
-    assert not plane_contains_line(PlaneIndex(1, 0), line)
-    assert plane_contains_line(PlaneIndex(3, 0), line)
-    assert not plane_contains_line(PlaneIndex(2, 0), line)  # parallel axis
-
-
 def test_enumeration_counts():
     assert len(all_planes(3, 3)) == 9
     assert len(all_planes(4, 3)) == 12
     assert len(all_planes(4, 3, axes=(1, 2, 3))) == 9
-    assert len(all_lines(3, 3, axis=2)) == 9
 
 
 def test_membership(parity3, cube3):
     rng = np.random.default_rng(4)
     word = cube3.encode(rng.integers(0, 2, size=8))
     assert cube3.contains(word)
-    assert cube3.contains(cube3.zero_word())
+    assert cube3.contains(TensorWord(cube3.field, np.zeros((3, 3, 3), dtype=int)))
     square = TensorCode(parity3, 2)
     lonely = np.zeros((3, 3), dtype=int)
     lonely[1, 1] = 1
@@ -175,12 +124,12 @@ def test_distance_multiplicativity_smoke(parity3):
 
 
 def test_distance_to_and_nearest(cube3):
-    word = cube3.zero_word().entries.copy()
+    word = np.zeros((3, 3, 3), dtype=int)
     word[0, 0, 0] = 1
     word = TensorWord(cube3.field, word)
     assert cube3.distance_to(word) == 1
-    nearest, dist = cube3.nearest(word)
-    assert dist == 1 and nearest == cube3.zero_word()
+    nearest, dist, _ = cube3.flattened().nearest_batch(word.flat())
+    assert dist[0] == 1 and not nearest.any()
 
 
 def test_tensor_file_round_trip(tmp_path, cube3):
