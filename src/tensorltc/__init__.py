@@ -10,7 +10,6 @@ from .linear_code import (
     LinearCode,
     PartialWord,
     hamming74,
-    hamming_distance,
     load_code,
     parity_code,
     parse_code,
@@ -20,11 +19,9 @@ from .linear_code import (
 )
 from .tensor_code import (
     EncodeCounter,
-    LineIndex,
     PlaneIndex,
     TensorCode,
     TensorWord,
-    all_planes,
     load_tensor,
     parse_tensor,
     save_tensor,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvariantError, ShapeError
 from .linear_code import AMBIGUOUS, ErasureFailure, first_failure
-from .tensor_code import LineIndex, PlaneIndex, TensorCode, TensorWord
+from .tensor_code import PlaneIndex, TensorCode, TensorWord
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,33 +66,18 @@ class InconsistencyReport:
     intersecting planes' opinions differ; ``fix_mask`` marks the
     almost-fixed points (no disagreement, but some containing plane wants
     the word's value changed). Heavy planes carry at least (d^(m-1))/2
-    marks: ``heavy[b, i]`` flags plane (b + 1, i). Heavy lines carry at
-    least d marks: ``heavy_line_masks[b]`` ranges over the lines along
-    axis b + 1, indexed by the other axes in ascending order. The point
-    and index tuples are derived on first access.
+    marks: ``heavy[b, i]`` flags plane (b + 1, i). The heavy-plane tuple
+    is derived on first access.
     """
 
     code: TensorCode
     disagreement: np.ndarray  # uint8, shape (n,)*m
     fix_mask: np.ndarray  # bool, shape (n,)*m
     heavy: np.ndarray  # bool, shape (m, n)
-    heavy_line_masks: tuple[np.ndarray, ...]  # m bool arrays of shape (n,)*(m-1)
-
-    @functools.cached_property
-    def to_fix(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, np.argwhere(self.fix_mask).tolist()))
 
     @functools.cached_property
     def heavy_planes(self) -> tuple[PlaneIndex, ...]:
         return tuple(PlaneIndex(b + 1, i) for b, i in np.argwhere(self.heavy).tolist())
-
-    @functools.cached_property
-    def heavy_lines(self) -> tuple[LineIndex, ...]:
-        return tuple(
-            LineIndex(b + 1, tuple(fixed))
-            for b, mask in enumerate(self.heavy_line_masks)
-            for fixed in np.argwhere(mask).tolist()
-        )
 
     @property
     def num_to_fix(self) -> int:
@@ -107,7 +92,7 @@ class InconsistencyReport:
 
 
 def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyReport:
-    """Build the disagreement tensor, almost-fixed set, and heavy sets."""
+    """Build the disagreement tensor, almost-fixed set, and heavy planes."""
     code = opinions.code
     m, n = code.m, code.n
     d = code.base.minimum_distance()
@@ -139,7 +124,6 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
         disagreement=E,
         fix_mask=wants_change & ~disagree,
         heavy=2 * marks >= d ** (m - 1),
-        heavy_line_masks=tuple(E.sum(axis=b, dtype=np.int64) >= d for b in range(m)),
     )
 
 
@@ -214,7 +198,7 @@ def heavy_free_subcube(report: InconsistencyReport) -> SubcubeSets:
 
 
 def extend_from_subcube(
-    word: TensorWord, sets: SubcubeSets | tuple[tuple[int, ...], ...], code: TensorCode
+    word: TensorWord, axis_sets: tuple[tuple[int, ...], ...], code: TensorCode
 ) -> TensorWord | ErasureFailure:
     """Complete a word known only on a product subcube to a full codeword.
 
@@ -226,7 +210,6 @@ def extend_from_subcube(
     known part fits no codeword). The final word is verified for membership.
     """
     code.check_shape(word)
-    axis_sets = sets.sets if isinstance(sets, SubcubeSets) else tuple(sets)
     if len(axis_sets) != code.m:
         raise ShapeError(f"expected {code.m} coordinate sets, got {len(axis_sets)}")
     n = code.n

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeError
-from .linear_code import LinearCode, first_failure, hamming_distance
+from .linear_code import LinearCode, first_failure
 from .tensor_code import TensorWord, line_syndromes
 
 
@@ -66,24 +66,22 @@ class DecodeTrace:
     """What the decoder did: marks, failures, removals, verification."""
 
     budget: int
-    inconsistent: np.ndarray | None = None
-    row_failed: np.ndarray | None = None
-    col_failed: np.ndarray | None = None
-    bad_rows: int = 0  # rows with >= alpha*n marks (diagnostic threshold)
-    bad_cols: int = 0
-    removed_rows: tuple[int, ...] = ()
-    removed_cols: tuple[int, ...] = ()
+    inconsistent: np.ndarray  # bool, shape (n, n)
+    row_failed: np.ndarray
+    col_failed: np.ndarray
+    bad_rows: int  # rows with >= alpha*n marks (diagnostic threshold)
+    bad_cols: int
+    removed_rows: tuple[int, ...]
+    removed_cols: tuple[int, ...]
     status: str = "ok"
     result_distance: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
             "budget": self.budget,
-            "inconsistent": None
-            if self.inconsistent is None
-            else self.inconsistent.astype(int).tolist(),
-            "row_failed": None if self.row_failed is None else self.row_failed.tolist(),
-            "col_failed": None if self.col_failed is None else self.col_failed.tolist(),
+            "inconsistent": self.inconsistent.astype(int).tolist(),
+            "row_failed": self.row_failed.tolist(),
+            "col_failed": self.col_failed.tolist(),
             "bad_rows": self.bad_rows,
             "bad_cols": self.bad_cols,
             "removed_rows": list(self.removed_rows),
@@ -91,25 +89,6 @@ class DecodeTrace:
             "status": self.status,
             "result_distance": self.result_distance,
         }
-
-
-def inconsistent_entries(
-    row_decoded: np.ndarray,
-    col_decoded: np.ndarray,
-    row_failed: np.ndarray | None = None,
-    col_failed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Binary matrix: 1 where the passes disagree or either line failed."""
-    row_decoded = np.asarray(row_decoded)
-    col_decoded = np.asarray(col_decoded)
-    if row_decoded.shape != col_decoded.shape or row_decoded.ndim != 2:
-        raise ShapeError("row- and column-decoded matrices must share an (n, n) shape")
-    marks = (row_decoded != col_decoded).astype(np.uint8)
-    if row_failed is not None:
-        marks[np.asarray(row_failed, dtype=bool), :] = 1
-    if col_failed is not None:
-        marks[:, np.asarray(col_failed, dtype=bool)] = 1
-    return marks
 
 
 def _removed(counts: np.ndarray, threshold: Fraction, n: int) -> np.ndarray:
@@ -132,7 +111,6 @@ def decode_square(
     if entries.shape != (n, n):
         raise ShapeError(f"expected an {n} x {n} word, got shape {entries.shape}")
     entries = cfg.base.field.validate(entries)
-    trace = DecodeTrace(budget=cfg.error_budget())
 
     # Pass 1: bounded-distance decode every row and every column, in one batch.
     decoded, failed = cfg.base.bounded_distance_decode_batch(
@@ -141,22 +119,25 @@ def decode_square(
     row_decoded, col_decoded = decoded[:n], decoded[n:].T
     row_failed, col_failed = failed[:n], failed[n:]
 
-    # Pass 2: mark entries where the passes disagree.
-    marks = inconsistent_entries(row_decoded, col_decoded, row_failed, col_failed)
-    trace.inconsistent = marks
-    trace.row_failed = row_failed
-    trace.col_failed = col_failed
+    # Pass 2: mark entries where the passes disagree or either line failed.
+    marks = (row_decoded != col_decoded) | row_failed[:, None] | col_failed[None, :]
     row_counts = marks.sum(axis=1, dtype=np.int64)
     col_counts = marks.sum(axis=0, dtype=np.int64)
-    # alpha * n equals the radius exactly, so the diagnostic threshold is an int
-    trace.bad_rows = int((row_counts >= cfg.radius).sum())
-    trace.bad_cols = int((col_counts >= cfg.radius).sum())
 
     # Pass 3: remove lines at the removal threshold.
     removed_rows = _removed(row_counts, cfg.removal_threshold, n)
     removed_cols = _removed(col_counts, cfg.removal_threshold, n)
-    trace.removed_rows = tuple(removed_rows.tolist())
-    trace.removed_cols = tuple(removed_cols.tolist())
+    trace = DecodeTrace(
+        budget=cfg.error_budget(),
+        inconsistent=marks,
+        row_failed=row_failed,
+        col_failed=col_failed,
+        # alpha * n equals the radius exactly, so the diagnostic threshold is an int
+        bad_rows=int((row_counts >= cfg.radius).sum()),
+        bad_cols=int((col_counts >= cfg.radius).sum()),
+        removed_rows=tuple(removed_rows.tolist()),
+        removed_cols=tuple(removed_cols.tolist()),
+    )
     surviving_rows = np.setdiff1d(np.arange(n), removed_rows)
     surviving_cols = np.setdiff1d(np.arange(n), removed_cols)
     if surviving_rows.size == 0 or surviving_cols.size == 0:
@@ -191,7 +172,7 @@ def decode_square(
     if line_syndromes(cfg.base, output).any():
         trace.status = "not-a-codeword"
         return None, trace
-    dist = hamming_distance(output, entries)
+    dist = int(np.count_nonzero(output != entries))
     trace.result_distance = dist
     d_square = cfg.base.minimum_distance() ** 2
     if dist > (d_square - 1) // 2:

@@ -62,9 +62,8 @@ def resolve_base_code(spec: str) -> LinearCode:
     """Build a base code from a family string or a code file.
 
     Families: ``parity:n``, ``repetition:n``, ``hamming74``,
-    ``random:n,k,p,seed``; anything prefixed ``file:`` (or containing a
-    path separator) is loaded from disk. A family, like a code file, may
-    hold at most FILE_CAP generator entries (n * k).
+    ``random:n,k,p,seed``; ``file:PATH`` is loaded from disk. A family,
+    like a code file, may hold at most FILE_CAP generator entries (n * k).
     """
     if spec.startswith("file:"):
         return load_code(spec[len("file:") :])
@@ -85,8 +84,6 @@ def resolve_base_code(spec: str) -> LinearCode:
             raise ValueError("random codes need n,k,p,seed")
         check_generator_size(parts[0], parts[1], spec)
         return random_linear_code(*parts)
-    if os.path.sep in spec or os.path.exists(spec):
-        return load_code(spec)
     raise ValueError(f"unknown code family {spec!r}")
 
 

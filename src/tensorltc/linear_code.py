@@ -52,14 +52,6 @@ def check_generator_size(n: int, k: int, source: str) -> None:
         raise ValueError(f"{source} declares {n * k} generator entries, above the cap {FILE_CAP}")
 
 
-def hamming_distance(a, b) -> int:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return int(np.count_nonzero(a != b))
-
-
 @dataclass(frozen=True)
 class PartialWord:
     """A length-n word with some positions erased.
@@ -156,12 +148,6 @@ class LinearCode:
             raise ShapeError(f"message length {x.shape[-1]} != k = {self.k}")
         return (x @ self.G) % self.p
 
-    def is_codeword(self, w) -> bool:
-        w = self.field.validate(np.asarray(w))
-        if w.shape != (self.n,):
-            raise ShapeError(f"word length {w.shape} != n = {self.n}")
-        return not self.syndrome(w).any()
-
     def syndrome(self, w) -> np.ndarray:
         w = self.field.validate(np.asarray(w))
         if w.shape[-1] != self.n:
@@ -207,7 +193,7 @@ class LinearCode:
         """All p**k codewords, row i encoding the i-th message in lex order."""
         if self.num_codewords() > CODEBOOK_CAP:
             raise CapacityError(
-                f"codebook of {self.num_codewords()} codewords exceeds cap {CODEBOOK_CAP}"
+                f"codebook of {self.p}^{self.k} codewords exceeds cap {CODEBOOK_CAP}"
             )
         if self._codebook is None:
             blocks = [block for _, block in self._blocks()]
@@ -217,10 +203,9 @@ class LinearCode:
     def minimum_distance(self) -> int:
         """Exact minimum weight over nonzero codewords (cached)."""
         if self._distance is None:
-            total = self.num_codewords()
-            if total > ENUM_CAP:
+            if self.num_codewords() > ENUM_CAP:
                 raise CapacityError(
-                    f"distance enumeration over {total} codewords exceeds cap {ENUM_CAP}"
+                    f"distance enumeration over {self.p}^{self.k} codewords exceeds cap {ENUM_CAP}"
                 )
             # block 0 starts with the zero codeword; every block has p >= 2 rows
             self._distance = min(
@@ -296,10 +281,9 @@ class LinearCode:
         words = self.field.validate(np.atleast_2d(np.asarray(words)))
         if words.shape[1] != self.n:
             raise ShapeError(f"word length {words.shape[1]} != n = {self.n}")
-        total = self.num_codewords()
-        if total > ENUM_CAP:
+        if self.num_codewords() > ENUM_CAP:
             raise CapacityError(
-                f"nearest-codeword search over {total} codewords exceeds cap {ENUM_CAP}"
+                f"nearest-codeword search over {self.p}^{self.k} codewords exceeds cap {ENUM_CAP}"
             )
         packed = self._pack(words)
         cached = self.packed_codebook()

@@ -73,23 +73,6 @@ class PlaneIndex:
     coord: int  # 0-based
 
 
-@dataclass(frozen=True)
-class LineIndex:
-    """An axis-parallel line: free ``axis``, other coordinates fixed.
-
-    ``fixed`` lists the coordinates of the remaining axes in ascending
-    axis order.
-    """
-
-    axis: int
-    fixed: tuple[int, ...]
-
-
-def all_planes(m: int, n: int, axes: tuple[int, ...] | None = None) -> list[PlaneIndex]:
-    axes = tuple(range(1, m + 1)) if axes is None else axes
-    return [PlaneIndex(b, i) for b in axes for i in range(n)]
-
-
 def line_syndromes(base: LinearCode, entries: np.ndarray) -> np.ndarray:
     """Syndromes of every axis-parallel line of an m-axis array.
 
@@ -216,11 +199,12 @@ class TensorCode:
     def plane_opinions(self, word: TensorWord) -> tuple[np.ndarray, np.ndarray]:
         """Nearest (m-1)-fold-power codeword to every plane view, and its distance.
 
-        Plane (b + 1, i) sits at index [b, i] of both results, in the order
-        of ``all_planes``: ``nearest`` has shape (m, n, n^(m-1)) and
-        ``distances`` shape (m, n). All m*n views go through one oracle
-        call. The last word's results are memoised on its entries' bytes,
-        so the tester and the analyzer share them; the arrays are read-only.
+        Plane (b + 1, i) sits at index [b, i] of both results, so planes run
+        axis by axis, coordinates ascending: ``nearest`` has shape
+        (m, n, n^(m-1)) and ``distances`` shape (m, n). All m*n views go
+        through one oracle call. The last word's results are memoised on
+        its entries' bytes, so the tester and the analyzer share them; the
+        arrays are read-only.
         """
         self.check_shape(word)
         key = word.entries.tobytes()

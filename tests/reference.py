@@ -25,22 +25,20 @@ import numpy as np
 
 from tensorltc import linear_code
 from tensorltc.analysis import LARGE_DISAGREEMENT, SMALL_DISAGREEMENT
-from tensorltc.decoding import DecodeTrace, inconsistent_entries
 from tensorltc.errors import InvariantError, ShapeError
 from tensorltc.field import PrimeField, rref
 from tensorltc.linear_code import AMBIGUOUS, INCONSISTENT, ErasureFailure, PartialWord
-from tensorltc.tensor_code import (
-    EncodeCounter,
-    LineIndex,
-    PlaneIndex,
-    TensorCode,
-    TensorWord,
-    all_planes,
-)
+from tensorltc.tensor_code import EncodeCounter, PlaneIndex, TensorCode, TensorWord
 
 
 def zero_word(code: TensorCode) -> TensorWord:
     return TensorWord(code.field, np.zeros((code.n,) * code.m, dtype=np.int64))
+
+
+def all_planes(m: int, n: int, axes: tuple[int, ...] | None = None) -> list[PlaneIndex]:
+    """Planes axis by axis, coordinates ascending: the library's [b, i] order."""
+    axes = tuple(range(1, m + 1)) if axes is None else axes
+    return [PlaneIndex(b, i) for b in axes for i in range(n)]
 
 
 def tester_axis_count(level: int, axis_mode: str) -> int:
@@ -215,7 +213,7 @@ def analysis_json(word: TensorWord, code: TensorCode) -> dict:
     m, n = code.m, code.n
     d = code.base.minimum_distance()
     opinions = compute_opinions(word, code)
-    E, to_fix, heavy_planes, _ = inconsistency(word, code, opinions)
+    E, to_fix, heavy_planes = inconsistency(word, code, opinions)
     support = int(E.sum())
     sets = heavy_free_subcube(code, E, heavy_planes)
     lhs = Fraction(sum(op.distance for op in opinions.values()), len(opinions) * n ** (m - 1))
@@ -250,7 +248,7 @@ def _restrict_opinion_to_axis(
 def inconsistency(
     word: TensorWord, code: TensorCode, opinions: dict[PlaneIndex, Opinion]
 ) -> tuple:
-    """(E, to_fix, heavy_planes, heavy_lines) from the pairwise plane loop."""
+    """(E, to_fix, heavy_planes) from the pairwise plane loop."""
     m, n = code.m, code.n
     d = code.base.minimum_distance()
     E = np.zeros((n,) * m, dtype=np.uint8)
@@ -285,12 +283,7 @@ def inconsistency(
             if 2 * int(np.take(E, i, axis=b - 1).sum()) >= d ** (m - 1)
         )
     )
-    heavy_lines = tuple(
-        LineIndex(axis, tuple(int(c) for c in fixed))
-        for axis in range(1, m + 1)
-        for fixed in np.argwhere(E.sum(axis=axis - 1, dtype=np.int64) >= d)
-    )
-    return E, to_fix, heavy_planes, heavy_lines
+    return E, to_fix, heavy_planes
 
 
 # -- nearest-codeword oracle ---------------------------------------------------
@@ -416,11 +409,40 @@ def bounded_distance_decode(code, w, radius: int) -> np.ndarray | None:
     return nearest[0] if dists[0] <= radius else None
 
 
+@dataclass
+class DecodeTrace:
+    """The square decoder's trace record, serialised like the library's."""
+
+    budget: int
+    inconsistent: np.ndarray
+    row_failed: np.ndarray
+    col_failed: np.ndarray
+    bad_rows: int
+    bad_cols: int
+    removed_rows: tuple[int, ...]
+    removed_cols: tuple[int, ...]
+    status: str = "ok"
+    result_distance: int | None = None
+
+    def to_json_dict(self) -> dict:
+        return {
+            "budget": self.budget,
+            "inconsistent": self.inconsistent.astype(int).tolist(),
+            "row_failed": self.row_failed.tolist(),
+            "col_failed": self.col_failed.tolist(),
+            "bad_rows": self.bad_rows,
+            "bad_cols": self.bad_cols,
+            "removed_rows": list(self.removed_rows),
+            "removed_cols": list(self.removed_cols),
+            "status": self.status,
+            "result_distance": self.result_distance,
+        }
+
+
 def decode_square(word: TensorWord, cfg) -> tuple[TensorWord | None, DecodeTrace]:
     """The row/column decoder with one decoder call per line."""
     base, n = cfg.base, cfg.base.n
     entries = word.entries
-    trace = DecodeTrace(budget=cfg.error_budget())
     row_decoded = np.zeros((n, n), dtype=np.int64)
     col_decoded = np.zeros((n, n), dtype=np.int64)
     row_failed = np.zeros(n, dtype=bool)
@@ -438,23 +460,30 @@ def decode_square(word: TensorWord, cfg) -> tuple[TensorWord | None, DecodeTrace
         else:
             col_decoded[:, j] = decoded
 
-    marks = inconsistent_entries(row_decoded, col_decoded, row_failed, col_failed)
-    trace.inconsistent = marks
-    trace.row_failed = row_failed
-    trace.col_failed = col_failed
-    row_counts = marks.sum(axis=1, dtype=np.int64)
-    col_counts = marks.sum(axis=0, dtype=np.int64)
-    trace.bad_rows = int((row_counts >= cfg.radius).sum())
-    trace.bad_cols = int((col_counts >= cfg.radius).sum())
+    marks = np.zeros((n, n), dtype=np.uint8)
+    for i in range(n):
+        for j in range(n):
+            if row_failed[i] or col_failed[j] or row_decoded[i, j] != col_decoded[i, j]:
+                marks[i, j] = 1
+    row_counts = [int(marks[i].sum()) for i in range(n)]
+    col_counts = [int(marks[:, j].sum()) for j in range(n)]
 
     def meets(count: int) -> bool:
         t = cfg.removal_threshold
         return count > 0 and count * t.denominator >= t.numerator * n
 
-    removed_rows = [i for i in range(n) if meets(int(row_counts[i]))]
-    removed_cols = [j for j in range(n) if meets(int(col_counts[j]))]
-    trace.removed_rows = tuple(removed_rows)
-    trace.removed_cols = tuple(removed_cols)
+    removed_rows = [i for i in range(n) if meets(row_counts[i])]
+    removed_cols = [j for j in range(n) if meets(col_counts[j])]
+    trace = DecodeTrace(
+        budget=cfg.error_budget(),
+        inconsistent=marks,
+        row_failed=row_failed,
+        col_failed=col_failed,
+        bad_rows=sum(c >= cfg.radius for c in row_counts),
+        bad_cols=sum(c >= cfg.radius for c in col_counts),
+        removed_rows=tuple(removed_rows),
+        removed_cols=tuple(removed_cols),
+    )
     surviving_rows = np.setdiff1d(np.arange(n), removed_rows)
     surviving_cols = np.setdiff1d(np.arange(n), removed_cols)
     if surviving_rows.size == 0 or surviving_cols.size == 0:

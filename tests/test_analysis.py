@@ -15,7 +15,6 @@ from tensorltc.analysis import (
     SMALL_DISAGREEMENT,
     InconsistencyReport,
     OpinionTable,
-    SubcubeSets,
     analyze_word,
     certified_distance_bound,
     compute_opinions,
@@ -35,7 +34,7 @@ from tensorltc.linear_code import (
 )
 from tensorltc.local_testing import robustness_exact
 from tensorltc.noise import erase_planes, planted_word, random_codeword, random_word
-from tensorltc.tensor_code import LineIndex, PlaneIndex, TensorCode, TensorWord, all_planes
+from tensorltc.tensor_code import PlaneIndex, TensorCode, TensorWord
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +62,7 @@ def test_opinions_on_codeword(cube3):
     word = cube3.encode(np.arange(8) % 2)
     table = compute_opinions(word, cube3)
     assert table.nearest.shape == (3, 3, 9)
-    for pl in all_planes(3, 3):
+    for pl in reference.all_planes(3, 3):
         view = np.take(word.entries, pl.coord, axis=pl.axis - 1)
         assert table.distances[pl.axis - 1, pl.coord] == 0
         assert np.array_equal(table.nearest[pl.axis - 1, pl.coord], view.reshape(-1))
@@ -141,14 +140,13 @@ def test_inconsistency_on_codeword(cube3):
     assert report.support_size == 0
     assert report.num_to_fix == 0
     assert report.heavy_planes == ()
-    assert report.heavy_lines == ()
 
 
 def test_inconsistency_single_flip(cube3):
     word = single_flip(cube3, point=(1, 2, 0))
     report = inconsistency(word, compute_opinions(word, cube3))
     assert report.support_size == 0
-    assert report.to_fix == ((1, 2, 0),)
+    assert np.argwhere(report.fix_mask).tolist() == [[1, 2, 0]]
     assert report.num_to_fix == 1
 
 
@@ -164,12 +162,6 @@ def test_inconsistency_planted_cross(cube3, planted_cross):
         PlaneIndex(3, 0),
         PlaneIndex(3, 2),
     )
-    assert set(report.heavy_lines) == {
-        LineIndex(2, (0, 0)),
-        LineIndex(2, (0, 2)),
-        LineIndex(3, (0, 0)),
-        LineIndex(3, (0, 2)),
-    }
     assert report.disagreement[0].sum() == 4  # every mark lies in plane (1, 0)
     assert report.relative_weight() == Fraction(4, 27)
 
@@ -234,8 +226,7 @@ def test_subcube_planted_cross(cube3, planted_cross):
 
 def test_extension_identity(cube3):
     word = cube3.encode(np.arange(8) % 2)
-    full = SubcubeSets(side=3, sets=((0, 1, 2),) * 3)
-    assert extend_from_subcube(word, full, cube3) == word
+    assert extend_from_subcube(word, ((0, 1, 2),) * 3, cube3) == word
 
 
 def test_extension_repetition_example():
@@ -345,13 +336,11 @@ def forged_report(code, marks=(), heavy=()):
     heavy_mask = np.zeros((m, n), dtype=bool)
     for pl in heavy:
         heavy_mask[pl.axis - 1, pl.coord] = True
-    no_lines = tuple(np.zeros((n,) * (m - 1), dtype=bool) for _ in range(m))
     return InconsistencyReport(
         code=code,
         disagreement=E,
         fix_mask=np.zeros(E.shape, dtype=bool),
         heavy=heavy_mask,
-        heavy_line_masks=no_lines,
     )
 
 
@@ -382,8 +371,7 @@ def test_invariant_errors_survive_optimized_mode():
         "code = TensorCode(parity_code(3), 3)\n"
         "E = np.zeros((3, 3, 3), dtype=np.uint8)\n"
         "E[1, 1, 1] = 1\n"
-        "lines = (np.zeros((3, 3), dtype=bool),) * 3\n"
-        "report = InconsistencyReport(code, E, E == 2, np.zeros((3, 3), dtype=bool), lines)\n"
+        "report = InconsistencyReport(code, E, E == 2, np.zeros((3, 3), dtype=bool))\n"
         "try:\n"
         "    heavy_free_subcube(report)\n"
         "except InvariantError:\n"

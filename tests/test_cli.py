@@ -50,6 +50,8 @@ def test_resolve_families(tmp_path):
 
     save_code(parity_code(3), path)
     assert resolve_base_code(f"file:{path}") == parity_code(3)
+    with pytest.raises(ValueError):
+        resolve_base_code(str(path))  # a bare path is no family
 
 
 def test_encode_membership_round_trip(capsys, tmp_path):
@@ -221,6 +223,11 @@ def test_capacity_error_exit_two(capsys):
     code, _, err = run_cli(capsys, "params", "--family", "random:30,26,2,0", "--m", "2")
     assert code == 2
     assert "capacity" in err.lower()
+
+
+def test_capacity_message_writes_the_codeword_count_as_a_power(capsys):
+    code, _, err = run_cli(capsys, "params", "--family", "parity:400", "--m", "1")
+    assert code == 2 and "2^399" in err and len(err.encode()) < 120
 
 
 def test_experiment_csv_deterministic(capsys, tmp_path):

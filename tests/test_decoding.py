@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import reference
 
-from tensorltc.decoding import DecoderConfig, decode_square, inconsistent_entries
+from tensorltc.decoding import DecoderConfig, decode_square
 from tensorltc.errors import ShapeError
 from tensorltc.linear_code import parity_code, repetition_code
 from tensorltc.noise import codeword_plus_errors, random_codeword, random_word
@@ -37,19 +37,6 @@ def test_error_budget_examples(rep50, hamming):
     degenerate = DecoderConfig.for_code(parity_code(3))  # d = 2 gives radius 0
     assert degenerate.alpha == 0
     assert degenerate.error_budget() == 0
-
-
-def test_inconsistent_entries():
-    a = np.zeros((3, 3), dtype=int)
-    b = np.zeros((3, 3), dtype=int)
-    assert not inconsistent_entries(a, b).any()
-    b[1, 2] = 1
-    marks = inconsistent_entries(a, b)
-    assert marks.sum() == 1 and marks[1, 2] == 1
-    marks = inconsistent_entries(a, a, row_failed=np.array([True, False, False]))
-    assert marks[0].all() and marks[1:].sum() == 0
-    with pytest.raises(ShapeError):
-        inconsistent_entries(a, np.zeros((2, 3), dtype=int))
 
 
 def test_codeword_passes_through(rep50_square, hamming, parity3):
@@ -105,7 +92,7 @@ def test_beyond_budget_never_returns_non_codeword(rep50_square):
     for _ in range(5):
         garbage = TensorWord(rep50_square.field, rng.integers(0, 2, size=(50, 50)))
         out, _ = decode_square(garbage, cfg)
-        assert out is None or flat.is_codeword(out.flat())
+        assert out is None or not flat.syndrome(out.flat()).any()
 
 
 def test_failure_is_clean_on_unremovable_junk(parity3):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import reference
+from reference import all_planes
 
 from tensorltc.errors import ShapeError
 from tensorltc.linear_code import parity_code, repetition_code
@@ -14,7 +15,7 @@ from tensorltc.local_testing import (
     robustness_lower_bound,
 )
 from tensorltc.noise import random_word
-from tensorltc.tensor_code import TensorCode, TensorWord, all_planes
+from tensorltc.tensor_code import TensorCode, TensorWord
 
 
 def single_flip(code):

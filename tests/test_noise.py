@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from tensorltc.errors import ShapeError
-from tensorltc.linear_code import hamming_distance
 from tensorltc.noise import (
     codeword_plus_errors,
     erase_planes,
@@ -19,7 +18,7 @@ def test_exact_errors_distance_contract(cube3):
     assert exact_errors_channel(word, 0, 1) == word
     for t in (1, 5, 27):
         noisy = exact_errors_channel(word, t, 1)
-        assert hamming_distance(noisy.entries, word.entries) == t
+        assert np.count_nonzero(noisy.entries != word.entries) == t
     with pytest.raises(ShapeError):
         exact_errors_channel(word, 28, 1)
 
@@ -35,7 +34,7 @@ def test_exact_errors_nonbinary():
 
     word = TensorWord(PrimeField(5), np.zeros((4, 4), dtype=int))
     noisy = exact_errors_channel(word, 7, 3)
-    assert hamming_distance(noisy.entries, word.entries) == 7
+    assert np.count_nonzero(noisy.entries != word.entries) == 7
     assert noisy.entries.max() < 5
 
 
@@ -58,7 +57,7 @@ def test_random_codeword_membership(cube3):
 def test_codeword_plus_errors(cube3):
     clean, noisy = codeword_plus_errors(cube3, 4, 8)
     assert cube3.contains(clean)
-    assert hamming_distance(clean.entries, noisy.entries) == 4
+    assert np.count_nonzero(clean.entries != noisy.entries) == 4
     again = codeword_plus_errors(cube3, 4, 8)
     assert again[0] == clean and again[1] == noisy
 
