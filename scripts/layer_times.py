@@ -1,0 +1,109 @@
+"""Per-word time of each per-word layer, on seeded parity(3)^m words.
+
+For m = 3, 4, 5 and both tester axis modes, prints the best of 7 passes
+over 300 seeded random words, in microseconds per word, for:
+
+- ``oracle``: the plane-view oracle, through ``robustness_exact`` in that
+  axis mode (each word misses the one-word memo);
+- ``inconsistency``: the disagreement report from precomputed opinions;
+- ``cover`` and ``subcube``: ``verify_heavy_cover`` and
+  ``heavy_free_subcube`` on precomputed reports, each pass on new report
+  objects so that nothing cached by an earlier call is reused;
+- ``rejection``: ``rejection_probability_exact`` in that axis mode.
+
+The disagreement layers do not read the axis mode, so their two rows
+measure the same calls. BLAS is pinned to one thread. The package is
+imported from this checkout's ``src/``.
+
+    python3 scripts/layer_times.py            # m = 3, 4, 5 (about a minute)
+    python3 scripts/layer_times.py --m 3 4    # a subset
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import dataclasses  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+from time import perf_counter  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tensorltc import TensorCode, TensorWord, parity_code  # noqa: E402
+from tensorltc.analysis import (  # noqa: E402
+    compute_opinions,
+    heavy_free_subcube,
+    inconsistency,
+    verify_heavy_cover,
+)
+from tensorltc.errors import InvariantError  # noqa: E402
+from tensorltc.local_testing import rejection_probability_exact, robustness_exact  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+WORDS = 300
+PASSES = 7
+LAYERS = ("oracle", "inconsistency", "cover", "subcube", "rejection")
+
+
+def _subcube(report):
+    try:
+        return heavy_free_subcube(report)
+    except InvariantError:
+        return None
+
+
+def best_us(call, items, fresh=list) -> float:
+    """Best of PASSES passes of ``call`` over ``fresh(items)``, in us per
+    item; ``fresh`` runs untimed before each pass."""
+    best = float("inf")
+    for _ in range(PASSES):
+        batch = fresh(items)
+        start = perf_counter()
+        for item in batch:
+            call(item)
+        best = min(best, perf_counter() - start)
+    return best / len(items) * 1e6
+
+
+def fresh_reports(reports):
+    """New report objects over the same arrays, so that no pass reads what
+    an earlier pass derived and cached on a report."""
+    return [dataclasses.replace(report) for report in reports]
+
+
+def layer_times(m: int, axis_mode: str) -> dict[str, float]:
+    code = TensorCode(parity_code(3), m)
+    shape = (code.n,) * m
+    rng = np.random.default_rng(m)
+    words = [TensorWord(code.field, rng.integers(0, 2, size=shape)) for _ in range(WORDS)]
+    tables = [compute_opinions(word, code) for word in words]
+    reports = [inconsistency(word, table) for word, table in zip(words, tables)]
+    return {
+        "oracle": best_us(lambda word: robustness_exact(word, code, axis_mode), words),
+        "inconsistency": best_us(lambda pair: inconsistency(*pair), list(zip(words, tables))),
+        "cover": best_us(verify_heavy_cover, reports, fresh_reports),
+        "subcube": best_us(_subcube, reports, fresh_reports),
+        "rejection": best_us(lambda word: rejection_probability_exact(word, code, axis_mode), words),
+    }
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--m", type=int, nargs="+", default=[3, 4, 5], choices=[3, 4, 5])
+    args = parser.parse_args(argv)
+    print(f"us per word, best of {PASSES} passes over {WORDS} parity(3)^m words")
+    print(f"{'m':>2} {'axes':<12}" + "".join(f"{name:>14}" for name in LAYERS))
+    for m in args.m:
+        for axis_mode in ("all", "first-three"):
+            times = layer_times(m, axis_mode)
+            print(f"{m:>2} {axis_mode:<12}" + "".join(f"{times[name]:>14.1f}" for name in LAYERS))
+
+
+if __name__ == "__main__":
+    main()

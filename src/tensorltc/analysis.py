@@ -14,7 +14,6 @@ bound on the word's distance to the code.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantError, ShapeError
 from .linear_code import AMBIGUOUS, ErasureFailure, first_failure
-from .tensor_code import PlaneIndex, TensorCode, TensorWord
+from .tensor_code import PlaneIndex, TensorCode, TensorWord, index_plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +66,7 @@ class InconsistencyReport:
     almost-fixed points (no disagreement, but some containing plane wants
     the word's value changed). Heavy planes carry at least (d^(m-1))/2
     marks: ``heavy[b, i]`` flags plane (b + 1, i). The heavy-plane tuple
-    is derived on first access.
+    and the marks outside every heavy plane are derived on first access.
     """
 
     code: TensorCode
@@ -79,11 +78,20 @@ class InconsistencyReport:
     def heavy_planes(self) -> tuple[PlaneIndex, ...]:
         return tuple(PlaneIndex(b + 1, i) for b, i in np.argwhere(self.heavy).tolist())
 
-    @property
-    def num_to_fix(self) -> int:
-        return int(self.fix_mask.sum())
+    @functools.cached_property
+    def uncovered(self) -> np.ndarray:
+        """bool, shape (n,)*m: the marks that lie in no heavy plane."""
+        code = self.code
+        plan = index_plan(code.n, code.m)
+        # covered[x] is true when some plane (b + 1, x_b) through x is heavy
+        covered = self.heavy.reshape(-1)[plan.plane_of].any(axis=0)
+        return (self.disagreement != 0) & ~covered.reshape(self.disagreement.shape)
 
-    @property
+    @functools.cached_property
+    def num_to_fix(self) -> int:
+        return int(np.count_nonzero(self.fix_mask))
+
+    @functools.cached_property
     def support_size(self) -> int:
         return int(self.disagreement.sum())
 
@@ -96,33 +104,32 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
     code = opinions.code
     m, n = code.m, code.n
     d = code.base.minimum_distance()
-    # opinion_at[b] holds, at each point x, the opinion of plane (b + 1, x_b).
-    opinion_at = [np.moveaxis(opinions.nearest[b].reshape((n,) * m), 0, b) for b in range(m)]
+    plan = index_plan(n, m)
+    # at[b, x] is the opinion of plane (b + 1, x_b) at point x.
+    at = opinions.nearest.reshape(-1)[plan.gather]
 
     # Planes on the same axis never intersect. Where two planes meet, their
     # opinions restrict to codewords of the (m-2)-fold power, and distinct
-    # ones differ in at least d^(m-2) positions.
-    disagree = np.zeros((n,) * m, dtype=bool)
-    for b, c in itertools.combinations(range(m), 2):
-        diff = opinion_at[b] != opinion_at[c]
-        counts = diff.sum(axis=tuple(a for a in range(m) if a not in (b, c)))
-        if ((counts > 0) & (counts < d ** (m - 2))).any():
-            raise InvariantError(
-                f"planes on axes {b + 1} and {c + 1} disagree in fewer than d^(m-2) points"
-            )
-        disagree |= diff
-
+    # ones differ in at least d^(m-2) positions: count each pair's
+    # disagreements per (x_b, x_c) cell.
+    b, c = plan.pairs
+    diff = at[b] != at[c]
+    cells = np.bincount(plan.pair_cell[diff], minlength=plan.num_pairs * n * n)
+    too_few = (cells > 0) & (cells < d ** (m - 2))
+    if too_few.any():
+        q = int(np.argmax(too_few)) // (n * n)
+        raise InvariantError(
+            f"planes on axes {b[q] + 1} and {c[q] + 1} disagree in fewer than d^(m-2) points"
+        )
+    disagree = diff.any(axis=0)
     # Points some containing plane wants changed.
-    wants_change = np.logical_or.reduce([op != word.entries for op in opinion_at])
+    wants_change = (at != word.entries.reshape(-1)).any(axis=0)
 
-    E = disagree.astype(np.uint8)
-    marks = np.stack(
-        [E.sum(axis=tuple(a for a in range(m) if a != b), dtype=np.int64) for b in range(m)]
-    )
+    marks = np.bincount(plan.plane_of[:, disagree].reshape(-1), minlength=m * n).reshape(m, n)
     return InconsistencyReport(
         code=code,
-        disagreement=E,
-        fix_mask=wants_change & ~disagree,
+        disagreement=disagree.view(np.uint8).reshape((n,) * m),
+        fix_mask=(wants_change & ~disagree).reshape((n,) * m),
         heavy=2 * marks >= d ** (m - 1),
     )
 
@@ -146,7 +153,7 @@ class FloorCheck:
 def robustness_floor_check(opinions: OpinionTable, report: InconsistencyReport) -> FloorCheck:
     m = opinions.code.m
     size = report.disagreement.size
-    rhs = Fraction(report.support_size, m * size) + Fraction(report.num_to_fix, size)
+    rhs = Fraction(report.support_size + m * report.num_to_fix, m * size)
     return FloorCheck(lhs=opinions.mean_local_distance(), rhs=rhs)
 
 
@@ -156,14 +163,9 @@ def verify_heavy_cover(report: InconsistencyReport) -> tuple[bool, list[tuple[in
     Returns (ok, counterexample points). A counterexample would falsify
     the implementation, not the underlying claim.
     """
-    m = report.code.m
-    # covered[x] is true when some plane (b + 1, x_b) through x is heavy
-    covered = functools.reduce(
-        np.logical_or,
-        [np.expand_dims(report.heavy[b], tuple(a for a in range(m) if a != b)) for b in range(m)],
-    )
-    witnesses = list(map(tuple, np.argwhere(report.disagreement.astype(bool) & ~covered).tolist()))
-    return (not witnesses), witnesses
+    if not report.uncovered.any():
+        return True, []
+    return False, list(map(tuple, np.argwhere(report.uncovered).tolist()))
 
 
 @dataclass(frozen=True)
@@ -188,9 +190,12 @@ def heavy_free_subcube(report: InconsistencyReport) -> SubcubeSets:
     code = report.code
     m, n = code.m, code.n
     d = code.base.minimum_distance()
-    sets = tuple(tuple(np.flatnonzero(~heavy).tolist()) for heavy in report.heavy)
+    sets = tuple(
+        tuple(i for i, keep in enumerate(row) if keep) for row in (~report.heavy).tolist()
+    )
     subcube = SubcubeSets(side=n, sets=sets)
-    if all(len(s) > 0 for s in sets) and report.disagreement[np.ix_(*sets)].any():
+    # A point lies in S_1 x ... x S_m exactly when no heavy plane holds it.
+    if report.uncovered.any():
         raise InvariantError("the subcube left by the heavy planes carries disagreement marks")
     if subcube.removed * d ** (m - 1) > 2 * report.support_size * m:
         raise InvariantError(f"{subcube.removed} removed planes exceed 2|E|m / d^(m-1)")

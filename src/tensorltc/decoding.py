@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .linear_code import LinearCode, first_failure
-from .tensor_code import TensorWord, line_syndromes
+from .tensor_code import TensorWord
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,11 @@ def decode_square(
             return None, trace
         output = np.ascontiguousarray(completed.T)
 
-    # Pass 5: verify membership and plausibility.
-    if line_syndromes(cfg.base, output).any():
+    # Pass 5: verify membership and plausibility. Every row is a base
+    # codeword by now: a decoded row, a row completed by erasure decoding,
+    # or, when columns were completed, a linear combination of surviving
+    # rows. So only the columns can fail.
+    if cfg.base.syndrome(output.T).any():
         trace.status = "not-a-codeword"
         return None, trace
     dist = int(np.count_nonzero(output != entries))

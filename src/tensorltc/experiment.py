@@ -37,7 +37,7 @@ from .local_testing import (
     robustness_exact,
     robustness_lower_bound,
 )
-from .tensor_code import TensorCode, TensorWord, line_syndromes
+from .tensor_code import TensorCode, TensorWord, index_plan, line_syndromes
 
 KINDS = ("robustness", "rejection", "decode")
 MODES = ("random", "errors", "planted")
@@ -246,6 +246,12 @@ def _fill_caches(code: TensorCode, kind: str) -> None:
         code.flattened().packed_codebook()
     if kind == "robustness":
         code.sub().flattened().packed_codebook()
+        gathers = ("lines", "views")
+    else:
+        gathers = ("lines", "line_slice", "pair_id", "slice_place")
+    plan = index_plan(code.n, code.m)
+    for name in gathers:
+        getattr(plan, name)
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:

@@ -7,6 +7,8 @@ inverses and range checks. Everything here is exact (no floating point).
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .errors import ShapeError
@@ -92,19 +94,18 @@ def rref(field: PrimeField, matrix) -> tuple[np.ndarray, list[int], int]:
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if A[i, c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        nonzero = np.flatnonzero(A[:, c]).tolist()
+        at = bisect.bisect_left(nonzero, r)
+        if at == len(nonzero):
             continue
+        # pivot on the first nonzero row at or below r; clear the others
+        pivot_row = nonzero.pop(at)
         if pivot_row != r:
             A[[r, pivot_row]] = A[[pivot_row, r]]
-        A[r] = (A[r] * field.inv(int(A[r, c]))) % p
-        for i in range(rows):
-            if i != r and A[i, c] != 0:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
+        if A[r, c] != 1:
+            A[r] = (A[r] * field.inv(int(A[r, c]))) % p
+        if nonzero:  # one update for every row to clear
+            A[nonzero] = (A[nonzero] - A[nonzero, c, None] * A[r]) % p
         pivots.append(c)
         r += 1
         if r == rows:

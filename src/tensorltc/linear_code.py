@@ -106,7 +106,8 @@ class LinearCode:
         # H[:, free] = I and H[:, pivots] = -A.T where A = G[:, free].
         p = self.field.p
         n, k = self.n, self.k
-        free = [c for c in range(n) if c not in pivots]
+        pivot_set = set(pivots)
+        free = [c for c in range(n) if c not in pivot_set]
         H = np.zeros((n - k, n), dtype=np.int64)
         if n - k == 0:
             return H

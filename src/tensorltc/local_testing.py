@@ -20,7 +20,7 @@ from math import sqrt
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_code import TensorCode, TensorWord, line_syndromes
+from .tensor_code import TensorCode, TensorWord, index_plan, line_syndromes
 
 AXIS_MODES = ("all", "first-three")
 
@@ -62,15 +62,15 @@ def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all")
     code.check_shape(word)
     if code.m < 3:
         raise ShapeError(f"the plane tester needs m >= 3, got m = {code.m}")
-    axes = _tester_axes(code.m, axis_mode)
-    dists = code.plane_opinions(word)[1][: len(axes)]
+    dists = code.plane_opinions(word, len(_tester_axes(code.m, axis_mode)))[1]
     return Fraction(int(dists.sum()), dists.size * code.n ** (code.m - 1))
 
 
 @functools.cache
-def _free_pair_counts(m: int, axis_mode: str) -> tuple[tuple[tuple[int, int], int], ...]:
-    """For each pair (a, b) of 0-based axes, the number of tester axis-choice
-    sequences, levels m down to 3, that leave exactly a and b free."""
+def _pair_weights(m: int, axis_mode: str) -> tuple[int, ...]:
+    """For each pair of 0-based axes, in ``IndexPlan.pairs`` order, the
+    number of tester axis-choice sequences, levels m down to 3, that leave
+    exactly that pair free."""
     memo: dict[tuple[int, ...], Counter] = {}
 
     def counts(remaining: tuple[int, ...]) -> Counter:
@@ -83,23 +83,20 @@ def _free_pair_counts(m: int, axis_mode: str) -> tuple[tuple[tuple[int, int], in
             memo[remaining] = total
         return memo[remaining]
 
-    return tuple(sorted(counts(tuple(range(m))).items()))
+    free = counts(tuple(range(m)))
+    return tuple(free[pair] for pair in itertools.combinations(range(m), 2))
 
 
-def _slice_fail_masks(
-    word: TensorWord, code: TensorCode
-) -> dict[tuple[int, int], np.ndarray]:
-    """Which two-axis slices of the word fail the square-power check.
+def _slice_fails(word: TensorWord, code: TensorCode) -> np.ndarray:
+    """Which two-axis slices of the word fail the square-power check, by
+    slice id (see ``IndexPlan``).
 
-    For 0-based axes a < b the mask ranges over the other m - 2 axes in
-    ascending order; a slice fails exactly when some line along a or
-    along b inside it violates a base check.
+    A slice fails exactly when some line inside it, along either of its
+    two free axes, violates a base check.
     """
+    plan = index_plan(code.n, code.m)
     violated = line_syndromes(code.base, word.entries).any(axis=-1)
-    return {
-        (a, b): violated[a].any(axis=b - 1) | violated[b].any(axis=a)
-        for a, b in itertools.combinations(range(code.m), 2)
-    }
+    return np.bincount(plan.line_slice[violated].reshape(-1), minlength=plan.num_slices) > 0
 
 
 def rejection_probability_exact(
@@ -113,14 +110,11 @@ def rejection_probability_exact(
     """
     code.check_shape(word)
     _check_composable(code)
-    paths = 1
-    for level in range(3, code.m + 1):
-        paths *= len(_tester_axes(level, axis_mode)) * code.n
-    fails = _slice_fail_masks(word, code)
-    rejected = sum(
-        count * int(fails[pair].sum()) for pair, count in _free_pair_counts(code.m, axis_mode)
-    )
-    return Fraction(rejected, paths)
+    weights = _pair_weights(code.m, axis_mode)
+    failing = np.count_nonzero(_slice_fails(word, code).reshape(len(weights), -1), axis=1)
+    rejected = sum(w * f for w, f in zip(weights, failing.tolist()))
+    # every axis-choice sequence leaves one pair free and has n^(m-2) paths
+    return Fraction(rejected, sum(weights) * code.n ** (code.m - 2))
 
 
 @dataclass(frozen=True)
@@ -169,11 +163,10 @@ def rejection_probability_sampled(
         point[rows, remaining[rows, rel]] = coord_draws[:, stage]
         keep = np.arange(m - stage)[None, :] != rel[:, None]
         remaining = remaining[keep].reshape(trials, m - stage - 1)
-    rejections = 0
-    for (a, b), fail in _slice_fail_masks(word, code).items():
-        chosen = (remaining[:, 0] == a) & (remaining[:, 1] == b)
-        others = [c for c in range(m) if c not in (a, b)]
-        rejections += int(fail[tuple(point[chosen][:, others].T)].sum())
+    plan = index_plan(code.n, m)
+    pair = plan.pair_id[remaining[:, 0], remaining[:, 1]]
+    slices = pair * code.n ** (m - 2) + (point * plan.slice_place[pair]).sum(axis=1)
+    rejections = int(np.count_nonzero(_slice_fails(word, code)[slices]))
     return SampledRejection(
         estimate=Fraction(rejections, trials),
         rejections=rejections,

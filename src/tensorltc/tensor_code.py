@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -73,15 +74,136 @@ class PlaneIndex:
     coord: int  # 0-based
 
 
+# Index plans are small next to the words they serve; a few shapes cover a run.
+PLAN_CACHE = 16
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class IndexPlan:
+    """Flat index arrays for the axis shuffles of an n^m cube.
+
+    Each array depends only on (n, m), is built on first use from the
+    row-major point grid ``np.arange(n**m).reshape((n,) * m)``, and is a
+    read-only, C-ordered ``np.intp`` array, so a gather through it needs no
+    conversion. Axis pairs (b, c), b < c, are numbered in
+    ``itertools.combinations`` order; a two-axis slice of pair q has id
+    q * n^(m-2) plus the row-major index of its other m - 2 coordinates.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.num_pairs = m * (m - 1) // 2
+        self.num_slices = self.num_pairs * n ** max(m - 2, 0)
+
+    def _grid(self) -> np.ndarray:
+        return np.arange(self.n**self.m, dtype=np.intp).reshape((self.n,) * self.m)
+
+    def _coords(self) -> np.ndarray:
+        """coords[b, x] = x_b for every flat point x, shape (m, n^m)."""
+        return np.indices((self.n,) * self.m, dtype=np.intp).reshape(self.m, -1)
+
+    @functools.cached_property
+    def views(self) -> np.ndarray:
+        """Shape (m*n, n^(m-1)): row b*n + i lists plane (b + 1, i)'s points."""
+        grid = self._grid()
+        views = np.stack([np.moveaxis(grid, b, 0) for b in range(self.m)])
+        return _read_only(views.reshape(self.m * self.n, -1))
+
+    @functools.cached_property
+    def gather(self) -> np.ndarray:
+        """Shape (m, n^m): where, in an (m, n, n^(m-1)) stack of plane
+        opinions read flat, plane (b + 1, x_b)'s opinion at point x sits."""
+        grid, size = self._grid(), self.n**self.m
+        return _read_only(
+            np.stack([np.moveaxis(grid, 0, b).reshape(-1) + b * size for b in range(self.m)])
+        )
+
+    @functools.cached_property
+    def plane_of(self) -> np.ndarray:
+        """Shape (m, n^m): b*n + x_b, the [b, i] index of the plane on axis
+        b + 1 through point x."""
+        offsets = self.n * np.arange(self.m, dtype=np.intp)[:, None]
+        return _read_only(self._coords() + offsets)
+
+    @functools.cached_property
+    def pairs(self) -> np.ndarray:
+        """Shape (2, P): the axes b < c of each pair."""
+        pairs = np.array(list(itertools.combinations(range(self.m), 2)), dtype=np.intp)
+        return _read_only(pairs.reshape(-1, 2).T.copy())
+
+    @functools.cached_property
+    def pair_cell(self) -> np.ndarray:
+        """Shape (P, n^m): q*n^2 + x_b*n + x_c, the cell of pair q = (b, c)
+        that holds point x."""
+        coords, (b, c) = self._coords(), self.pairs
+        q = np.arange(self.num_pairs, dtype=np.intp)[:, None]
+        return _read_only((q * self.n + coords[b]) * self.n + coords[c])
+
+    @functools.cached_property
+    def pair_id(self) -> np.ndarray:
+        """Shape (m, m): the number of pair {b, c} at [b, c] and [c, b]; -1 on
+        the diagonal."""
+        ids = np.full((self.m, self.m), -1, dtype=np.intp)
+        b, c = self.pairs
+        ids[b, c] = ids[c, b] = np.arange(self.num_pairs)
+        return _read_only(ids)
+
+    @functools.cached_property
+    def slice_place(self) -> np.ndarray:
+        """Shape (P, m): the place value of coordinate x_a in the slice id of
+        pair q, zero on the pair's own two axes."""
+        place = np.zeros((self.num_pairs, self.m), dtype=np.intp)
+        for q, pair in enumerate(self.pairs.T.tolist()):
+            others = [a for a in range(self.m) if a not in pair]
+            place[q, others] = self.n ** np.arange(len(others) - 1, -1, -1)
+        return _read_only(place)
+
+    @functools.cached_property
+    def lines(self) -> np.ndarray:
+        """Shape (m, n^(m-1), n): row [a, j] lists the points of the j-th line
+        parallel to axis a + 1, lines in row-major order of the other m - 1
+        coordinates."""
+        grid = self._grid()
+        return _read_only(
+            np.stack([np.moveaxis(grid, a, -1).reshape(-1, self.n) for a in range(self.m)])
+        )
+
+    @functools.cached_property
+    def line_slice(self) -> np.ndarray:
+        """Shape (m, n^(m-1), m-1): the ids of the m - 1 two-axis slices that
+        hold line [a, j], one per other axis in ascending order."""
+        m, n = self.m, self.n
+        offsets = np.arange(self.num_pairs, dtype=np.intp) * n ** max(m - 2, 0)
+        coords = self._coords()
+        out = np.empty((m, n ** (m - 1), m - 1), dtype=np.intp)
+        for a in range(m):
+            # the coordinates of each line's first point; slice ids ignore x_a
+            q = np.delete(self.pair_id[a], a)
+            out[a] = offsets[q] + coords[:, self.lines[a, :, 0]].T @ self.slice_place[q].T
+        return _read_only(out)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def index_plan(n: int, m: int) -> IndexPlan:
+    """The index plan of the n^m cube, shared by every code and word of
+    that shape."""
+    return IndexPlan(n, m)
+
+
 def line_syndromes(base: LinearCode, entries: np.ndarray) -> np.ndarray:
     """Syndromes of every axis-parallel line of an m-axis array.
 
-    Index ``a`` of the result holds the lines parallel to (0-based) axis
-    ``a``: the next m - 1 axes are the other axes in ascending order, the
-    last the n - k syndrome symbols. The array is a word of the m-fold
+    Shape (m, n^(m-1), n - k): row [a, j] is the syndrome of line j
+    parallel to (0-based) axis a, lines in row-major order of the other
+    m - 1 axes (``IndexPlan.lines``). The array is a word of the m-fold
     power exactly when the result is all zero.
     """
-    return base.syndrome(np.stack([np.moveaxis(entries, a, -1) for a in range(entries.ndim)]))
+    plan = index_plan(entries.shape[0], entries.ndim)
+    return base.syndrome(entries.reshape(-1)[plan.lines])
 
 
 @dataclass
@@ -196,25 +318,32 @@ class TensorCode:
             self._sub = cached
         return cached
 
-    def plane_opinions(self, word: TensorWord) -> tuple[np.ndarray, np.ndarray]:
-        """Nearest (m-1)-fold-power codeword to every plane view, and its distance.
+    def plane_opinions(
+        self, word: TensorWord, axes: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Nearest (m-1)-fold-power codeword to every plane view of the first
+        ``axes`` axes (all m by default), and its distance.
 
         Plane (b + 1, i) sits at index [b, i] of both results, so planes run
         axis by axis, coordinates ascending: ``nearest`` has shape
-        (m, n, n^(m-1)) and ``distances`` shape (m, n). All m*n views go
-        through one oracle call. The last word's results are memoised on
-        its entries' bytes, so the tester and the analyzer share them; the
-        arrays are read-only.
+        (axes, n, n^(m-1)) and ``distances`` shape (axes, n). All axes*n
+        views are gathered through the index plan into one oracle call. The
+        last word's results are memoised on its entries' bytes, and a call
+        for fewer axes is served from their prefix, so the tester and the
+        analyzer share them; the arrays are read-only.
         """
         self.check_shape(word)
+        m, n = self.m, self.n
+        axes = m if axes is None else axes
+        if not 1 <= axes <= m:
+            raise ShapeError(f"asked for planes of {axes} axes of a {m}-axis code")
         key = word.entries.tobytes()
         memo = getattr(self, "_plane_memo", None)
-        if memo is not None and memo[0] == key:
-            return memo[1], memo[2]
-        m, n = self.m, self.n
-        views = np.stack([np.moveaxis(word.entries, b, 0) for b in range(m)])
-        nearest, distances, _ = self.sub().flattened().nearest_batch(views.reshape(m * n, -1))
-        nearest, distances = nearest.reshape(m, n, -1), distances.reshape(m, n)
+        if memo is not None and memo[0] == key and memo[1].shape[0] >= axes:
+            return memo[1][:axes], memo[2][:axes]
+        views = word.entries.reshape(-1)[index_plan(n, m).views[: axes * n]]
+        nearest, distances, _ = self.sub().flattened().nearest_batch(views)
+        nearest, distances = nearest.reshape(axes, n, -1), distances.reshape(axes, n)
         nearest.flags.writeable = distances.flags.writeable = False
         self._plane_memo = (key, nearest, distances)
         return nearest, distances

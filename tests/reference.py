@@ -11,7 +11,8 @@ block and compares unpacked symbols, and the line decoders run one line
 at a time: bounded-distance decoding through a bytes-keyed coset dict,
 erasure decoding through one linear solve per line, and the square
 decoder and subcube extension that loop over lines. ``solve`` and
-``nullspace`` are the GF(p) solvers the per-line erasure decoder uses.
+``nullspace`` are the GF(p) solvers the per-line erasure decoder uses;
+``rref`` clears one row at a time.
 The differential tests require the two forms to agree exactly.
 """
 from __future__ import annotations
@@ -326,6 +327,34 @@ def nearest_batch(code, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # -- line decoders ------------------------------------------------------------
+
+
+def rref(field: PrimeField, matrix) -> tuple[np.ndarray, list[int], int]:
+    """Row reduction that scans for each pivot and clears each row in turn."""
+    A = field.array(matrix)
+    rows, cols = A.shape
+    p = field.p
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot_row = None
+        for i in range(r, rows):
+            if A[i, c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            A[[r, pivot_row]] = A[[pivot_row, r]]
+        A[r] = (A[r] * field.inv(int(A[r, c]))) % p
+        for i in range(rows):
+            if i != r and A[i, c] != 0:
+                A[i] = (A[i] - A[i, c] * A[r]) % p
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return A, pivots, r
 
 
 def nullspace(field: PrimeField, matrix) -> np.ndarray:

@@ -109,6 +109,28 @@ def test_tester_and_analyzer_share_one_oracle_call(parity3, monkeypatch):
     assert rho_three == reference.robustness_exact(word, code, "first-three")
 
 
+def test_first_three_oracle_sees_only_three_axes_of_planes(monkeypatch):
+    code = TensorCode(repetition_code(2), 5)
+    word = random_word(code, 5)
+    rows = []
+    nearest_batch = LinearCode.nearest_batch
+
+    def counting_nearest_batch(self, words):
+        rows.append(len(words))
+        return nearest_batch(self, words)
+
+    monkeypatch.setattr(LinearCode, "nearest_batch", counting_nearest_batch)
+    rho_three = robustness_exact(word, code, "first-three")
+    assert rows == [3 * code.n]  # not 5 * n
+    rho = robustness_exact(word, code)
+    assert rows == [3 * code.n, 5 * code.n]
+    # the five-axis result now serves the three-axis prefix
+    assert robustness_exact(word, code, "first-three") == rho_three
+    assert rows == [3 * code.n, 5 * code.n]
+    assert rho_three == reference.robustness_exact(word, code, "first-three")
+    assert rho == reference.robustness_exact(word, code)
+
+
 def test_plane_opinions_follow_in_place_mutation(cube3):
     word = random_word(cube3, 8)
     before = compute_opinions(word, cube3)

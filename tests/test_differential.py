@@ -12,7 +12,7 @@ import reference
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from tensorltc import analysis, linear_code
+from tensorltc import analysis, linear_code, tensor_code
 from tensorltc.analysis import (
     OpinionTable,
     compute_opinions,
@@ -255,14 +255,23 @@ def test_cover_and_subcube_match_loop_references_on_forged_reports(base, m, seed
 
 MUTATIONS = {
     "covered along the next axis": (
-        "if a != b)) for b in range(m)]",
-        "if a != (b + 1) % m)) for b in range(m)]",
+        analysis,
+        "self.heavy.reshape(-1)[plan.plane_of]",
+        "np.roll(self.heavy, -1, axis=0).reshape(-1)[plan.plane_of]",
         check_forged_report,
         FORGED_ARGS,
     ),
     "strict heavy-plane threshold": (
+        analysis,
         "heavy=2 * marks >= d ** (m - 1)",
         "heavy=2 * marks > d ** (m - 1)",
+        check_analysis,
+        ANALYSIS_ARGS,
+    ),
+    "plane views with axes 1 and 2 swapped": (
+        tensor_code,
+        "np.moveaxis(grid, b, 0) for b in range(self.m)",
+        "np.moveaxis(grid, b, 0) for b in (1, 0, *range(2, self.m))",
         check_analysis,
         ANALYSIS_ARGS,
     ),
@@ -271,15 +280,20 @@ MUTATIONS = {
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_analysis_properties_catch_mutations(monkeypatch, name):
-    """A copy of the analysis module with one expression changed, held in
-    memory, must fail the property that guards that expression."""
-    old, new, check, args = MUTATIONS[name]
-    source = inspect.getsource(analysis)
+    """A copy of a library module with one expression changed, held in
+    memory, must fail the property that guards that expression. A mutated
+    ``tensor_code`` serves its index plans to the real analysis."""
+    module, old, new, check, args = MUTATIONS[name]
+    source = inspect.getsource(module)
     assert source.count(old) == 1
-    spec = importlib.util.spec_from_loader("tensorltc.mutated_analysis", loader=None)
+    mutant_name = module.__name__.replace("tensorltc.", "tensorltc.mutated_")
+    spec = importlib.util.spec_from_loader(mutant_name, loader=None)
     mutant = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, mutant)
-    exec(compile(source.replace(old, new), analysis.__file__, "exec"), mutant.__dict__)
+    exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
+    if module is tensor_code:
+        monkeypatch.setattr(tensor_code, "index_plan", mutant.index_plan)
+        mutant = analysis
 
     @settings(PROPERTY, phases=[Phase.generate], report_multiple_bugs=False)
     @given(st.tuples(*args))
@@ -433,6 +447,29 @@ def test_decode_square_matches_per_line_reference(code, radius, threshold, seed)
         expected, expected_trace = reference.decode_square(word, cfg)
         assert decoded == expected
         assert trace.to_json_dict() == expected_trace.to_json_dict()
+
+
+@PROPERTY
+@given(
+    codes(n=st.integers(2, 6)),
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from([None, Fraction(1, 5), Fraction(1, 2), Fraction(1)]),
+    st.integers(0, 2**32 - 1),
+)
+def test_decode_square_status_matches_reference_on_random_words(code, radius, threshold, seed):
+    """Pass 5 checks only the columns; on random words over GF(2), GF(3)
+    and GF(5) every status must match the reference, which checks every
+    line. Words whose rows are codewords keep their rows through pass 4,
+    so their columns decide pass 5."""
+    cfg = DecoderConfig.for_code(code, radius=radius, removal_threshold=threshold)
+    n, p = code.n, code.p
+    rng = np.random.default_rng(seed)
+    rows = (rng.integers(0, p, size=(n, code.k)) @ code.G) % p
+    near = rows.copy()
+    near[rng.integers(0, n), rng.integers(0, n)] = rng.integers(0, p)
+    for entries in (rng.integers(0, p, size=(n, n)), rows, near):
+        word = TensorWord(code.field, entries)
+        assert decode_square(word, cfg)[1].status == reference.decode_square(word, cfg)[1].status
 
 
 @PROPERTY

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference
 from reference import nullspace, solve
 
 from tensorltc.errors import ShapeError
@@ -80,6 +81,25 @@ def test_rref_idempotent_on_random_matrices():
             R2, piv2, rank2 = rref(f, R1)
             assert np.array_equal(R1, R2)
             assert piv1 == piv2 and rank1 == rank2
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_matches_row_by_row_reference(p):
+    """Whole-column elimination against the row-by-row loop, on random
+    matrices of every shape, rank-deficient ones among them."""
+    f = PrimeField(p)
+    rng = np.random.default_rng(p)
+    for trial in range(60):
+        rows, cols = (int(v) for v in rng.integers(1, 9, size=2))
+        M = rng.integers(0, p, size=(rows, cols))
+        if trial % 3 == 0 and rows > 1:  # repeat a combination of rows
+            M[-1] = (rng.integers(0, p, size=rows - 1) @ M[:-1]) % p
+        if trial % 5 == 0:
+            M[:, rng.integers(0, cols)] = 0
+        R, pivots, rank = rref(f, M)
+        R_ref, pivots_ref, rank_ref = reference.rref(f, M)
+        assert np.array_equal(R, R_ref)
+        assert pivots == pivots_ref and rank == rank_ref
 
 
 def test_solve_identity():

@@ -1,4 +1,5 @@
 import io
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,11 @@ from tensorltc.errors import ShapeError
 from tensorltc.field import PrimeField
 from tensorltc.linear_code import repetition_code
 from tensorltc.tensor_code import (
+    PLAN_CACHE,
     EncodeCounter,
     TensorCode,
     TensorWord,
+    index_plan,
     load_tensor,
     parse_tensor,
     save_tensor,
@@ -162,3 +165,82 @@ def test_sub_and_check_shape(cube3, parity3):
     wrong = TensorWord(cube3.field, np.zeros((3, 3), dtype=int))
     with pytest.raises(ShapeError):
         cube3.check_shape(wrong)
+
+
+# -- index plans -------------------------------------------------------------
+
+PLAN_ARRAYS = (
+    "views", "gather", "plane_of", "pairs", "pair_cell", "pair_id", "slice_place", "lines", "line_slice"
+)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_index_plan_matches_axis_formulation(n, m):
+    """Every plan array against the moveaxis / np.ix_ form it replaces."""
+    plan = index_plan(n, m)
+    shape = (n,) * m
+    grid = np.arange(n**m).reshape(shape)
+    point = np.ix_(*[np.arange(n)] * m)  # point[b] broadcasts to x_b
+    pairs = list(itertools.combinations(range(m), 2))
+    rng = np.random.default_rng(10 * n + m)
+    for name in PLAN_ARRAYS:
+        array = getattr(plan, name)
+        assert array.dtype == np.intp and array.flags.c_contiguous and not array.flags.writeable
+
+    planes = [np.take(grid, i, axis=b).reshape(-1) for b in range(m) for i in range(n)]
+    assert np.array_equal(plan.views, np.stack(planes))
+    nearest = rng.integers(0, 1000, size=(m, n, n ** (m - 1)))
+    at = nearest.reshape(-1)[plan.gather]
+    for b in range(m):
+        assert np.array_equal(at[b].reshape(shape), np.moveaxis(nearest[b].reshape(shape), 0, b))
+        assert np.array_equal(plan.plane_of[b].reshape(shape), np.broadcast_to(b * n + point[b], shape))
+
+    assert plan.pairs.T.tolist() == [list(pair) for pair in pairs]
+    assert np.diagonal(plan.pair_id).tolist() == [-1] * m
+    for q, (b, c) in enumerate(pairs):
+        assert plan.pair_id[b, c] == plan.pair_id[c, b] == q
+        cell = (q * n + point[b]) * n + point[c]
+        assert np.array_equal(plan.pair_cell[q].reshape(shape), np.broadcast_to(cell, shape))
+    for a in range(m):
+        assert np.array_equal(plan.lines[a], np.moveaxis(grid, a, -1).reshape(-1, n))
+
+    # slice s of pair q = (b, c): b and c free, the other axes fixed at the
+    # row-major coordinates of s - q * n^(m-2)
+    per_pair = n ** (m - 2)
+    assert plan.num_slices == len(pairs) * per_pair
+    slice_points = []
+    for q, pair in enumerate(pairs):
+        for rest in itertools.product(range(n), repeat=m - 2):
+            fixed = iter(rest)
+            index = np.ix_(*[np.arange(n) if a in pair else [next(fixed)] for a in range(m)])
+            points = grid[index].reshape(-1)
+            slice_points.append(set(points.tolist()))
+            coords = np.stack(np.unravel_index(points, shape), axis=1)
+            ids = q * per_pair + coords @ plan.slice_place[q]
+            assert ids.tolist() == [len(slice_points) - 1] * points.size
+    for a in range(m):
+        others = [c for c in range(m) if c != a]
+        for j, line in enumerate(plan.lines[a].tolist()):
+            ids = plan.line_slice[a, j].tolist()
+            assert [pairs[s // per_pair] for s in ids] == [tuple(sorted((a, c))) for c in others]
+            assert all(set(line) <= slice_points[s] for s in ids)
+
+    # the slice-fail masks: a slice fails when a line along either free axis does
+    for density in (0.05, 0.3, 0.8):
+        violated = rng.random((m, n ** (m - 1))) < density
+        lines = violated.reshape((m,) + (n,) * (m - 1))
+        expected = np.concatenate(
+            [(lines[b].any(axis=c - 1) | lines[c].any(axis=b)).reshape(-1) for b, c in pairs]
+        )
+        fails = np.bincount(plan.line_slice[violated].reshape(-1), minlength=plan.num_slices) > 0
+        assert np.array_equal(fails, expected)
+
+
+def test_index_plans_are_cached_per_shape():
+    assert index_plan(3, 4) is index_plan(3, 4)
+    assert index_plan(3, 4) is not index_plan(4, 3)
+    assert index_plan.cache_info().maxsize == PLAN_CACHE
+    plan = index_plan(2, 7)
+    assert "line_slice" not in vars(plan)  # arrays are built on first use
+    assert plan.line_slice is plan.line_slice
