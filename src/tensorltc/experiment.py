@@ -8,6 +8,7 @@ so results do not depend on execution order or thread count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -19,11 +20,12 @@ import numpy as np
 
 from . import noise
 from .decoding import DecoderConfig, decode_square
-from .errors import ShapeError
+from .errors import CapacityError, ShapeError
 from .linear_code import (
-    ENUM_CAP,
+    FILE_CAP,
     LinearCode,
     check_generator_size,
+    exceeds_cap,
     hamming74,
     load_code,
     parity_code,
@@ -37,7 +39,7 @@ from .local_testing import (
     robustness_exact,
     robustness_lower_bound,
 )
-from .tensor_code import TensorCode, TensorWord, index_plan, line_syndromes
+from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 KINDS = ("robustness", "rejection", "decode")
 MODES = ("random", "errors", "planted")
@@ -110,7 +112,7 @@ def distance_lower_bound(code: TensorCode, word: TensorWord) -> int:
 
 def word_relative_distance(code: TensorCode, word: TensorWord) -> tuple[Fraction, str]:
     """(relative distance, mode): exact when enumerable, else a lower bound."""
-    if code.field.p**code.dimension <= ENUM_CAP:
+    if not exceeds_cap(code.field.p, code.dimension):
         return Fraction(code.distance_to(word), code.blocklength), "exact"
     return Fraction(distance_lower_bound(code, word), code.blocklength), "lower_bound"
 
@@ -134,6 +136,8 @@ class ExperimentSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.sample_trials < 0:
+            raise ValueError("sample_trials must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -232,28 +236,6 @@ def _decode_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultR
     return _row(code, spec, trial, seed, delta, mode, "decode_exact", int(success), budget, satisfied)
 
 
-def _fill_caches(code: TensorCode, kind: str) -> None:
-    """Build every lazy cache the trials read, so that worker threads share
-    them instead of racing to build their own."""
-    base = code.base
-    base.minimum_distance()
-    if kind == "decode":
-        # fills the coset table or the packed codebook, whichever decoding uses
-        radius = DecoderConfig.for_code(base).radius
-        base.bounded_distance_decode_batch(np.zeros((1, base.n), dtype=np.int64), radius)
-        return
-    if code.field.p**code.dimension <= ENUM_CAP:
-        code.flattened().packed_codebook()
-    if kind == "robustness":
-        code.sub().flattened().packed_codebook()
-        gathers = ("lines", "views")
-    else:
-        gathers = ("lines", "line_slice", "pair_id", "slice_place")
-    plan = index_plan(code.n, code.m)
-    for name in gathers:
-        getattr(plan, name)
-
-
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     base = resolve_base_code(spec.base)
     if spec.kind == "decode":
@@ -268,15 +250,19 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             raise ShapeError(f"{spec.kind} experiments need m >= 3, got m = {spec.m}")
         code = TensorCode(base, spec.m)
         runner = _robustness_trial if spec.kind == "robustness" else _rejection_trial
-    _fill_caches(code, spec.kind)
+    if exceeds_cap(code.n, code.m, FILE_CAP):
+        raise CapacityError(
+            f"experiment words of {code.n}^{code.m} entries exceed cap {FILE_CAP}"
+        )
+    run = functools.partial(runner, code, spec)
+    # trial 0 builds every lazy cache the trials share before any worker starts
+    rows = [run(0)]
     threads = max(1, int(os.environ.get("TENSORLTC_THREADS", "1")))
-    trials = range(spec.trials)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda t: runner(code, spec, t), trials))
+            rows += pool.map(run, range(1, spec.trials))
     else:
-        rows = [runner(code, spec, t) for t in trials]
-    rows.sort(key=lambda r: r.trial)
+        rows += map(run, range(1, spec.trials))
     return rows
 
 

@@ -46,6 +46,20 @@ def first_failure(status: list[ErasureFailure | None]) -> ErasureFailure | None:
     return next((s for s in status if s is not None), None)
 
 
+def exceeds_cap(base: int, exponent: int, cap: int = ENUM_CAP) -> bool:
+    """Whether base**exponent > cap. The power is not computed for base >= 2
+    and an exponent above the cap's bit length: it always exceeds the cap."""
+    return (base > 1 and exponent > cap.bit_length()) or base**exponent > cap
+
+
+def check_search(p: int, k: int) -> None:
+    """Refuse a nearest-codeword search over more than ENUM_CAP codewords."""
+    if exceeds_cap(p, k):
+        raise CapacityError(
+            f"nearest-codeword search over {p}^{k} codewords exceeds cap {ENUM_CAP}"
+        )
+
+
 def check_generator_size(n: int, k: int, source: str) -> None:
     """Refuse a k x n generator above FILE_CAP entries before it is allocated."""
     if n * k > FILE_CAP:
@@ -192,7 +206,7 @@ class LinearCode:
 
     def codewords(self) -> np.ndarray:
         """All p**k codewords, row i encoding the i-th message in lex order."""
-        if self.num_codewords() > CODEBOOK_CAP:
+        if exceeds_cap(self.p, self.k, CODEBOOK_CAP):
             raise CapacityError(
                 f"codebook of {self.p}^{self.k} codewords exceeds cap {CODEBOOK_CAP}"
             )
@@ -204,7 +218,7 @@ class LinearCode:
     def minimum_distance(self) -> int:
         """Exact minimum weight over nonzero codewords (cached)."""
         if self._distance is None:
-            if self.num_codewords() > ENUM_CAP:
+            if exceeds_cap(self.p, self.k):
                 raise CapacityError(
                     f"distance enumeration over {self.p}^{self.k} codewords exceeds cap {ENUM_CAP}"
                 )
@@ -240,7 +254,7 @@ class LinearCode:
         p**k <= CODEBOOK_CAP; None above that, where the oracle streams
         packed blocks instead.
         """
-        if self.num_codewords() > CODEBOOK_CAP:
+        if exceeds_cap(self.p, self.k, CODEBOOK_CAP):
             return None
         if self._packed is None:
             self._packed = np.concatenate(
@@ -282,10 +296,7 @@ class LinearCode:
         words = self.field.validate(np.atleast_2d(np.asarray(words)))
         if words.shape[1] != self.n:
             raise ShapeError(f"word length {words.shape[1]} != n = {self.n}")
-        if self.num_codewords() > ENUM_CAP:
-            raise CapacityError(
-                f"nearest-codeword search over {self.p}^{self.k} codewords exceeds cap {ENUM_CAP}"
-            )
+        check_search(self.p, self.k)
         packed = self._pack(words)
         cached = self.packed_codebook()
         if cached is not None:
@@ -391,17 +402,16 @@ class LinearCode:
         words = self.field.validate(np.asarray(words))
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ShapeError(f"expected rows of length n = {self.n}, got shape {words.shape}")
-        syndrome_ok = (
-            self.p ** (self.n - self.k) <= SYNDROME_CAP
+        if (
+            not exceeds_cap(self.p, self.n - self.k, SYNDROME_CAP)
             and self._pattern_count(radius) <= PATTERN_CAP
-        )
-        if syndrome_ok:
+        ):
             keys, leaders = self._coset_table(radius)
             syndrome_keys = self._syndrome_keys(words)
             at = np.minimum(np.searchsorted(keys, syndrome_keys), keys.size - 1)
             failed = keys[at] != syndrome_keys
             codewords = (words - leaders[at]) % self.p
-        elif self.num_codewords() <= ENUM_CAP:
+        elif not exceeds_cap(self.p, self.k):
             codewords, dists, _ = self.nearest_batch(words)
             failed = dists > radius
         else:

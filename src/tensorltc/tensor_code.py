@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ShapeError
 from .field import PrimeField
-from .linear_code import FILE_CAP, LinearCode
+from .linear_code import FILE_CAP, LinearCode, check_search, exceeds_cap
 
 # numpy arrays have at most 64 axes; bounding m also keeps n^m cheap to compute
 MAX_AXES = 64
@@ -337,6 +337,7 @@ class TensorCode:
         axes = m if axes is None else axes
         if not 1 <= axes <= m:
             raise ShapeError(f"asked for planes of {axes} axes of a {m}-axis code")
+        check_search(self.field.p, self.base.k ** (m - 1))  # before the flat code is built
         key = word.entries.tobytes()
         memo = getattr(self, "_plane_memo", None)
         if memo is not None and memo[0] == key and memo[1].shape[0] >= axes:
@@ -351,6 +352,7 @@ class TensorCode:
     def distance_to(self, word: TensorWord) -> int:
         """Exact Hamming distance from the word to the code (brute force)."""
         self.check_shape(word)
+        check_search(self.field.p, self.dimension)  # before the flat code is built
         return int(self.flattened().nearest_batch(word.flat())[1][0])
 
 
@@ -392,7 +394,7 @@ def _parse_tensor(fh) -> TensorWord:
         raise ValueError("tensor file must start with a 'p m n' header line")
     p, m, n = (int(v) for v in header)
     field = PrimeField(p)
-    if not 1 <= m <= MAX_AXES or n < 0 or n**m > FILE_CAP:
+    if not 1 <= m <= MAX_AXES or n < 0 or exceeds_cap(n, m, FILE_CAP):
         raise ValueError(
             f"header declares an {n}^{m} tensor; files hold 1 to {MAX_AXES} axes "
             f"and at most {FILE_CAP} entries"

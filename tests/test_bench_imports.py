@@ -1,4 +1,4 @@
-"""The benchmark and the CLI identity script live outside ``tests/`` and
+"""The benchmark and the scripts live outside ``tests/`` and
 outside the tier-1 run, so a deleted library name would only break them
 when they next run. Check statically that every name they take from
 ``tensorltc`` still exists."""
@@ -40,6 +40,8 @@ def missing_names(path: Path) -> list[str]:
     return missing
 
 
-@pytest.mark.parametrize("script", ["perfbench/workloads.py", "scripts/cli_identity.py"])
+@pytest.mark.parametrize(
+    "script", ["perfbench/workloads.py", "scripts/cli_identity.py", "scripts/layer_times.py"]
+)
 def test_library_names_used_outside_tests_exist(script):
     assert missing_names(ROOT / script) == []

@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorltc import cli
-from tensorltc.errors import ShapeError
+from tensorltc.analysis import compute_opinions
+from tensorltc.errors import CapacityError, ShapeError
 from tensorltc.experiment import (
     ExperimentSpec,
     ResultRow,
@@ -22,6 +23,7 @@ from tensorltc.experiment import (
     violations,
 )
 from tensorltc.linear_code import LinearCode, hamming74, parity_code
+from tensorltc.local_testing import robustness_exact
 from tensorltc.noise import random_codeword
 from tensorltc.tensor_code import TensorCode, save_tensor
 
@@ -228,6 +230,52 @@ def test_capacity_error_exit_two(capsys):
 def test_capacity_message_writes_the_codeword_count_as_a_power(capsys):
     code, _, err = run_cli(capsys, "params", "--family", "parity:400", "--m", "1")
     assert code == 2 and "2^399" in err and len(err.encode()) < 120
+
+
+@pytest.mark.parametrize("kind, m", [("rejection", "30"), ("robustness", "64")])
+def test_experiment_words_above_the_file_cap_exit_two_at_once(capsys, tmp_path, kind, m):
+    """n^m is checked against the word-file cap before any word or code is
+    built: 3^30 entries would need petabytes, and 3^64 a 2^(2^64) count."""
+    out = tmp_path / "rows.csv"
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", kind, "--family", "parity:3", "--m", m,
+        "--trials", "2", "--out", str(out),
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 2 and f"3^{m} entries" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):
+    """parity(64)^3's plane views would be searched over 2^(63^2)
+    codewords: the cap is hit without the Kronecker generator being built."""
+    built = []
+    monkeypatch.setattr(TensorCode, "flattened", lambda self: built.append(self))
+    base = parity_code(64)
+    word = TensorCode(base, 3).encode(np.zeros(63**3, dtype=np.int64))
+    for call in (robustness_exact, compute_opinions):
+        with pytest.raises(CapacityError, match=r"2\^3969 codewords"):
+            call(word, TensorCode(base, 3))
+    with pytest.raises(CapacityError, match=r"2\^250047 codewords"):
+        TensorCode(base, 3).distance_to(word)
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", "robustness", "--family", "parity:64", "--m", "3",
+        "--trials", "1", "--out", str(out),
+    )
+    assert code == 2 and "2^3969 codewords" in err and not out.exists()
+    assert built == []
+
+
+def test_negative_sample_trials_exit_one(capsys, tmp_path):
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", "rejection", "--family", "parity:3", "--m", "3",
+        "--sample-trials", "-5", "--out", str(out),
+    )
+    assert code == 1 and "sample_trials must be >= 0" in err
+    assert not out.exists()
 
 
 def test_experiment_csv_deterministic(capsys, tmp_path):

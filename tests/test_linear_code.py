@@ -11,6 +11,7 @@ from tensorltc.linear_code import (
     INCONSISTENT,
     LinearCode,
     PartialWord,
+    exceeds_cap,
     hamming74,
     load_code,
     parity_code,
@@ -116,6 +117,14 @@ def test_minimum_distance_capacity_guard():
     big = random_linear_code(30, 27, 2, 0)
     with pytest.raises(CapacityError):
         big.minimum_distance()
+
+
+def test_exceeds_cap_matches_the_power_and_skips_huge_ones():
+    for base, exponent, cap in itertools.product(range(5), range(40), [1, 7, 8, 1 << 24]):
+        assert exceeds_cap(base, exponent, cap) == (base**exponent > cap)
+    # 2^(2^64) is never computed
+    assert exceeds_cap(2, 1 << 64) and exceeds_cap(3, 63**64, 1 << 20)
+    assert not exceeds_cap(1, 1 << 64)
 
 
 def test_nearest_codeword_examples():
