@@ -12,7 +12,6 @@ from .linear_code import (
     hamming74,
     load_code,
     parity_code,
-    parse_code,
     random_linear_code,
     repetition_code,
     save_code,
@@ -23,7 +22,6 @@ from .tensor_code import (
     TensorCode,
     TensorWord,
     load_tensor,
-    parse_tensor,
     save_tensor,
 )
 

@@ -20,8 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InvariantError, ShapeError
-from .linear_code import AMBIGUOUS, ErasureFailure, first_failure
-from .tensor_code import PlaneIndex, TensorCode, TensorWord, index_plan
+from .linear_code import AMBIGUOUS, ErasureFailure
+from .tensor_code import PlaneIndex, TensorCode, TensorWord, complete_subcube, index_plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,35 +207,23 @@ def extend_from_subcube(
 ) -> TensorWord | ErasureFailure:
     """Complete a word known only on a product subcube to a full codeword.
 
-    Entries outside S_1 x ... x S_m are ignored. Proceeds axis by axis:
-    every line parallel to the axis, with the other coordinates inside the
-    already-completed region, is erasure-decoded from its surviving
-    coordinates, all in one batch. Unique whenever every axis keeps more
-    than n - d coordinates; otherwise AMBIGUOUS (or INCONSISTENT when the
-    known part fits no codeword). The final word is verified for membership.
+    Entries outside S_1 x ... x S_m are ignored. Proceeds axis by axis
+    (:func:`complete_subcube`): every line parallel to the axis, with the
+    other coordinates inside the already-completed region, is
+    erasure-decoded from its surviving coordinates. Unique whenever every
+    axis keeps more than n - d coordinates; otherwise AMBIGUOUS (or
+    INCONSISTENT when the known part fits no codeword). The final word is
+    verified for membership.
     """
     code.check_shape(word)
     if len(axis_sets) != code.m:
         raise ShapeError(f"expected {code.m} coordinate sets, got {len(axis_sets)}")
-    n = code.n
     if any(len(s) == 0 for s in axis_sets):
         return AMBIGUOUS
     values = word.entries.copy()
-    for axis in range(code.m):
-        known = np.zeros(n, dtype=bool)
-        known[list(axis_sets[axis])] = True
-        if known.all():
-            continue
-        # the lines along this axis whose later coordinates lie in the subcube
-        index = np.ix_(
-            *[np.arange(n) if a <= axis else sorted(axis_sets[a]) for a in range(code.m)]
-        )
-        lines = np.moveaxis(values[index], axis, -1)
-        completed, status = code.base.erasure_decode_batch(lines.reshape(-1, n), known)
-        failure = first_failure(status)
-        if failure is not None:
-            return failure
-        values[index] = np.moveaxis(completed.reshape(lines.shape), -1, axis)
+    failure = complete_subcube(code.base, values, axis_sets)
+    if failure is not None:
+        return failure[1]
     result = TensorWord(code.field, values % code.field.p)
     if not code.contains(result):
         return ErasureFailure.INCONSISTENT

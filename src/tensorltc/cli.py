@@ -19,6 +19,8 @@ from .analysis import analyze_word
 from .decoding import DecoderConfig, decode_square
 from .errors import CapacityError, ShapeError
 from .experiment import (
+    KINDS,
+    MODES,
     ExperimentSpec,
     resolve_base_code,
     run_experiment,
@@ -129,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("experiment", help="run a reproducible experiment sweep")
     _add_code_args(sub)
-    sub.add_argument("--kind", choices=["robustness", "rejection", "decode"], required=True)
-    sub.add_argument("--mode", choices=["random", "errors", "planted"], default="random")
+    sub.add_argument("--kind", choices=KINDS, required=True)
+    sub.add_argument("--mode", choices=MODES, default="random")
     sub.add_argument("--errors", type=int, default=1, help="errors per word for mode=errors/decode")
     sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--seed", type=int, default=0)

@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ShapeError
-from .linear_code import LinearCode, first_failure
-from .tensor_code import TensorWord
+from .linear_code import LinearCode
+from .tensor_code import TensorWord, complete_subcube
 
 
 @dataclass(frozen=True)
@@ -145,28 +145,16 @@ def decode_square(
         return None, trace
 
     # Pass 4: treat removed lines as erasures and re-extend from the
-    # surviving submatrix of consistently decoded values: one erasure batch
-    # over the surviving rows, then one over every column.
+    # surviving submatrix of consistently decoded values. On the transpose,
+    # axis 0 runs along rows: the surviving rows are completed first, then
+    # every column.
     output = np.zeros((n, n), dtype=np.int64)
     output[surviving_rows] = row_decoded[surviving_rows]  # each a decoded codeword
-    if removed_cols.size:
-        col_known = np.zeros(n, dtype=bool)
-        col_known[surviving_cols] = True
-        completed, status = cfg.base.erasure_decode_batch(output[surviving_rows], col_known)
-        failure = first_failure(status)
-        if failure is not None:
-            trace.status = f"row-erasure-{failure.value}"
-            return None, trace
-        output[surviving_rows] = completed
-    if removed_rows.size:
-        row_known = np.zeros(n, dtype=bool)
-        row_known[surviving_rows] = True
-        completed, status = cfg.base.erasure_decode_batch(output.T, row_known)
-        failure = first_failure(status)
-        if failure is not None:
-            trace.status = f"column-erasure-{failure.value}"
-            return None, trace
-        output = np.ascontiguousarray(completed.T)
+    failure = complete_subcube(cfg.base, output.T, (surviving_cols, surviving_rows))
+    if failure is not None:
+        axis, status = failure
+        trace.status = f"{('row', 'column')[axis]}-erasure-{status.value}"
+        return None, trace
 
     # Pass 5: verify membership and plausibility. Every row is a base
     # codeword by now: a decoded row, a row completed by erasure decoding,

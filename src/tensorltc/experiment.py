@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -43,21 +43,6 @@ from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 KINDS = ("robustness", "rejection", "decode")
 MODES = ("random", "errors", "planted")
-
-CSV_COLUMNS = (
-    "trial",
-    "kind",
-    "mode",
-    "m",
-    "n",
-    "seed",
-    "true_distance",
-    "distance_mode",
-    "statistic",
-    "value",
-    "bound",
-    "bound_satisfied",
-)
 
 
 def resolve_base_code(spec: str) -> LinearCode:
@@ -156,7 +141,10 @@ class ResultRow:
     bound_satisfied: str
 
     def csv_values(self) -> list[str]:
-        return [str(getattr(self, col)) for col in CSV_COLUMNS]
+        return [str(value) for value in astuple(self)]
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _make_word(code: TensorCode, spec: ExperimentSpec, seed: int) -> TensorWord:

@@ -9,7 +9,6 @@ and raise :class:`CapacityError` rather than silently taking forever.
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import warnings
@@ -39,11 +38,6 @@ class ErasureFailure(Enum):
 
 AMBIGUOUS = ErasureFailure.AMBIGUOUS
 INCONSISTENT = ErasureFailure.INCONSISTENT
-
-
-def first_failure(status: list[ErasureFailure | None]) -> ErasureFailure | None:
-    """The first failure in an erasure batch's status list, or None."""
-    return next((s for s in status if s is not None), None)
 
 
 def exceeds_cap(base: int, exponent: int, cap: int = ENUM_CAP) -> bool:
@@ -494,24 +488,17 @@ def save_code(code: LinearCode, target) -> None:
 
 
 def load_code(source) -> LinearCode:
+    """Read a code file from a path or an open text handle."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
             return load_code(fh)
-    return _parse_code(source)
-
-
-def parse_code(text: str) -> LinearCode:
-    return _parse_code(io.StringIO(text))
-
-
-def _parse_code(fh) -> LinearCode:
-    header = fh.readline().split()
+    header = source.readline().split()
     if len(header) != 3:
         raise ValueError("code file must start with a 'p n k' header line")
     p, n, k = (int(v) for v in header)
     field = PrimeField(p)  # rejects non-prime moduli
     check_generator_size(n, k, "header")
-    values = fh.read().split()
+    values = source.read().split()
     if len(values) != n * k:
         raise ValueError(f"expected {n * k} generator entries, found {len(values)}")
     code = LinearCode(field, field.parse(values).reshape(k, n))

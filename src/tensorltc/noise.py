@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_code import PlaneIndex, TensorCode, TensorWord
+from .tensor_code import PlaneIndex, TensorCode, TensorWord, index_plan
 
 
 def exact_errors_channel(word: TensorWord, t: int, seed: int) -> TensorWord:
@@ -39,10 +39,8 @@ def erase_planes(
             raise ShapeError(f"plane {pl} outside a {word.m}-axis cube of side {word.n}")
         erased_by_axis[pl.axis].add(pl.coord)
     entries = word.entries.copy()
-    for pl in planes:
-        indexer: list = [slice(None)] * word.m
-        indexer[pl.axis - 1] = pl.coord
-        entries[tuple(indexer)] = 0
+    views = index_plan(word.n, word.m).views
+    entries.reshape(-1)[views[[(pl.axis - 1) * word.n + pl.coord for pl in planes]]] = 0
     sets = tuple(
         tuple(i for i in range(word.n) if i not in erased_by_axis[b])
         for b in range(1, word.m + 1)
@@ -80,8 +78,6 @@ def planted_word(code: TensorCode, seed: int) -> TensorWord:
         second = rng.integers(0, p, size=code.dimension)
     plane = PlaneIndex(int(rng.integers(1, code.m + 1)), int(rng.integers(0, code.n)))
     entries = code.encode(first).entries.copy()
-    donor = code.encode(second).entries
-    indexer: list = [slice(None)] * code.m
-    indexer[plane.axis - 1] = plane.coord
-    entries[tuple(indexer)] = donor[tuple(indexer)]
+    points = index_plan(code.n, code.m).views[(plane.axis - 1) * code.n + plane.coord]
+    entries.reshape(-1)[points] = code.encode(second).entries.reshape(-1)[points]
     return TensorWord(code.field, entries)

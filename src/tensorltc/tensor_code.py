@@ -9,7 +9,6 @@ codeword of the base code. Axes are numbered 1..m with axis 1 the slowest
 from __future__ import annotations
 
 import functools
-import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import CapacityError, ShapeError
 from .field import PrimeField
-from .linear_code import FILE_CAP, LinearCode, check_search, exceeds_cap
+from .linear_code import FILE_CAP, ErasureFailure, LinearCode, check_search, exceeds_cap
 
 # numpy arrays have at most 64 axes; bounding m also keeps n^m cheap to compute
 MAX_AXES = 64
@@ -76,6 +75,7 @@ class PlaneIndex:
 
 # Index plans are small next to the words they serve; a few shapes cover a run.
 PLAN_CACHE = 16
+PLAN_CAP = 1 << 26  # max entries of one index-plan array: 512 MiB of intp
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -89,7 +89,8 @@ class IndexPlan:
     Each array depends only on (n, m), is built on first use from the
     row-major point grid ``np.arange(n**m).reshape((n,) * m)``, and is a
     read-only, C-ordered ``np.intp`` array, so a gather through it needs no
-    conversion. Axis pairs (b, c), b < c, are numbered in
+    conversion. An array of more than PLAN_CAP entries is refused before it
+    is allocated. Axis pairs (b, c), b < c, are numbered in
     ``itertools.combinations`` order; a two-axis slice of pair q has id
     q * n^(m-2) plus the row-major index of its other m - 2 coordinates.
     """
@@ -99,11 +100,20 @@ class IndexPlan:
         self.num_pairs = m * (m - 1) // 2
         self.num_slices = self.num_pairs * n ** max(m - 2, 0)
 
+    def _check(self, entries: int) -> None:
+        if entries > PLAN_CAP:
+            raise CapacityError(
+                f"an index array of {entries} entries for the {self.n}^{self.m} cube "
+                f"exceeds cap {PLAN_CAP}"
+            )
+
     def _grid(self) -> np.ndarray:
+        self._check(self.m * self.n**self.m)  # the size of each array stacked from it
         return np.arange(self.n**self.m, dtype=np.intp).reshape((self.n,) * self.m)
 
     def _coords(self) -> np.ndarray:
         """coords[b, x] = x_b for every flat point x, shape (m, n^m)."""
+        self._check(self.m * self.n**self.m)
         return np.indices((self.n,) * self.m, dtype=np.intp).reshape(self.m, -1)
 
     @functools.cached_property
@@ -139,6 +149,7 @@ class IndexPlan:
     def pair_cell(self) -> np.ndarray:
         """Shape (P, n^m): q*n^2 + x_b*n + x_c, the cell of pair q = (b, c)
         that holds point x."""
+        self._check(self.num_pairs * self.n**self.m)
         coords, (b, c) = self._coords(), self.pairs
         q = np.arange(self.num_pairs, dtype=np.intp)[:, None]
         return _read_only((q * self.n + coords[b]) * self.n + coords[c])
@@ -177,6 +188,7 @@ class IndexPlan:
         """Shape (m, n^(m-1), m-1): the ids of the m - 1 two-axis slices that
         hold line [a, j], one per other axis in ascending order."""
         m, n = self.m, self.n
+        self._check(m * n ** (m - 1) * (m - 1))
         offsets = np.arange(self.num_pairs, dtype=np.intp) * n ** max(m - 2, 0)
         coords = self._coords()
         out = np.empty((m, n ** (m - 1), m - 1), dtype=np.intp)
@@ -204,6 +216,39 @@ def line_syndromes(base: LinearCode, entries: np.ndarray) -> np.ndarray:
     """
     plan = index_plan(entries.shape[0], entries.ndim)
     return base.syndrome(entries.reshape(-1)[plan.lines])
+
+
+def complete_subcube(
+    base: LinearCode, values: np.ndarray, axis_sets
+) -> tuple[int, ErasureFailure] | None:
+    """Complete an m-axis array known on S_1 x ... x S_m, in place.
+
+    ``axis_sets[a]`` lists the kept coordinates of 0-based axis a, as a
+    sequence or an integer array of coordinates in [0, n). Axis by axis,
+    every line along the axis whose later coordinates lie in their sets is
+    erasure-decoded from the kept coordinates, all in one batch, lines in
+    row-major order of the other coordinates; an axis whose set covers all
+    n coordinates is skipped. Returns None once every axis is done, else
+    (axis, status) of the first failing line, with ``values`` partly
+    written.
+    """
+    n = values.shape[0]
+    sets = [np.asarray(s, dtype=np.intp) for s in axis_sets]
+    for axis, keep in enumerate(sets):
+        # skip when every coordinate is kept; a duplicate never stands in for one
+        if keep.size >= n and np.count_nonzero(np.bincount(keep, minlength=n)) == n:
+            continue
+        known = np.zeros(n, dtype=bool)
+        known[keep] = True
+        # whole earlier axes, then the product of the later axes' sets
+        index = (slice(None),) * (axis + 1) + np.ix_(*map(np.sort, sets[axis + 1 :]))
+        lines = np.moveaxis(values[index], axis, -1)
+        completed, status = base.erasure_decode_batch(lines.reshape(-1, n), known)
+        failure = next((s for s in status if s is not None), None)
+        if failure is not None:
+            return axis, failure
+        values[index] = np.moveaxis(completed.reshape(lines.shape), -1, axis)
+    return None
 
 
 @dataclass
@@ -378,18 +423,11 @@ def save_tensor(word: TensorWord, target) -> None:
 
 
 def load_tensor(source) -> TensorWord:
+    """Read a tensor file from a path or an open text handle."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
             return load_tensor(fh)
-    return _parse_tensor(source)
-
-
-def parse_tensor(text: str) -> TensorWord:
-    return _parse_tensor(io.StringIO(text))
-
-
-def _parse_tensor(fh) -> TensorWord:
-    header = fh.readline().split()
+    header = source.readline().split()
     if len(header) != 3:
         raise ValueError("tensor file must start with a 'p m n' header line")
     p, m, n = (int(v) for v in header)
@@ -399,7 +437,7 @@ def _parse_tensor(fh) -> TensorWord:
             f"header declares an {n}^{m} tensor; files hold 1 to {MAX_AXES} axes "
             f"and at most {FILE_CAP} entries"
         )
-    values = fh.read().split()
+    values = source.read().split()
     if len(values) != n**m:
         raise ValueError(f"expected {n ** m} entries, found {len(values)}")
     return TensorWord(field, field.parse(values).reshape((n,) * m))

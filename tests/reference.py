@@ -12,7 +12,8 @@ at a time: bounded-distance decoding through a bytes-keyed coset dict,
 erasure decoding through one linear solve per line, and the square
 decoder and subcube extension that loop over lines. ``solve`` and
 ``nullspace`` are the GF(p) solvers the per-line erasure decoder uses;
-``rref`` clears one row at a time.
+``rref`` clears one row at a time. The noise helpers ``erase_planes`` and
+``planted_word`` address each plane through an indexer tuple.
 The differential tests require the two forms to agree exactly.
 """
 from __future__ import annotations
@@ -579,3 +580,39 @@ def extend_from_subcube(word: TensorWord, axis_sets, code: TensorCode):
     if not contains(code, result):
         return INCONSISTENT
     return result
+
+
+def erase_planes(word: TensorWord, planes) -> tuple[TensorWord, tuple[tuple[int, ...], ...]]:
+    """Zero each plane through an indexer with one integer axis."""
+    erased_by_axis: dict[int, set[int]] = {b: set() for b in range(1, word.m + 1)}
+    for pl in planes:
+        if not 1 <= pl.axis <= word.m or not 0 <= pl.coord < word.n:
+            raise ShapeError(f"plane {pl} outside a {word.m}-axis cube of side {word.n}")
+        erased_by_axis[pl.axis].add(pl.coord)
+    entries = word.entries.copy()
+    for pl in planes:
+        indexer: list = [slice(None)] * word.m
+        indexer[pl.axis - 1] = pl.coord
+        entries[tuple(indexer)] = 0
+    sets = tuple(
+        tuple(i for i in range(word.n) if i not in erased_by_axis[b])
+        for b in range(1, word.m + 1)
+    )
+    return TensorWord(word.field, entries), sets
+
+
+def planted_word(code: TensorCode, seed: int) -> TensorWord:
+    """One plane of a random codeword overwritten through an indexer."""
+    rng = np.random.default_rng(seed)
+    p = code.field.p
+    first = rng.integers(0, p, size=code.dimension)
+    second = first.copy()
+    while np.array_equal(second, first):
+        second = rng.integers(0, p, size=code.dimension)
+    plane = PlaneIndex(int(rng.integers(1, code.m + 1)), int(rng.integers(0, code.n)))
+    entries = code.encode(first).entries.copy()
+    donor = code.encode(second).entries
+    indexer: list = [slice(None)] * code.m
+    indexer[plane.axis - 1] = plane.coord
+    entries[tuple(indexer)] = donor[tuple(indexer)]
+    return TensorWord(code.field, entries)

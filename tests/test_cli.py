@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -26,6 +29,8 @@ from tensorltc.linear_code import LinearCode, hamming74, parity_code
 from tensorltc.local_testing import robustness_exact
 from tensorltc.noise import random_codeword
 from tensorltc.tensor_code import TensorCode, save_tensor
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -244,6 +249,40 @@ def test_experiment_words_above_the_file_cap_exit_two_at_once(capsys, tmp_path, 
     )
     assert time.perf_counter() - start < 1
     assert code == 2 and f"3^{m} entries" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# Run in a child process under an address-space limit, so that an array
+# too large for it fails at once instead of filling the machine's memory;
+# one BLAS thread keeps the library's own buffers small under that limit.
+CAPPED_CHILD = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from tensorltc import cli
+start = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(f"{time.perf_counter() - start:.3f}")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("kind, family", [("rejection", "parity:3"), ("robustness", "repetition:3")])
+def test_index_plans_above_the_cap_exit_two_at_once(tmp_path, kind, family):
+    """3^15 entries pass the word-file cap, but the line and plane-view
+    index arrays of the 3^15 cube hold 15 * 3^15 entries, 1.6 GiB of intp:
+    the plan refuses them before allocating anything."""
+    out = tmp_path / "rows.csv"
+    argv = ["experiment", "--kind", kind, "--family", family, "--m", "15", "--trials", "1"]
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 2, child.stderr
+    assert "index array" in child.stderr and "Traceback" not in child.stderr
+    assert float(child.stdout) < 1
     assert not out.exists()
 
 

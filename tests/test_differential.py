@@ -484,3 +484,16 @@ def test_extend_from_subcube_matches_per_line_reference(base, m, seed):
     )
     for word in (near_codeword(code, rng), random_word(code, seed)):
         assert extend_from_subcube(word, sets, code) == reference.extend_from_subcube(word, sets, code)
+
+
+@PROPERTY
+@given(codes(n=st.integers(1, 6), max_k={2: 4, 3: 3, 5: 2}), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_extend_from_subcube_with_repeated_coordinates_matches_reference(base, m, seed):
+    """Sets drawn with repetition, often n entries that miss a coordinate:
+    an axis is skipped only when every coordinate is kept."""
+    code = TensorCode(base, m)
+    rng = np.random.default_rng(seed)
+    n = code.n
+    sets = tuple(tuple(rng.choice(n, size=int(rng.integers(1, n + 2))).tolist()) for _ in range(m))
+    for word in (near_codeword(code, rng), random_word(code, seed)):
+        assert extend_from_subcube(word, sets, code) == reference.extend_from_subcube(word, sets, code)

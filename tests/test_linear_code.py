@@ -15,7 +15,6 @@ from tensorltc.linear_code import (
     hamming74,
     load_code,
     parity_code,
-    parse_code,
     random_linear_code,
     repetition_code,
     save_code,
@@ -272,17 +271,17 @@ def test_code_file_round_trip(tmp_path):
 def test_code_file_rank_warning():
     text = "2 3 2\n1 0 1\n1 0 1\n"
     with pytest.warns(UserWarning, match="rank"):
-        code = parse_code(text)
+        code = load_code(io.StringIO(text))
     assert code.k == 1
 
 
 def test_code_file_rejects_bad_input():
     with pytest.raises(ValueError):
-        parse_code("4 3 1\n1 1 1\n")  # composite modulus
+        load_code(io.StringIO("4 3 1\n1 1 1\n"))  # composite modulus
     with pytest.raises(ValueError):
-        parse_code("2 3 1\n1 1\n")  # wrong entry count
+        load_code(io.StringIO("2 3 1\n1 1\n"))  # wrong entry count
     with pytest.raises(ValueError):
-        parse_code("3 2 1\n1 5\n")  # entry outside the field
+        load_code(io.StringIO("3 2 1\n1 5\n"))  # entry outside the field
     buffer = io.StringIO()
     save_code(parity_code(3), buffer)
     assert buffer.getvalue().splitlines()[0] == "2 3 2"

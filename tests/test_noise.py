@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorltc.errors import ShapeError
+from tensorltc.linear_code import random_linear_code
 from tensorltc.noise import (
     codeword_plus_errors,
     erase_planes,
@@ -10,7 +14,7 @@ from tensorltc.noise import (
     random_codeword,
     random_word,
 )
-from tensorltc.tensor_code import PlaneIndex, TensorWord
+from tensorltc.tensor_code import PlaneIndex, TensorCode, TensorWord
 
 
 def test_exact_errors_distance_contract(cube3):
@@ -67,3 +71,30 @@ def test_planted_word_deterministic_and_in_shape(cube3):
     b = planted_word(cube3, 3)
     assert a == b
     assert a.entries.shape == (3, 3, 3)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ShapeError as exc:
+        return f"ShapeError: {exc}"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.data())
+def test_plane_slabs_match_the_indexer_reference(p, m, data):
+    """Planes selected as index-plan views erase and plant the same entries
+    as one indexer per plane, repeated planes included, and an
+    out-of-range plane raises the same ShapeError."""
+    n = data.draw(st.integers(1, 4 if m <= 3 else 3))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    code = TensorCode(random_linear_code(n, data.draw(st.integers(1, n)), p, seed), m)
+    word = TensorWord(code.field, np.random.default_rng(seed).integers(0, p, size=(n,) * m))
+    planes = data.draw(st.lists(st.builds(PlaneIndex, st.integers(1, m), st.integers(0, n - 1))))
+    planes += planes[: data.draw(st.integers(0, 2))]  # repeat some
+    if data.draw(st.booleans()):
+        outside = st.builds(PlaneIndex, st.sampled_from([0, m + 1]), st.integers(0, n - 1))
+        outside |= st.builds(PlaneIndex, st.integers(1, m), st.sampled_from([-1, n]))
+        planes.insert(data.draw(st.integers(0, len(planes))), data.draw(outside))
+    assert _outcome(erase_planes, word, planes) == _outcome(reference.erase_planes, word, planes)
+    assert planted_word(code, seed) == reference.planted_word(code, seed)

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 from reference import all_planes
 
-from tensorltc.errors import ShapeError
+from tensorltc.errors import CapacityError, ShapeError
 from tensorltc.field import PrimeField
 from tensorltc.linear_code import repetition_code
 from tensorltc.tensor_code import (
     PLAN_CACHE,
     EncodeCounter,
+    IndexPlan,
     TensorCode,
     TensorWord,
     index_plan,
     load_tensor,
-    parse_tensor,
     save_tensor,
 )
 
@@ -148,11 +148,11 @@ def test_tensor_file_round_trip(tmp_path, cube3):
 
 def test_tensor_file_rejects_bad_input():
     with pytest.raises(ValueError):
-        parse_tensor("2 2 2\n1 0 1\n")  # wrong count
+        load_tensor(io.StringIO("2 2 2\n1 0 1\n"))  # wrong count
     with pytest.raises(ValueError):
-        parse_tensor("2 1 2\n1 3\n")  # out of range
+        load_tensor(io.StringIO("2 1 2\n1 3\n"))  # out of range
     with pytest.raises(ValueError):
-        parse_tensor("9 1 2\n1 0\n")  # composite modulus
+        load_tensor(io.StringIO("9 1 2\n1 0\n"))  # composite modulus
     buffer = io.StringIO()
     save_tensor(TensorWord(PrimeField(3), np.arange(4).reshape(2, 2) % 3), buffer)
     assert buffer.getvalue() == "3 2 2\n0 1\n2 0\n"
@@ -244,3 +244,16 @@ def test_index_plans_are_cached_per_shape():
     plan = index_plan(2, 7)
     assert "line_slice" not in vars(plan)  # arrays are built on first use
     assert plan.line_slice is plan.line_slice
+
+
+def test_index_plan_refuses_arrays_above_the_cap():
+    """Each array of the 3^15 plan would hold at least 15 * 3^15 entries:
+    refused before anything is allocated. At m = 13 the pair cells and the
+    line slices, 78 and 12 * 13 / 3 entries per point, exceed it."""
+    plan = IndexPlan(3, 15)
+    for name in ("views", "gather", "plane_of", "pair_cell", "lines", "line_slice"):
+        with pytest.raises(CapacityError, match="3\\^15 cube exceeds cap"):
+            getattr(plan, name)
+    for name in ("pair_cell", "line_slice"):
+        with pytest.raises(CapacityError):
+            getattr(IndexPlan(3, 13), name)
