@@ -1,7 +1,7 @@
-"""Per-word time of each per-word layer, on seeded parity(3)^m words.
+"""Per-word time of each per-word layer and of the square decoder's layers.
 
 For m = 3, 4, 5 and both tester axis modes, prints the best of 7 passes
-over 300 seeded random words, in microseconds per word, for:
+over 300 seeded random parity(3)^m words, in microseconds per word, for:
 
 - ``oracle``: the plane-view oracle, through ``robustness_exact`` in that
   axis mode (each word misses the one-word memo);
@@ -12,11 +12,26 @@ over 300 seeded random words, in microseconds per word, for:
 - ``rejection``: ``rejection_probability_exact`` in that axis mode.
 
 The disagreement layers do not read the axis mode, so their two rows
-measure the same calls. BLAS is pinned to one thread. The package is
-imported from this checkout's ``src/``.
+measure the same calls.
 
-    python3 scripts/layer_times.py            # m = 3, 4, 5 (about a minute)
-    python3 scripts/layer_times.py --m 3 4    # a subset
+For the square decoder it prints the best of 7 passes over 300 seeded
+words of each kind the decode-square benchmark decodes, in microseconds
+per call:
+
+- ``rep5``, ``rep400``: repetition(50)^2 codewords with 5 (in budget) and
+  400 flipped entries; ``random``: uniform binary 50 x 50 words;
+  ``ham1``: hamming74^2 codewords with one flipped entry;
+- ``decode_square``: the whole decoder on the word;
+- ``pass1``: ``bounded_distance_decode_batch`` on the word's 2n lines;
+- ``pass5``: the column check of pass 5 on the word's decoded rows
+  (failed rows zero), a matrix whose rows are all codewords.
+
+BLAS is pinned to one thread. The package is imported from this
+checkout's ``src/``.
+
+    python3 scripts/layer_times.py                  # both tables (about a minute)
+    python3 scripts/layer_times.py --m 3 4          # a subset of the per-word table
+    python3 scripts/layer_times.py --only decoder   # the decoder table alone
 """
 
 from __future__ import annotations
@@ -34,21 +49,31 @@ from time import perf_counter  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from tensorltc import TensorCode, TensorWord, parity_code  # noqa: E402
+from tensorltc import TensorCode, TensorWord, hamming74, parity_code, repetition_code  # noqa: E402
 from tensorltc.analysis import (  # noqa: E402
     compute_opinions,
     heavy_free_subcube,
     inconsistency,
     verify_heavy_cover,
 )
+from tensorltc.decoding import DecoderConfig, decode_square  # noqa: E402
 from tensorltc.errors import InvariantError  # noqa: E402
 from tensorltc.local_testing import rejection_probability_exact, robustness_exact  # noqa: E402
+from tensorltc.noise import codeword_plus_errors, random_word  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 WORDS = 300
 PASSES = 7
 LAYERS = ("oracle", "inconsistency", "cover", "subcube", "rejection")
+DECODER_LAYERS = ("decode_square", "pass1", "pass5")
+# kind -> (base code, flipped entries, or None for uniform random words)
+DECODE_KINDS = {
+    "rep5": (repetition_code(50), 5),
+    "rep400": (repetition_code(50), 400),
+    "random": (repetition_code(50), None),
+    "ham1": (hamming74(), 1),
+}
 
 
 def _subcube(report):
@@ -93,16 +118,42 @@ def layer_times(m: int, axis_mode: str) -> dict[str, float]:
     }
 
 
+def decoder_times(kind: str) -> dict[str, float]:
+    base, errors = DECODE_KINDS[kind]
+    cfg = DecoderConfig.for_code(base)
+    square = TensorCode(base, 2)
+    if errors is None:
+        words = [random_word(square, seed) for seed in range(WORDS)]
+    else:
+        words = [codeword_plus_errors(square, errors, seed)[1] for seed in range(WORDS)]
+    lines = [np.concatenate([word.entries, word.entries.T]) for word in words]
+    rows = [base.bounded_distance_decode_batch(word.entries, cfg.radius)[0] for word in words]
+    return {
+        "decode_square": best_us(lambda word: decode_square(word, cfg), words),
+        "pass1": best_us(lambda line: base.bounded_distance_decode_batch(line, cfg.radius), lines),
+        # the check decode_square makes in pass 5
+        "pass5": best_us(lambda out: base.syndrome(out.take(base.pivots, axis=1).T).any(), rows),
+    }
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, nargs="+", default=[3, 4, 5], choices=[3, 4, 5])
+    parser.add_argument("--only", choices=["words", "decoder"])
     args = parser.parse_args(argv)
-    print(f"us per word, best of {PASSES} passes over {WORDS} parity(3)^m words")
-    print(f"{'m':>2} {'axes':<12}" + "".join(f"{name:>14}" for name in LAYERS))
-    for m in args.m:
-        for axis_mode in ("all", "first-three"):
-            times = layer_times(m, axis_mode)
-            print(f"{m:>2} {axis_mode:<12}" + "".join(f"{times[name]:>14.1f}" for name in LAYERS))
+    if args.only != "decoder":
+        print(f"us per word, best of {PASSES} passes over {WORDS} parity(3)^m words")
+        print(f"{'m':>2} {'axes':<12}" + "".join(f"{name:>14}" for name in LAYERS))
+        for m in args.m:
+            for axis_mode in ("all", "first-three"):
+                times = layer_times(m, axis_mode)
+                print(f"{m:>2} {axis_mode:<12}" + "".join(f"{times[name]:>14.1f}" for name in LAYERS))
+    if args.only != "words":
+        print(f"us per call, best of {PASSES} passes over {WORDS} words of each kind")
+        print(f"{'kind':<8}" + "".join(f"{name:>15}" for name in DECODER_LAYERS))
+        for kind in DECODE_KINDS:
+            times = decoder_times(kind)
+            print(f"{kind:<8}" + "".join(f"{times[name]:>15.1f}" for name in DECODER_LAYERS))
 
 
 if __name__ == "__main__":

@@ -57,8 +57,8 @@ class DecoderConfig:
         return Fraction(self.radius, self.base.n)
 
     def error_budget(self) -> int:
-        """floor(alpha^2 n^2 / 100) correctable errors."""
-        return int(self.alpha**2 * self.base.n**2 / 100)
+        """floor(alpha^2 n^2 / 100) correctable errors; alpha * n is the radius."""
+        return self.radius**2 // 100
 
 
 @dataclass
@@ -94,7 +94,7 @@ class DecodeTrace:
 def _removed(counts: np.ndarray, threshold: Fraction, n: int) -> np.ndarray:
     # count >= threshold * n, exactly, and never drop a clean line
     least = max(1, -(-threshold.numerator * n // threshold.denominator))
-    return np.flatnonzero(counts >= least)
+    return counts >= least
 
 
 def decode_square(
@@ -135,11 +135,11 @@ def decode_square(
         # alpha * n equals the radius exactly, so the diagnostic threshold is an int
         bad_rows=int((row_counts >= cfg.radius).sum()),
         bad_cols=int((col_counts >= cfg.radius).sum()),
-        removed_rows=tuple(removed_rows.tolist()),
-        removed_cols=tuple(removed_cols.tolist()),
+        removed_rows=tuple(np.flatnonzero(removed_rows).tolist()),
+        removed_cols=tuple(np.flatnonzero(removed_cols).tolist()),
     )
-    surviving_rows = np.setdiff1d(np.arange(n), removed_rows)
-    surviving_cols = np.setdiff1d(np.arange(n), removed_cols)
+    surviving_rows = np.flatnonzero(~removed_rows)
+    surviving_cols = np.flatnonzero(~removed_cols)
     if surviving_rows.size == 0 or surviving_cols.size == 0:
         trace.status = "all-lines-removed"
         return None, trace
@@ -159,8 +159,10 @@ def decode_square(
     # Pass 5: verify membership and plausibility. Every row is a base
     # codeword by now: a decoded row, a row completed by erasure decoding,
     # or, when columns were completed, a linear combination of surviving
-    # rows. So only the columns can fail.
-    if cfg.base.syndrome(output.T).any():
+    # rows. So output = X G with X = output[:, pivots], as G[:, pivots] = I_k,
+    # and every column is a combination of the pivot columns: the columns
+    # are all codewords exactly when the pivot columns are.
+    if cfg.base.syndrome(output.take(cfg.base.pivots, axis=1).T).any():
         trace.status = "not-a-codeword"
         return None, trace
     dist = int(np.count_nonzero(output != entries))

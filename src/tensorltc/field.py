@@ -66,7 +66,12 @@ class PrimeField:
 
     def validate(self, arr: np.ndarray) -> np.ndarray:
         arr = np.asarray(arr)
-        if arr.size and (arr.min() < 0 or arr.max() >= self.p):
+        if arr.dtype.kind in "iu":
+            # a negative entry reads as a huge unsigned one: one max checks both ends
+            bad = arr.size and arr.view(arr.dtype.str.replace("i", "u")).max() >= self.p
+        else:
+            bad = arr.size and (arr.min() < 0 or arr.max() >= self.p)
+        if bad:
             raise ValueError(f"entries must lie in [0, {self.p})")
         return arr.astype(np.int64, copy=False)
 

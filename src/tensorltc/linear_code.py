@@ -1,14 +1,16 @@
 """Linear [n, k, d] codes over GF(p).
 
-A :class:`LinearCode` keeps a canonical (RREF) generator matrix together
-with a parity-check matrix, and offers encoding, membership, exhaustive
-distance / nearest-codeword oracles, erasure decoding, and bounded-distance
-decoding. All exhaustive searches are guarded by explicit capacity caps
-and raise :class:`CapacityError` rather than silently taking forever.
+A :class:`LinearCode` keeps a canonical (RREF) generator matrix and its
+pivots, builds a parity-check matrix on first use, and offers encoding,
+membership, exhaustive distance / nearest-codeword oracles, erasure
+decoding, and bounded-distance decoding. All exhaustive searches are
+guarded by explicit capacity caps and raise :class:`CapacityError`
+rather than silently taking forever.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -90,8 +92,9 @@ class LinearCode:
     """A k-dimensional subspace of GF(p)^n given by a generator matrix.
 
     The stored generator is the RREF of the input rows, so two codes with
-    the same row space compare equal. The parity-check matrix ``H``
-    satisfies ``G H^T = 0`` and has full rank n - k.
+    the same row space compare equal; ``pivots`` are its read-only pivot
+    columns, an information set. The parity-check matrix ``H`` satisfies
+    ``G H^T = 0`` and has full rank n - k.
     """
 
     def __init__(self, field: PrimeField, generator) -> None:
@@ -102,26 +105,21 @@ class LinearCode:
         self.G = G[:rank]
         self.n = self.G.shape[1]
         self.k = rank
-        self._pivots = pivots
-        self.H = self._parity_check(self.G, pivots)
+        self.pivots = np.array(pivots, dtype=np.intp)  # G[:, pivots] = I_k
+        self.pivots.flags.writeable = False
         self._distance: int | None = None
         self._codebook: np.ndarray | None = None
         self._packed: np.ndarray | None = None
         self._coset_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _parity_check(self, G: np.ndarray, pivots: list[int]) -> np.ndarray:
-        # Standard-form complement: with G[:, pivots] = I_k, the checks are
-        # H[:, free] = I and H[:, pivots] = -A.T where A = G[:, free].
-        p = self.field.p
-        n, k = self.n, self.k
-        pivot_set = set(pivots)
-        free = [c for c in range(n) if c not in pivot_set]
-        H = np.zeros((n - k, n), dtype=np.int64)
-        if n - k == 0:
-            return H
-        A = G[:, free]
-        H[np.arange(n - k), free] = 1
-        H[:, pivots] = (-A.T) % p
+    @functools.cached_property
+    def H(self) -> np.ndarray:
+        """The parity-check matrix, built on first use: with G[:, pivots] =
+        I_k, H[:, free] = I and H[:, pivots] = -G[:, free].T."""
+        free = np.delete(np.arange(self.n), self.pivots)
+        H = np.zeros((self.n - self.k, self.n), dtype=np.int64)
+        H[np.arange(free.size), free] = 1
+        H[:, self.pivots] = (-self.G[:, free].T) % self.p
         return H
 
     # -- basic descriptors ------------------------------------------------
@@ -241,6 +239,15 @@ class LinearCode:
         """Codewords packed column-wise: (planes, ceil(n/64), count)."""
         return np.ascontiguousarray(self._pack(block).transpose(1, 2, 0))
 
+    def _unpack_columns(self, columns: np.ndarray) -> np.ndarray:
+        """The (count, n) int64 symbols of column-wise packed codewords."""
+        packed = np.ascontiguousarray(columns.transpose(2, 0, 1))
+        bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=self.n, bitorder="little")
+        symbols = bits[:, 0].astype(np.int64)
+        for j in range(1, bits.shape[1]):
+            symbols |= bits[:, j].astype(np.int64) << j
+        return symbols
+
     def packed_codebook(self) -> np.ndarray | None:
         """The codebook the nearest oracle scans, packed column-wise.
 
@@ -285,7 +292,8 @@ class LinearCode:
         split into ceil(log2 p) bits, each bit position packed into uint64
         words, and the distance is the popcount of the OR over planes of
         word XOR codeword. The packed codebook is cached up to CODEBOOK_CAP
-        codewords and streamed block by block above that.
+        codewords and streamed block by block above that; the winners are
+        unpacked from it, not re-encoded.
         """
         words = self.field.validate(np.atleast_2d(np.asarray(words)))
         if words.shape[1] != self.n:
@@ -295,15 +303,19 @@ class LinearCode:
         cached = self.packed_codebook()
         if cached is not None:
             best_d, best_i = self._scan(packed, cached)
+            winners = cached[:, :, best_i]
         else:
             best_d = np.full(words.shape[0], self.n + 1, dtype=np.int64)
             best_i = np.zeros(words.shape[0], dtype=np.int64)
+            winners = np.zeros(packed.shape[1:] + packed.shape[:1], dtype=np.uint64)
             for start, block in self._blocks():
-                d, i = self._scan(packed, self._pack_columns(block))
+                columns = self._pack_columns(block)
+                d, i = self._scan(packed, columns)
                 better = d < best_d  # a later block wins only on a strict <
                 best_d[better] = d[better]
                 best_i[better] = start + i[better]
-        return self.encode(self._messages(best_i)), best_d, best_i
+                winners[:, :, better] = columns[:, :, i[better]]
+        return self._unpack_columns(winners), best_d, best_i
 
     # -- decoding ------------------------------------------------------------
 

@@ -286,6 +286,24 @@ def test_index_plans_above_the_cap_exit_two_at_once(tmp_path, kind, family):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, m", [("repetition:3", "9"), ("parity:2", "14")])
+def test_flat_codes_build_no_parity_check_matrix(tmp_path, family, m):
+    """The flat code of 3^9 or 2^14 entries would have a dense parity-check
+    matrix of 2.89 or 2.00 GiB, which nothing in a robustness run reads."""
+    argv = ["experiment", "--kind", "robustness", "--family", family, "--m", m, "--trials", "1"]
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(tmp_path / "rows.csv")],
+        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert time.perf_counter() - start < 10
+    assert child.returncode in (0, 2), child.stderr
+    assert "Traceback" not in child.stderr
+
+
 def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):
     """parity(64)^3's plane views would be searched over 2^(63^2)
     codewords: the cap is hit without the Kronecker generator being built."""

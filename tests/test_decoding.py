@@ -6,7 +6,8 @@ import reference
 
 from tensorltc.decoding import DecoderConfig, decode_square
 from tensorltc.errors import ShapeError
-from tensorltc.linear_code import parity_code, repetition_code
+from tensorltc.field import PrimeField
+from tensorltc.linear_code import LinearCode, parity_code, repetition_code
 from tensorltc.noise import codeword_plus_errors, random_codeword, random_word
 from tensorltc.tensor_code import TensorCode, TensorWord
 
@@ -37,6 +38,14 @@ def test_error_budget_examples(rep50, hamming):
     degenerate = DecoderConfig.for_code(parity_code(3))  # d = 2 gives radius 0
     assert degenerate.alpha == 0
     assert degenerate.error_budget() == 0
+
+
+def test_error_budget_is_the_exact_fraction_floor(rep50, hamming):
+    for base in (rep50, hamming, parity_code(3)):
+        n = base.n
+        for radius in range(201):
+            cfg = DecoderConfig.for_code(base, radius=radius, removal_threshold=1)
+            assert cfg.error_budget() == int(Fraction(radius, n) ** 2 * n**2 / 100)
 
 
 def test_codeword_passes_through(rep50_square, hamming, parity3):
@@ -104,6 +113,18 @@ def test_failure_is_clean_on_unremovable_junk(parity3):
     out, trace = decode_square(TensorWord(square.field, junk), cfg)
     assert out is None
     assert trace.status != "ok"
+
+
+def test_pass_five_checks_the_pivot_columns_not_the_first_k():
+    """Column 0 of [0 1 1] is zero in every row codeword, so only the pivot
+    column 1 shows that these rows, kept whole by a radius-1 column pass
+    and a threshold that removes nothing, do not form a square codeword."""
+    base = LinearCode(PrimeField(2), [[0, 1, 1]])
+    cfg = DecoderConfig.for_code(base, radius=1, removal_threshold=1)
+    word = TensorWord(base.field, np.array([[0, 1, 1], [0, 0, 0], [0, 0, 0]]))
+    decoded, trace = decode_square(word, cfg)
+    assert decoded is None and trace.status == "not-a-codeword"
+    assert trace.removed_rows == () and trace.removed_cols == ()
 
 
 def test_decode_trace_serializes(rep50_square):

@@ -9,7 +9,7 @@ from math import ceil
 import numpy as np
 import pytest
 import reference
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from tensorltc import analysis, linear_code, tensor_code
@@ -352,6 +352,20 @@ def test_nearest_batch_matches_reencoding_reference(code, path, seed):
         assert np.array_equal(got, expected)
 
 
+@pytest.mark.parametrize("path", ORACLE_PATHS)
+def test_nearest_batch_returns_writeable_c_ordered_int64(path):
+    """bounded_distance_decode_batch zeroes failed rows of these in place."""
+    for code in (hamming74(), random_linear_code(70, 2, 13, seed=0)):
+        words = oracle_batch(code, np.random.default_rng(0))
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in path.items():
+                mp.setattr(linear_code, name, value)
+            codewords = code.nearest_batch(words)[0]
+        assert codewords.dtype == np.int64 and codewords.shape == words.shape
+        assert codewords.flags.c_contiguous and codewords.flags.writeable
+        codewords[0] = 0
+
+
 @PROPERTY
 @given(wide_codes, st.sampled_from([1 << 14, 30]))
 def test_enumeration_matches_reencoding_reference(code, block):
@@ -447,6 +461,54 @@ def test_decode_square_matches_per_line_reference(code, radius, threshold, seed)
         expected, expected_trace = reference.decode_square(word, cfg)
         assert decoded == expected
         assert trace.to_json_dict() == expected_trace.to_json_dict()
+
+
+def check_information_set(columns_of, code, seed):
+    """Pass 5's argument: when every row of a matrix is a codeword, its
+    columns are all codewords exactly when its ``columns_of(code)`` columns
+    are. The matrix is a square codeword with a few pivot columns perturbed
+    and each row re-encoded from its pivot entries, so its rows stay
+    codewords while some of its columns may not."""
+    rng = np.random.default_rng(seed)
+    n, k, p = code.n, code.k, code.p
+    messages = (code.G.T @ rng.integers(0, p, size=(k, k))) % p  # row i is output[i, pivots]
+    perturbed = rng.choice(k, size=int(rng.integers(0, k + 1)), replace=False)
+    messages[:, perturbed] = rng.integers(0, p, size=(n, perturbed.size))
+    output = (messages @ code.G) % p
+    assert not code.syndrome(output).any()
+    columns = code.syndrome(output.T).any()
+    assert code.syndrome(output.T[columns_of(code)]).any() == columns
+
+
+PIVOT_ARGS = (codes(n=st.integers(1, 8)), st.integers(0, 2**32 - 1))
+
+
+@PROPERTY
+@given(*PIVOT_ARGS)
+@example(repetition_code(5, 3), 0)  # k = 1
+@example(LinearCode(PrimeField(5), np.eye(4, dtype=np.int64)), 0)  # k = n
+def test_pivot_columns_decide_column_membership(code, seed):
+    check_information_set(lambda code: code.pivots, code, seed)
+
+
+def test_pivot_column_property_catches_first_k_columns():
+    """The mutant "first k columns instead of the pivots" must fail the
+    property, and only on codes whose pivots are not 0..k-1."""
+    pivots_of_failures = []
+
+    @settings(PROPERTY, phases=[Phase.generate], report_multiple_bugs=False)
+    @given(*PIVOT_ARGS)
+    def mutated_property(code, seed):
+        try:
+            check_information_set(lambda code: np.arange(code.k), code, seed)
+        except AssertionError:
+            pivots_of_failures.append((code.pivots.tolist(), code.k))
+            raise
+
+    with pytest.raises(AssertionError):
+        mutated_property()
+    assert pivots_of_failures
+    assert all(pivots != list(range(k)) for pivots, k in pivots_of_failures)
 
 
 @PROPERTY

@@ -30,6 +30,58 @@ def test_inverse_of_zero_raises():
         PrimeField(5).inv(10)
 
 
+@pytest.mark.parametrize("dtype", ["int8", "int32", "int64", "uint8", ">i4", "float64"])
+def test_validate_accepts_entries_in_range_as_int64(dtype):
+    out = PrimeField(3).validate(np.array([[0, 1], [2, 1]], dtype=dtype)[:, ::-1])
+    assert out.dtype == np.int64 and out.tolist() == [[1, 0], [1, 2]]
+
+
+@pytest.mark.parametrize("dtype", ["int8", "int32", "int64", "uint8", "bool", ">i4", "float64"])
+def test_validate_accepts_empty_arrays(dtype):
+    out = PrimeField(2).validate(np.zeros((0, 3), dtype=dtype))
+    assert out.dtype == np.int64 and out.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "dtype, entries",
+    [
+        ("int8", [0, -1]),
+        ("int8", [-128, 0]),
+        ("int8", [3, 0]),
+        ("int8", [127]),
+        ("int32", [0, -1]),
+        ("int32", [65521]),
+        ("int64", [1, -1]),
+        ("int64", [np.iinfo(np.int64).min]),
+        ("int64", [np.iinfo(np.int64).max]),
+        ("int64", [0, 3]),
+        ("uint8", [255]),
+        ("uint8", [3, 1]),
+        (">i4", [1, -1]),
+        (">i4", [4]),
+        ("float64", [-0.5, 1.0]),
+        ("float64", [3.0]),
+    ],
+)
+def test_validate_rejects_entries_outside_the_field(dtype, entries):
+    with pytest.raises(ValueError, match=r"entries must lie in \[0, 3\)"):
+        PrimeField(3).validate(np.array(entries, dtype=dtype))
+    with pytest.raises(ValueError):  # the same entries at a stride
+        PrimeField(3).validate(np.repeat(np.array(entries, dtype=dtype), 2)[::2])
+
+
+def test_validate_truncates_floats_and_keeps_int64_input_uncopied():
+    assert PrimeField(3).validate(np.array([0.5, 2.9])).tolist() == [0, 2]
+    assert PrimeField(2).validate(np.array([True, False])).tolist() == [1, 0]
+    with pytest.raises(ValueError):
+        PrimeField(2).validate(np.array(2))  # a 0-d array
+    assert PrimeField(3).validate([2, 0]).tolist() == [2, 0]
+    entries = np.array([[0, 1], [2, 0]], dtype=np.int64)
+    assert PrimeField(3).validate(entries) is entries
+    view = entries.T
+    assert PrimeField(3).validate(view) is view
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_field_axioms_exhaustive(p):
     # every nonzero element has exactly one inverse, and inv returns it

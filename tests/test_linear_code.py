@@ -67,6 +67,15 @@ def test_parity_check_orthogonal_on_random_codes():
         assert np.linalg.matrix_rank(code.H) == code.n - code.k
 
 
+def test_parity_check_is_built_on_first_use_and_pivots_are_read_only():
+    code = LinearCode(PrimeField(2), [[0, 1, 1, 0], [0, 1, 0, 1]])
+    assert "H" not in vars(code)
+    assert code.H is code.H and code.H.tolist() == [[1, 0, 0, 0], [0, 1, 1, 1]]
+    assert code.pivots.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        code.pivots[0] = 0
+
+
 def test_encode_examples():
     parity = parity_code(3)
     assert np.array_equal(parity.encode([1, 1]), [1, 1, 0])
