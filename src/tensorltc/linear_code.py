@@ -163,11 +163,6 @@ class LinearCode:
 
     # -- exhaustive enumeration --------------------------------------------
 
-    def _messages(self, indices) -> np.ndarray:
-        """Message vectors of lexicographic indices, first symbol most significant."""
-        powers = self.p ** np.arange(self.k - 1, -1, -1, dtype=np.int64)
-        return (np.asarray(indices, dtype=np.int64)[..., None] // powers) % self.p
-
     def _blocks(self):
         """Every codeword in message order, as ``(start, block)`` pairs.
 

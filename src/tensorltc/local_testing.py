@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import factorial, sqrt
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_code import TensorCode, TensorWord, index_plan, line_syndromes
+from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 AXIS_MODES = ("all", "first-three")
 
@@ -68,35 +67,38 @@ def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all")
 
 @functools.cache
 def _pair_weights(m: int, axis_mode: str) -> tuple[int, ...]:
-    """For each pair of 0-based axes, in ``IndexPlan.pairs`` order, the
+    """For each pair of 0-based axes b < c, in ``IndexPlan.pairs`` order, the
     number of tester axis-choice sequences, levels m down to 3, that leave
-    exactly that pair free."""
-    memo: dict[tuple[int, ...], Counter] = {}
+    exactly that pair free.
 
-    def counts(remaining: tuple[int, ...]) -> Counter:
-        if len(remaining) == 2:
-            return Counter({remaining: 1})
-        if remaining not in memo:
-            total: Counter = Counter()
-            for rel in range(len(_tester_axes(len(remaining), axis_mode))):
-                total.update(counts(remaining[:rel] + remaining[rel + 1 :]))
-            memo[remaining] = total
-        return memo[remaining]
-
-    free = counts(tuple(range(m)))
-    return tuple(free[pair] for pair in itertools.combinations(range(m), 2))
+    With all axes, the m - 2 other axes go in any order. With the first
+    three, stage s = 1..m-2 picks among the three remaining axes of
+    0..s+1 and never b or c: 3 choices while s < b - 1, 2 while
+    s < c - 1, then 1.
+    """
+    _tester_axes(m, axis_mode)  # rejects an unknown mode
+    pairs = itertools.combinations(range(m), 2)
+    if axis_mode == "all":
+        return tuple(factorial(m - 2) for _ in pairs)
+    return tuple(3 ** max(0, b - 2) * 2 ** max(0, c - max(b, 2)) for b, c in pairs)
 
 
-def _slice_fails(word: TensorWord, code: TensorCode) -> np.ndarray:
-    """Which two-axis slices of the word fail the square-power check, by
-    slice id (see ``IndexPlan``).
+def _pair_fails(word: TensorWord, code: TensorCode) -> list[np.ndarray]:
+    """Which two-axis slices of the word fail the square-power check: one
+    bool array of shape (n,) * (m - 2) per axis pair b < c, in
+    ``IndexPlan.pairs`` order, indexed by the other coordinates in
+    ascending axis order.
 
     A slice fails exactly when some line inside it, along either of its
     two free axes, violates a base check.
     """
-    plan = index_plan(code.n, code.m)
+    m, n = code.m, code.n
     violated = line_syndromes(code.base, word.entries).any(axis=-1)
-    return np.bincount(plan.line_slice[violated].reshape(-1), minlength=plan.num_slices) > 0
+    violated = violated.reshape((m,) + (n,) * (m - 1))
+    # along[j][a]: some line parallel to axis a violates, over the j-th of
+    # its m - 1 other coordinates
+    along = [np.logical_or.reduce(violated, axis=j + 1) for j in range(m - 1)]
+    return [along[c - 1][b] | along[b][c] for b, c in itertools.combinations(range(m), 2)]
 
 
 def rejection_probability_exact(
@@ -111,8 +113,7 @@ def rejection_probability_exact(
     code.check_shape(word)
     _check_composable(code)
     weights = _pair_weights(code.m, axis_mode)
-    failing = np.count_nonzero(_slice_fails(word, code).reshape(len(weights), -1), axis=1)
-    rejected = sum(w * f for w, f in zip(weights, failing.tolist()))
+    rejected = sum(w * int(np.count_nonzero(f)) for w, f in zip(weights, _pair_fails(word, code)))
     # every axis-choice sequence leaves one pair free and has n^(m-2) paths
     return Fraction(rejected, sum(weights) * code.n ** (code.m - 2))
 
@@ -163,10 +164,16 @@ def rejection_probability_sampled(
         point[rows, remaining[rows, rel]] = coord_draws[:, stage]
         keep = np.arange(m - stage)[None, :] != rel[:, None]
         remaining = remaining[keep].reshape(trials, m - stage - 1)
-    plan = index_plan(code.n, m)
-    pair = plan.pair_id[remaining[:, 0], remaining[:, 1]]
-    slices = pair * code.n ** (m - 2) + (point * plan.slice_place[pair]).sum(axis=1)
-    rejections = int(np.count_nonzero(_slice_fails(word, code)[slices]))
+    # the number of the free pair (b, c) in ``IndexPlan.pairs`` order, and
+    # the row-major rank of the other m - 2 coordinates: ``point`` without
+    # its two free columns, both zero
+    b, c = remaining[:, 0], remaining[:, 1]
+    pair = b * (2 * m - b - 1) // 2 + c - b - 1
+    fixed = np.ones((trials, m), dtype=bool)
+    fixed[rows, b] = fixed[rows, c] = False
+    rank = point[fixed].reshape(trials, m - 2) @ code.n ** np.arange(m - 3, -1, -1)
+    fails = np.stack(_pair_fails(word, code))
+    rejections = int(np.count_nonzero(fails.reshape(len(fails), -1)[pair, rank]))
     return SampledRejection(
         estimate=Fraction(rejections, trials),
         rejections=rejections,

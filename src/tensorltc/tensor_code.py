@@ -91,14 +91,12 @@ class IndexPlan:
     read-only, C-ordered ``np.intp`` array, so a gather through it needs no
     conversion. An array of more than PLAN_CAP entries is refused before it
     is allocated. Axis pairs (b, c), b < c, are numbered in
-    ``itertools.combinations`` order; a two-axis slice of pair q has id
-    q * n^(m-2) plus the row-major index of its other m - 2 coordinates.
+    ``itertools.combinations`` order.
     """
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
         self.num_pairs = m * (m - 1) // 2
-        self.num_slices = self.num_pairs * n ** max(m - 2, 0)
 
     def _check(self, entries: int) -> None:
         if entries > PLAN_CAP:
@@ -155,25 +153,6 @@ class IndexPlan:
         return _read_only((q * self.n + coords[b]) * self.n + coords[c])
 
     @functools.cached_property
-    def pair_id(self) -> np.ndarray:
-        """Shape (m, m): the number of pair {b, c} at [b, c] and [c, b]; -1 on
-        the diagonal."""
-        ids = np.full((self.m, self.m), -1, dtype=np.intp)
-        b, c = self.pairs
-        ids[b, c] = ids[c, b] = np.arange(self.num_pairs)
-        return _read_only(ids)
-
-    @functools.cached_property
-    def slice_place(self) -> np.ndarray:
-        """Shape (P, m): the place value of coordinate x_a in the slice id of
-        pair q, zero on the pair's own two axes."""
-        place = np.zeros((self.num_pairs, self.m), dtype=np.intp)
-        for q, pair in enumerate(self.pairs.T.tolist()):
-            others = [a for a in range(self.m) if a not in pair]
-            place[q, others] = self.n ** np.arange(len(others) - 1, -1, -1)
-        return _read_only(place)
-
-    @functools.cached_property
     def lines(self) -> np.ndarray:
         """Shape (m, n^(m-1), n): row [a, j] lists the points of the j-th line
         parallel to axis a + 1, lines in row-major order of the other m - 1
@@ -182,21 +161,6 @@ class IndexPlan:
         return _read_only(
             np.stack([np.moveaxis(grid, a, -1).reshape(-1, self.n) for a in range(self.m)])
         )
-
-    @functools.cached_property
-    def line_slice(self) -> np.ndarray:
-        """Shape (m, n^(m-1), m-1): the ids of the m - 1 two-axis slices that
-        hold line [a, j], one per other axis in ascending order."""
-        m, n = self.m, self.n
-        self._check(m * n ** (m - 1) * (m - 1))
-        offsets = np.arange(self.num_pairs, dtype=np.intp) * n ** max(m - 2, 0)
-        coords = self._coords()
-        out = np.empty((m, n ** (m - 1), m - 1), dtype=np.intp)
-        for a in range(m):
-            # the coordinates of each line's first point; slice ids ignore x_a
-            q = np.delete(self.pair_id[a], a)
-            out[a] = offsets[q] + coords[:, self.lines[a, :, 0]].T @ self.slice_place[q].T
-        return _read_only(out)
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)

@@ -2,7 +2,8 @@
 
 Each function is the loop form that the library's array form replaced:
 line checks one axis at a time, the recursive encoder, the composed
-tester walked path by path or draw by draw, the plane opinions gathered
+tester walked path by path or draw by draw and its pair weights
+counted by a memo over the remaining axes, the plane opinions gathered
 one plane at a time into a dict, each with its own oracle call for the
 tester, the pairwise plane loop behind the disagreement tensor, the
 heavy-plane cover checked point by point and the subcube built from
@@ -18,8 +19,10 @@ The differential tests require the two forms to agree exactly.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,6 +113,26 @@ def rejection_probability_exact(
 
     rejected, total = count(word.entries, code.m)
     return Fraction(rejected, total)
+
+
+@functools.cache
+def pair_weights(m: int, axis_mode: str = "all") -> tuple[int, ...]:
+    """Count the axis-choice sequences that leave each pair free, memoised
+    on the tuple of remaining axes: 2^m states."""
+    memo: dict[tuple[int, ...], Counter] = {}
+
+    def counts(remaining: tuple[int, ...]) -> Counter:
+        if len(remaining) == 2:
+            return Counter({remaining: 1})
+        if remaining not in memo:
+            total: Counter = Counter()
+            for rel in range(tester_axis_count(len(remaining), axis_mode)):
+                total.update(counts(remaining[:rel] + remaining[rel + 1 :]))
+            memo[remaining] = total
+        return memo[remaining]
+
+    free = counts(tuple(range(m)))
+    return tuple(free[pair] for pair in itertools.combinations(range(m), 2))
 
 
 def sampled_rejections(

@@ -41,7 +41,8 @@ def missing_names(path: Path) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "script", ["perfbench/workloads.py", "scripts/cli_identity.py", "scripts/layer_times.py"]
+    "script",
+    ["perfbench/workloads.py", "scripts/cap_edge.py", "scripts/cli_identity.py", "scripts/layer_times.py"],
 )
 def test_library_names_used_outside_tests_exist(script):
     assert missing_names(ROOT / script) == []

@@ -266,6 +266,19 @@ sys.exit(code)
 """
 
 
+def run_capped(argv: list[str], out: Path) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a CAPPED_CHILD with a 60 s timeout: (child, wall s)."""
+    start = time.perf_counter()
+    child = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return child, time.perf_counter() - start
+
+
 @pytest.mark.parametrize("kind, family", [("rejection", "parity:3"), ("robustness", "repetition:3")])
 def test_index_plans_above_the_cap_exit_two_at_once(tmp_path, kind, family):
     """3^15 entries pass the word-file cap, but the line and plane-view
@@ -273,13 +286,7 @@ def test_index_plans_above_the_cap_exit_two_at_once(tmp_path, kind, family):
     the plan refuses them before allocating anything."""
     out = tmp_path / "rows.csv"
     argv = ["experiment", "--kind", kind, "--family", family, "--m", "15", "--trials", "1"]
-    child = subprocess.run(
-        [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(out)],
-        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    child, _ = run_capped(argv, out)
     assert child.returncode == 2, child.stderr
     assert "index array" in child.stderr and "Traceback" not in child.stderr
     assert float(child.stdout) < 1
@@ -291,17 +298,30 @@ def test_flat_codes_build_no_parity_check_matrix(tmp_path, family, m):
     """The flat code of 3^9 or 2^14 entries would have a dense parity-check
     matrix of 2.89 or 2.00 GiB, which nothing in a robustness run reads."""
     argv = ["experiment", "--kind", "robustness", "--family", family, "--m", m, "--trials", "1"]
-    start = time.perf_counter()
-    child = subprocess.run(
-        [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(tmp_path / "rows.csv")],
-        env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert time.perf_counter() - start < 10
+    child, wall = run_capped(argv, tmp_path / "rows.csv")
+    assert wall < 10
     assert child.returncode in (0, 2), child.stderr
     assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize(
+    "family, m, status",
+    [("parity:2", "18", 0), ("parity:3", "13", 0), ("parity:2", "22", 2), ("parity:2", "24", 2)],
+)
+def test_exact_rejection_needs_no_slice_tables(tmp_path, family, m, status):
+    """Failing slices come from the line-syndrome mask and pair weights
+    from a closed form, so no table grows with 2^m axis subsets or with
+    the slices of every line: parity(2)^18 and parity(3)^13 run in
+    seconds, and the line gather of the 2^22 and 2^24 cubes, over the
+    index-plan cap, is refused with exit 2."""
+    argv = ["experiment", "--kind", "rejection", "--family", family, "--m", m, "--trials", "1"]
+    child, wall = run_capped(argv, tmp_path / "rows.csv")
+    assert child.returncode == status, child.stderr
+    assert "Traceback" not in child.stderr
+    if status == 0:
+        assert wall < 5
+    else:
+        assert "index array" in child.stderr
 
 
 def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):

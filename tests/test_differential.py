@@ -12,7 +12,7 @@ import reference
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from tensorltc import analysis, linear_code, tensor_code
+from tensorltc import analysis, linear_code, local_testing, tensor_code
 from tensorltc.analysis import (
     OpinionTable,
     compute_opinions,
@@ -31,11 +31,7 @@ from tensorltc.linear_code import (
     random_linear_code,
     repetition_code,
 )
-from tensorltc.local_testing import (
-    rejection_probability_exact,
-    rejection_probability_sampled,
-    robustness_exact,
-)
+from tensorltc.local_testing import rejection_probability_exact, robustness_exact
 from tensorltc.noise import codeword_plus_errors, planted_word, random_word
 from tensorltc.tensor_code import EncodeCounter, PlaneIndex, TensorCode, TensorWord
 
@@ -90,29 +86,54 @@ def test_encode_matches_recursive_reference(base, m, seed):
     assert counter.base_calls == ref_counter.base_calls
 
 
-@PROPERTY
-@given(codes(), st.integers(3, 4), st.sampled_from(AXIS_MODES), st.integers(0, 2**32 - 1))
-def test_exact_rejection_matches_path_enumeration(base, m, axis_mode, seed):
+def check_exact_rejection(module, base, m, axis_mode, seed):
     code = TensorCode(base, m)
     rng = np.random.default_rng(seed)
     for word in (near_codeword(code, rng), random_word(code, seed)):
         expected = reference.rejection_probability_exact(word, code, axis_mode)
-        assert rejection_probability_exact(word, code, axis_mode) == expected
+        assert module.rejection_probability_exact(word, code, axis_mode) == expected
 
 
-@PROPERTY
-@given(
+def check_sampled_rejection(module, base, m, axis_mode, trials, seed):
+    code = TensorCode(base, m)
+    word = near_codeword(code, np.random.default_rng(seed))
+    sampled = module.rejection_probability_sampled(word, code, trials, seed, axis_mode)
+    assert sampled.rejections == reference.sampled_rejections(word, code, trials, seed, axis_mode)
+
+
+def check_pair_weights(module, m, axis_mode):
+    assert module._pair_weights(m, axis_mode) == reference.pair_weights(m, axis_mode)
+
+
+# Path enumeration reads n^(m-2) squares per axis-choice sequence: at most
+# 3,840 at n = 4, m = 5.
+EXACT_ARGS = (codes(), st.integers(3, 5), st.sampled_from(AXIS_MODES), st.integers(0, 2**32 - 1))
+SAMPLED_ARGS = (
     codes(),
-    st.integers(3, 4),
+    st.integers(3, 5),
     st.sampled_from(AXIS_MODES),
     st.integers(1, 300),
     st.integers(0, 2**32 - 1),
 )
+WEIGHT_ARGS = (st.integers(3, 14), st.sampled_from(AXIS_MODES))
+
+
+@PROPERTY
+@given(*EXACT_ARGS)
+def test_exact_rejection_matches_path_enumeration(base, m, axis_mode, seed):
+    check_exact_rejection(local_testing, base, m, axis_mode, seed)
+
+
+@PROPERTY
+@given(*SAMPLED_ARGS)
 def test_sampled_rejection_matches_per_draw_loop(base, m, axis_mode, trials, seed):
-    code = TensorCode(base, m)
-    word = near_codeword(code, np.random.default_rng(seed))
-    sampled = rejection_probability_sampled(word, code, trials, seed, axis_mode)
-    assert sampled.rejections == reference.sampled_rejections(word, code, trials, seed, axis_mode)
+    check_sampled_rejection(local_testing, base, m, axis_mode, trials, seed)
+
+
+@pytest.mark.parametrize("axis_mode", AXIS_MODES)
+@pytest.mark.parametrize("m", range(3, 15))
+def test_pair_weights_match_memoised_count(m, axis_mode):
+    check_pair_weights(local_testing, m, axis_mode)
 
 
 def mixed_opinions(code: TensorCode, rng: np.random.Generator) -> tuple[TensorWord, OpinionTable]:
@@ -278,12 +299,9 @@ MUTATIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MUTATIONS))
-def test_analysis_properties_catch_mutations(monkeypatch, name):
+def load_mutant(monkeypatch, module, old, new):
     """A copy of a library module with one expression changed, held in
-    memory, must fail the property that guards that expression. A mutated
-    ``tensor_code`` serves its index plans to the real analysis."""
-    module, old, new, check, args = MUTATIONS[name]
+    memory under its own name."""
     source = inspect.getsource(module)
     assert source.count(old) == 1
     mutant_name = module.__name__.replace("tensorltc.", "tensorltc.mutated_")
@@ -291,17 +309,52 @@ def test_analysis_properties_catch_mutations(monkeypatch, name):
     mutant = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, mutant)
     exec(compile(source.replace(old, new), module.__file__, "exec"), mutant.__dict__)
-    if module is tensor_code:
-        monkeypatch.setattr(tensor_code, "index_plan", mutant.index_plan)
-        mutant = analysis
+    return mutant
 
+
+def assert_property_fails(check, module, args):
     @settings(PROPERTY, phases=[Phase.generate], report_multiple_bugs=False)
     @given(st.tuples(*args))
     def mutated_property(values):
-        check(mutant, *values)
+        check(module, *values)
 
     with pytest.raises(AssertionError):
         mutated_property()
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_analysis_properties_catch_mutations(monkeypatch, name):
+    """A mutated library module must fail the property that guards the
+    changed expression. A mutated ``tensor_code`` serves its index plans to
+    the real analysis."""
+    module, old, new, check, args = MUTATIONS[name]
+    mutant = load_mutant(monkeypatch, module, old, new)
+    if module is tensor_code:
+        monkeypatch.setattr(tensor_code, "index_plan", mutant.index_plan)
+        mutant = analysis
+    assert_property_fails(check, mutant, args)
+
+
+REJECTION_MUTATIONS = {
+    "slices fail on one free axis's lines": (
+        "along[c - 1][b] | along[b][c] for b, c",
+        "along[c - 1][b] for b, c",
+        [(check_exact_rejection, EXACT_ARGS), (check_sampled_rejection, SAMPLED_ARGS)],
+    ),
+    "first-three exponent c - b": (
+        "2 ** max(0, c - max(b, 2))",
+        "2 ** max(0, c - b)",
+        [(check_pair_weights, WEIGHT_ARGS)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_MUTATIONS))
+def test_rejection_properties_catch_mutations(monkeypatch, name):
+    old, new, checks = REJECTION_MUTATIONS[name]
+    mutant = load_mutant(monkeypatch, local_testing, old, new)
+    for check, args in checks:
+        assert_property_fails(check, mutant, args)
 
 
 def test_exact_rejection_without_path_cap():

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import reference
 from reference import all_planes
 
 from tensorltc.errors import CapacityError, ShapeError
 from tensorltc.field import PrimeField
-from tensorltc.linear_code import repetition_code
+from tensorltc.linear_code import parity_code, repetition_code
+from tensorltc.local_testing import _pair_fails
 from tensorltc.tensor_code import (
     PLAN_CACHE,
     EncodeCounter,
@@ -169,9 +171,7 @@ def test_sub_and_check_shape(cube3, parity3):
 
 # -- index plans -------------------------------------------------------------
 
-PLAN_ARRAYS = (
-    "views", "gather", "plane_of", "pairs", "pair_cell", "pair_id", "slice_place", "lines", "line_slice"
-)
+PLAN_ARRAYS = ("views", "gather", "plane_of", "pairs", "pair_cell", "lines")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -197,44 +197,28 @@ def test_index_plan_matches_axis_formulation(n, m):
         assert np.array_equal(plan.plane_of[b].reshape(shape), np.broadcast_to(b * n + point[b], shape))
 
     assert plan.pairs.T.tolist() == [list(pair) for pair in pairs]
-    assert np.diagonal(plan.pair_id).tolist() == [-1] * m
     for q, (b, c) in enumerate(pairs):
-        assert plan.pair_id[b, c] == plan.pair_id[c, b] == q
         cell = (q * n + point[b]) * n + point[c]
         assert np.array_equal(plan.pair_cell[q].reshape(shape), np.broadcast_to(cell, shape))
     for a in range(m):
         assert np.array_equal(plan.lines[a], np.moveaxis(grid, a, -1).reshape(-1, n))
 
-    # slice s of pair q = (b, c): b and c free, the other axes fixed at the
-    # row-major coordinates of s - q * n^(m-2)
-    per_pair = n ** (m - 2)
-    assert plan.num_slices == len(pairs) * per_pair
-    slice_points = []
-    for q, pair in enumerate(pairs):
-        for rest in itertools.product(range(n), repeat=m - 2):
-            fixed = iter(rest)
-            index = np.ix_(*[np.arange(n) if a in pair else [next(fixed)] for a in range(m)])
-            points = grid[index].reshape(-1)
-            slice_points.append(set(points.tolist()))
-            coords = np.stack(np.unravel_index(points, shape), axis=1)
-            ids = q * per_pair + coords @ plan.slice_place[q]
-            assert ids.tolist() == [len(slice_points) - 1] * points.size
-    for a in range(m):
-        others = [c for c in range(m) if c != a]
-        for j, line in enumerate(plan.lines[a].tolist()):
-            ids = plan.line_slice[a, j].tolist()
-            assert [pairs[s // per_pair] for s in ids] == [tuple(sorted((a, c))) for c in others]
-            assert all(set(line) <= slice_points[s] for s in ids)
-
-    # the slice-fail masks: a slice fails when a line along either free axis does
+    # the slice-fail masks against the square-power check of every slice:
+    # pair (b, c) free, the other axes fixed at the mask's coordinates
+    base = parity_code(n)
+    code = TensorCode(base, m)
     for density in (0.05, 0.3, 0.8):
-        violated = rng.random((m, n ** (m - 1))) < density
-        lines = violated.reshape((m,) + (n,) * (m - 1))
-        expected = np.concatenate(
-            [(lines[b].any(axis=c - 1) | lines[c].any(axis=b)).reshape(-1) for b, c in pairs]
-        )
-        fails = np.bincount(plan.line_slice[violated].reshape(-1), minlength=plan.num_slices) > 0
-        assert np.array_equal(fails, expected)
+        entries = (rng.random(shape) < density).astype(np.int64)
+        fails = _pair_fails(TensorWord(code.field, entries), code)
+        assert len(fails) == len(pairs)
+        for (b, c), fail in zip(pairs, fails):
+            others = [a for a in range(m) if a not in (b, c)]
+            assert fail.shape == (n,) * (m - 2)
+            for rest in itertools.product(range(n), repeat=m - 2):
+                square = entries
+                for a, x in reversed(list(zip(others, rest))):
+                    square = np.take(square, x, axis=a)
+                assert fail[rest] == (not reference.is_square_member(base, square))
 
 
 def test_index_plans_are_cached_per_shape():
@@ -242,18 +226,17 @@ def test_index_plans_are_cached_per_shape():
     assert index_plan(3, 4) is not index_plan(4, 3)
     assert index_plan.cache_info().maxsize == PLAN_CACHE
     plan = index_plan(2, 7)
-    assert "line_slice" not in vars(plan)  # arrays are built on first use
-    assert plan.line_slice is plan.line_slice
+    assert "pair_cell" not in vars(plan)  # arrays are built on first use
+    assert plan.pair_cell is plan.pair_cell
 
 
 def test_index_plan_refuses_arrays_above_the_cap():
     """Each array of the 3^15 plan would hold at least 15 * 3^15 entries:
-    refused before anything is allocated. At m = 13 the pair cells and the
-    line slices, 78 and 12 * 13 / 3 entries per point, exceed it."""
+    refused before anything is allocated. At m = 13 the pair cells, 78
+    entries per point, exceed it."""
     plan = IndexPlan(3, 15)
-    for name in ("views", "gather", "plane_of", "pair_cell", "lines", "line_slice"):
+    for name in ("views", "gather", "plane_of", "pair_cell", "lines"):
         with pytest.raises(CapacityError, match="3\\^15 cube exceeds cap"):
             getattr(plan, name)
-    for name in ("pair_cell", "line_slice"):
-        with pytest.raises(CapacityError):
-            getattr(IndexPlan(3, 13), name)
+    with pytest.raises(CapacityError):
+        IndexPlan(3, 13).pair_cell
