@@ -1,7 +1,8 @@
 """Per-word time of each per-word layer and of the square decoder's layers.
 
-For m = 3, 4, 5 and both tester axis modes, prints the best of 7 passes
-over 300 seeded random parity(3)^m words, in microseconds per word, for:
+For m = 3, 4, 5 and both tester axis modes, prints the median and, in
+parentheses, the fastest and slowest of 7 passes over 300 seeded random
+parity(3)^m words, in microseconds per word, for:
 
 - ``oracle``: the plane-view oracle, through ``robustness_exact`` in that
   axis mode (each word misses the one-word memo);
@@ -14,9 +15,9 @@ over 300 seeded random parity(3)^m words, in microseconds per word, for:
 The disagreement layers do not read the axis mode, so their two rows
 measure the same calls.
 
-For the square decoder it prints the best of 7 passes over 300 seeded
-words of each kind the decode-square benchmark decodes, in microseconds
-per call:
+For the square decoder it prints the same three figures over 7 passes
+over 300 seeded words of each kind the decode-square benchmark decodes,
+in microseconds per call:
 
 - ``rep5``, ``rep400``: repetition(50)^2 codewords with 5 (in budget) and
   400 flipped entries; ``random``: uniform binary 50 x 50 words;
@@ -26,8 +27,10 @@ per call:
 - ``pass5``: the column check of pass 5 on the word's decoded rows
   (failed rows zero), a matrix whose rows are all codewords.
 
-BLAS is pinned to one thread. The package is imported from this
-checkout's ``src/``.
+The spread between the fastest and slowest pass shows how far the host
+drifts during a run; a change smaller than it is not resolved. BLAS is
+pinned to one thread. The package is imported from this checkout's
+``src/``.
 
     python3 scripts/layer_times.py                  # both tables (about a minute)
     python3 scripts/layer_times.py --m 3 4          # a subset of the per-word table
@@ -45,6 +48,7 @@ import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+from statistics import median  # noqa: E402
 from time import perf_counter  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -83,17 +87,22 @@ def _subcube(report):
         return None
 
 
-def best_us(call, items, fresh=list) -> float:
-    """Best of PASSES passes of ``call`` over ``fresh(items)``, in us per
+def pass_us(call, items, fresh=list) -> list[float]:
+    """Each of PASSES passes of ``call`` over ``fresh(items)``, in us per
     item; ``fresh`` runs untimed before each pass."""
-    best = float("inf")
+    times = []
     for _ in range(PASSES):
         batch = fresh(items)
         start = perf_counter()
         for item in batch:
             call(item)
-        best = min(best, perf_counter() - start)
-    return best / len(items) * 1e6
+        times.append((perf_counter() - start) / len(items) * 1e6)
+    return times
+
+
+def cell(times: list[float], width: int) -> str:
+    """``median (min-max)`` of the passes, right-aligned."""
+    return f"{median(times):.1f} ({min(times):.1f}-{max(times):.1f})".rjust(width)
 
 
 def fresh_reports(reports):
@@ -102,7 +111,7 @@ def fresh_reports(reports):
     return [dataclasses.replace(report) for report in reports]
 
 
-def layer_times(m: int, axis_mode: str) -> dict[str, float]:
+def layer_times(m: int, axis_mode: str) -> dict[str, list[float]]:
     code = TensorCode(parity_code(3), m)
     shape = (code.n,) * m
     rng = np.random.default_rng(m)
@@ -110,15 +119,15 @@ def layer_times(m: int, axis_mode: str) -> dict[str, float]:
     tables = [compute_opinions(word, code) for word in words]
     reports = [inconsistency(word, table) for word, table in zip(words, tables)]
     return {
-        "oracle": best_us(lambda word: robustness_exact(word, code, axis_mode), words),
-        "inconsistency": best_us(lambda pair: inconsistency(*pair), list(zip(words, tables))),
-        "cover": best_us(verify_heavy_cover, reports, fresh_reports),
-        "subcube": best_us(_subcube, reports, fresh_reports),
-        "rejection": best_us(lambda word: rejection_probability_exact(word, code, axis_mode), words),
+        "oracle": pass_us(lambda word: robustness_exact(word, code, axis_mode), words),
+        "inconsistency": pass_us(lambda pair: inconsistency(*pair), list(zip(words, tables))),
+        "cover": pass_us(verify_heavy_cover, reports, fresh_reports),
+        "subcube": pass_us(_subcube, reports, fresh_reports),
+        "rejection": pass_us(lambda word: rejection_probability_exact(word, code, axis_mode), words),
     }
 
 
-def decoder_times(kind: str) -> dict[str, float]:
+def decoder_times(kind: str) -> dict[str, list[float]]:
     base, errors = DECODE_KINDS[kind]
     cfg = DecoderConfig.for_code(base)
     square = TensorCode(base, 2)
@@ -129,10 +138,10 @@ def decoder_times(kind: str) -> dict[str, float]:
     lines = [np.concatenate([word.entries, word.entries.T]) for word in words]
     rows = [base.bounded_distance_decode_batch(word.entries, cfg.radius)[0] for word in words]
     return {
-        "decode_square": best_us(lambda word: decode_square(word, cfg), words),
-        "pass1": best_us(lambda line: base.bounded_distance_decode_batch(line, cfg.radius), lines),
+        "decode_square": pass_us(lambda word: decode_square(word, cfg), words),
+        "pass1": pass_us(lambda line: base.bounded_distance_decode_batch(line, cfg.radius), lines),
         # the check decode_square makes in pass 5
-        "pass5": best_us(lambda out: base.syndrome(out.take(base.pivots, axis=1).T).any(), rows),
+        "pass5": pass_us(lambda out: base.syndrome(out.take(base.pivots, axis=1).T).any(), rows),
     }
 
 
@@ -142,18 +151,18 @@ def main(argv=None) -> None:
     parser.add_argument("--only", choices=["words", "decoder"])
     args = parser.parse_args(argv)
     if args.only != "decoder":
-        print(f"us per word, best of {PASSES} passes over {WORDS} parity(3)^m words")
-        print(f"{'m':>2} {'axes':<12}" + "".join(f"{name:>14}" for name in LAYERS))
+        print(f"us per word, median (min-max) of {PASSES} passes, {WORDS} parity(3)^m words")
+        print(f"{'m':>2} {'axes':<12}" + "".join(f"{name:>24}" for name in LAYERS))
         for m in args.m:
             for axis_mode in ("all", "first-three"):
                 times = layer_times(m, axis_mode)
-                print(f"{m:>2} {axis_mode:<12}" + "".join(f"{times[name]:>14.1f}" for name in LAYERS))
+                print(f"{m:>2} {axis_mode:<12}" + "".join(cell(times[name], 24) for name in LAYERS))
     if args.only != "words":
-        print(f"us per call, best of {PASSES} passes over {WORDS} words of each kind")
-        print(f"{'kind':<8}" + "".join(f"{name:>15}" for name in DECODER_LAYERS))
+        print(f"us per call, median (min-max) of {PASSES} passes over {WORDS} words of each kind")
+        print(f"{'kind':<8}" + "".join(f"{name:>24}" for name in DECODER_LAYERS))
         for kind in DECODE_KINDS:
             times = decoder_times(kind)
-            print(f"{kind:<8}" + "".join(f"{times[name]:>15.1f}" for name in DECODER_LAYERS))
+            print(f"{kind:<8}" + "".join(cell(times[name], 24) for name in DECODER_LAYERS))
 
 
 if __name__ == "__main__":

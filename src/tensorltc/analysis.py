@@ -82,10 +82,9 @@ class InconsistencyReport:
     def uncovered(self) -> np.ndarray:
         """bool, shape (n,)*m: the marks that lie in no heavy plane."""
         code = self.code
-        plan = index_plan(code.n, code.m)
-        # covered[x] is true when some plane (b + 1, x_b) through x is heavy
-        covered = self.heavy.reshape(-1)[plan.plane_of].any(axis=0)
-        return (self.disagreement != 0) & ~covered.reshape(self.disagreement.shape)
+        uncovered = self.disagreement.astype(bool)  # a copy, cleared on every heavy plane
+        uncovered.reshape(-1)[index_plan(code.n, code.m).views[self.heavy.reshape(-1)]] = False
+        return uncovered
 
     @functools.cached_property
     def num_to_fix(self) -> int:
@@ -125,7 +124,7 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
     # Points some containing plane wants changed.
     wants_change = (at != word.entries.reshape(-1)).any(axis=0)
 
-    marks = np.bincount(plan.plane_of[:, disagree].reshape(-1), minlength=m * n).reshape(m, n)
+    marks = disagree[plan.views].reshape(m, n, -1).sum(axis=-1)
     return InconsistencyReport(
         code=code,
         disagreement=disagree.view(np.uint8).reshape((n,) * m),

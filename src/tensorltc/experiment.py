@@ -155,18 +155,11 @@ def _make_word(code: TensorCode, spec: ExperimentSpec, seed: int) -> TensorWord:
     return noise.planted_word(code, seed)
 
 
-def _row(
-    code: TensorCode,
-    spec: ExperimentSpec,
-    trial: int,
-    seed: int,
-    delta: Fraction,
-    distance_mode: str,
-    statistic: str,
-    value,
-    bound,
-    satisfied: bool,
-) -> ResultRow:
+def _trial(runner, code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
+    """One result row: ``runner(code, spec, seed)`` returns (delta,
+    distance mode, statistic, value, bound, satisfied) for the trial's seed."""
+    seed = trial_seed(spec.seed, trial)
+    delta, distance_mode, statistic, value, bound, satisfied = runner(code, spec, seed)
     return ResultRow(
         trial=trial,
         kind=spec.kind,
@@ -183,35 +176,33 @@ def _row(
     )
 
 
-def _robustness_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
-    seed = trial_seed(spec.seed, trial)
+def _robustness_trial(code: TensorCode, spec: ExperimentSpec, seed: int) -> tuple:
     word = _make_word(code, spec, seed)
     rho = robustness_exact(word, code, spec.axis_mode)
     delta, mode = word_relative_distance(code, word)
     bound = robustness_lower_bound(code) * delta
-    return _row(code, spec, trial, seed, delta, mode, "robustness_exact", rho, bound, rho >= bound)
+    return delta, mode, "robustness_exact", rho, bound, rho >= bound
 
 
-def _rejection_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
-    seed = trial_seed(spec.seed, trial)
+def _rejection_trial(code: TensorCode, spec: ExperimentSpec, seed: int) -> tuple:
+    # the tester first: a word too large for its line syndromes is refused
+    # before the distance search
     word = _make_word(code, spec, seed)
-    delta, mode = word_relative_distance(code, word)
-    bound = composed_robustness_bound(code) * delta
+    slack = 0
     if spec.sample_trials > 0:
         sampled = rejection_probability_sampled(
             word, code, spec.sample_trials, seed, spec.axis_mode
         )
-        slack = Fraction(3 * sampled.standard_error).limit_denominator(10**9)
         statistic, value = "rejection_sampled", sampled.estimate
-        satisfied = value + slack >= bound
+        slack = Fraction(3 * sampled.standard_error).limit_denominator(10**9)
     else:
         statistic, value = "rejection_exact", rejection_probability_exact(word, code, spec.axis_mode)
-        satisfied = value >= bound
-    return _row(code, spec, trial, seed, delta, mode, statistic, value, bound, satisfied)
+    delta, mode = word_relative_distance(code, word)
+    bound = composed_robustness_bound(code) * delta
+    return delta, mode, statistic, value, bound, value + slack >= bound
 
 
-def _decode_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
-    seed = trial_seed(spec.seed, trial)
+def _decode_trial(code: TensorCode, spec: ExperimentSpec, seed: int) -> tuple:
     clean, noisy = noise.codeword_plus_errors(code, spec.errors, seed)
     cfg = DecoderConfig.for_code(code.base)
     decoded, _ = decode_square(noisy, cfg)
@@ -220,8 +211,7 @@ def _decode_trial(code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultR
     unique_radius = (code.base.minimum_distance() ** 2 - 1) // 2
     mode = "exact" if spec.errors <= unique_radius else "upper_bound"
     delta = Fraction(spec.errors, code.blocklength)
-    satisfied = success or spec.errors > budget
-    return _row(code, spec, trial, seed, delta, mode, "decode_exact", int(success), budget, satisfied)
+    return delta, mode, "decode_exact", int(success), budget, success or spec.errors > budget
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -242,7 +232,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         raise CapacityError(
             f"experiment words of {code.n}^{code.m} entries exceed cap {FILE_CAP}"
         )
-    run = functools.partial(runner, code, spec)
+    run = functools.partial(_trial, runner, code, spec)
     # trial 0 builds every lazy cache the trials share before any worker starts
     rows = [run(0)]
     threads = max(1, int(os.environ.get("TENSORLTC_THREADS", "1")))

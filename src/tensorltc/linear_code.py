@@ -109,7 +109,7 @@ class LinearCode:
         self.pivots.flags.writeable = False
         self._distance: int | None = None
         self._codebook: np.ndarray | None = None
-        self._packed: np.ndarray | None = None
+        self._packed: list[tuple[int, np.ndarray]] | None = None
         self._coset_tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     @functools.cached_property
@@ -243,19 +243,17 @@ class LinearCode:
             symbols |= bits[:, j].astype(np.int64) << j
         return symbols
 
-    def packed_codebook(self) -> np.ndarray | None:
-        """The codebook the nearest oracle scans, packed column-wise.
+    def _packed_blocks(self):
+        """The codebook the nearest oracle scans, as ``(start, columns)``
+        pairs of packed blocks in message order.
 
-        Built from the block enumerator on first use and cached when
-        p**k <= CODEBOOK_CAP; None above that, where the oracle streams
-        packed blocks instead.
+        A list built on first use and cached when p**k <= CODEBOOK_CAP;
+        above that, a generator that packs each block as it is enumerated.
         """
         if exceeds_cap(self.p, self.k, CODEBOOK_CAP):
-            return None
+            return ((start, self._pack_columns(block)) for start, block in self._blocks())
         if self._packed is None:
-            self._packed = np.concatenate(
-                [self._pack_columns(block) for _, block in self._blocks()], axis=2
-            )
+            self._packed = [(start, self._pack_columns(block)) for start, block in self._blocks()]
         return self._packed
 
     def _scan(self, words: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,26 +284,21 @@ class LinearCode:
         Words and codewords are compared in bit-plane form: each symbol is
         split into ceil(log2 p) bits, each bit position packed into uint64
         words, and the distance is the popcount of the OR over planes of
-        word XOR codeword. The packed codebook is cached up to CODEBOOK_CAP
-        codewords and streamed block by block above that; the winners are
-        unpacked from it, not re-encoded.
+        word XOR codeword. One loop scans the packed blocks, cached up to
+        CODEBOOK_CAP codewords and streamed above that: block 0 seeds each
+        word's best, and a later block replaces it only when strictly
+        nearer. The winners are unpacked from the blocks, not re-encoded.
         """
         words = self.field.validate(np.atleast_2d(np.asarray(words)))
         if words.shape[1] != self.n:
             raise ShapeError(f"word length {words.shape[1]} != n = {self.n}")
         check_search(self.p, self.k)
         packed = self._pack(words)
-        cached = self.packed_codebook()
-        if cached is not None:
-            best_d, best_i = self._scan(packed, cached)
-            winners = cached[:, :, best_i]
-        else:
-            best_d = np.full(words.shape[0], self.n + 1, dtype=np.int64)
-            best_i = np.zeros(words.shape[0], dtype=np.int64)
-            winners = np.zeros(packed.shape[1:] + packed.shape[:1], dtype=np.uint64)
-            for start, block in self._blocks():
-                columns = self._pack_columns(block)
-                d, i = self._scan(packed, columns)
+        for start, columns in self._packed_blocks():
+            d, i = self._scan(packed, columns)
+            if start == 0:
+                best_d, best_i, winners = d, i, columns[:, :, i]
+            else:
                 better = d < best_d  # a later block wins only on a strict <
                 best_d[better] = d[better]
                 best_i[better] = start + i[better]

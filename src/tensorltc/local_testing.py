@@ -93,7 +93,7 @@ def _pair_fails(word: TensorWord, code: TensorCode) -> list[np.ndarray]:
     two free axes, violates a base check.
     """
     m, n = code.m, code.n
-    violated = line_syndromes(code.base, word.entries).any(axis=-1)
+    violated = line_syndromes(code.base, word.entries).any(axis=1)
     violated = violated.reshape((m,) + (n,) * (m - 1))
     # along[j][a]: some line parallel to axis a violates, over the j-th of
     # its m - 1 other coordinates

@@ -109,14 +109,11 @@ class IndexPlan:
         self._check(self.m * self.n**self.m)  # the size of each array stacked from it
         return np.arange(self.n**self.m, dtype=np.intp).reshape((self.n,) * self.m)
 
-    def _coords(self) -> np.ndarray:
-        """coords[b, x] = x_b for every flat point x, shape (m, n^m)."""
-        self._check(self.m * self.n**self.m)
-        return np.indices((self.n,) * self.m, dtype=np.intp).reshape(self.m, -1)
-
     @functools.cached_property
     def views(self) -> np.ndarray:
-        """Shape (m*n, n^(m-1)): row b*n + i lists plane (b + 1, i)'s points."""
+        """Shape (m*n, n^(m-1)): row b*n + i lists plane (b + 1, i)'s points,
+        in row-major order of the other m - 1 coordinates, so column j of
+        rows b*n .. b*n + n - 1 is the j-th line parallel to axis b + 1."""
         grid = self._grid()
         views = np.stack([np.moveaxis(grid, b, 0) for b in range(self.m)])
         return _read_only(views.reshape(self.m * self.n, -1))
@@ -131,13 +128,6 @@ class IndexPlan:
         )
 
     @functools.cached_property
-    def plane_of(self) -> np.ndarray:
-        """Shape (m, n^m): b*n + x_b, the [b, i] index of the plane on axis
-        b + 1 through point x."""
-        offsets = self.n * np.arange(self.m, dtype=np.intp)[:, None]
-        return _read_only(self._coords() + offsets)
-
-    @functools.cached_property
     def pairs(self) -> np.ndarray:
         """Shape (2, P): the axes b < c of each pair."""
         pairs = np.array(list(itertools.combinations(range(self.m), 2)), dtype=np.intp)
@@ -147,20 +137,11 @@ class IndexPlan:
     def pair_cell(self) -> np.ndarray:
         """Shape (P, n^m): q*n^2 + x_b*n + x_c, the cell of pair q = (b, c)
         that holds point x."""
-        self._check(self.num_pairs * self.n**self.m)
-        coords, (b, c) = self._coords(), self.pairs
+        n, m = self.n, self.m
+        self._check(max(m, self.num_pairs) * n**m)  # the coordinates or the cells
+        coords, (b, c) = np.indices((n,) * m, dtype=np.intp).reshape(m, -1), self.pairs
         q = np.arange(self.num_pairs, dtype=np.intp)[:, None]
-        return _read_only((q * self.n + coords[b]) * self.n + coords[c])
-
-    @functools.cached_property
-    def lines(self) -> np.ndarray:
-        """Shape (m, n^(m-1), n): row [a, j] lists the points of the j-th line
-        parallel to axis a + 1, lines in row-major order of the other m - 1
-        coordinates."""
-        grid = self._grid()
-        return _read_only(
-            np.stack([np.moveaxis(grid, a, -1).reshape(-1, self.n) for a in range(self.m)])
-        )
+        return _read_only((q * n + coords[b]) * n + coords[c])
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
@@ -171,15 +152,16 @@ def index_plan(n: int, m: int) -> IndexPlan:
 
 
 def line_syndromes(base: LinearCode, entries: np.ndarray) -> np.ndarray:
-    """Syndromes of every axis-parallel line of an m-axis array.
+    """Syndromes of every axis-parallel line of a validated m-axis array.
 
-    Shape (m, n^(m-1), n - k): row [a, j] is the syndrome of line j
+    Shape (m, n - k, n^(m-1)): column [a, :, j] is the syndrome of line j
     parallel to (0-based) axis a, lines in row-major order of the other
-    m - 1 axes (``IndexPlan.lines``). The array is a word of the m-fold
-    power exactly when the result is all zero.
+    m - 1 axes, read as the columns of the axis's plane views. The array
+    is a word of the m-fold power exactly when the result is all zero.
     """
-    plan = index_plan(entries.shape[0], entries.ndim)
-    return base.syndrome(entries.reshape(-1)[plan.lines])
+    n, m = entries.shape[0], entries.ndim
+    views = entries.reshape(-1)[index_plan(n, m).views].reshape(m, n, -1)
+    return (base.H @ views) % base.p
 
 
 def complete_subcube(

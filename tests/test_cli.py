@@ -281,9 +281,9 @@ def run_capped(argv: list[str], out: Path) -> tuple[subprocess.CompletedProcess,
 
 @pytest.mark.parametrize("kind, family", [("rejection", "parity:3"), ("robustness", "repetition:3")])
 def test_index_plans_above_the_cap_exit_two_at_once(tmp_path, kind, family):
-    """3^15 entries pass the word-file cap, but the line and plane-view
-    index arrays of the 3^15 cube hold 15 * 3^15 entries, 1.6 GiB of intp:
-    the plan refuses them before allocating anything."""
+    """3^15 entries pass the word-file cap, but the plane-view index array
+    of the 3^15 cube, which the line syndromes also read, holds 15 * 3^15
+    entries, 1.6 GiB of intp: the plan refuses it before allocating it."""
     out = tmp_path / "rows.csv"
     argv = ["experiment", "--kind", kind, "--family", family, "--m", "15", "--trials", "1"]
     child, _ = run_capped(argv, out)
@@ -312,8 +312,8 @@ def test_exact_rejection_needs_no_slice_tables(tmp_path, family, m, status):
     """Failing slices come from the line-syndrome mask and pair weights
     from a closed form, so no table grows with 2^m axis subsets or with
     the slices of every line: parity(2)^18 and parity(3)^13 run in
-    seconds, and the line gather of the 2^22 and 2^24 cubes, over the
-    index-plan cap, is refused with exit 2."""
+    seconds, and the plane views of the 2^22 and 2^24 cubes, over the
+    index-plan cap, are refused with exit 2."""
     argv = ["experiment", "--kind", "rejection", "--family", family, "--m", m, "--trials", "1"]
     child, wall = run_capped(argv, tmp_path / "rows.csv")
     assert child.returncode == status, child.stderr
@@ -322,6 +322,24 @@ def test_exact_rejection_needs_no_slice_tables(tmp_path, family, m, status):
         assert wall < 5
     else:
         assert "index array" in child.stderr
+
+
+@pytest.mark.parametrize("sample", ["0", "100"])
+@pytest.mark.parametrize(
+    "family, m", [("repetition:3", "15"), ("parity:2", "22"), ("parity:2", "24")]
+)
+def test_rejection_refusals_come_before_the_distance(tmp_path, family, m, sample):
+    """The tester runs before the exact distance search, so a word whose
+    plane views are over the index-plan cap is refused at once, exact or
+    sampled, without scanning the flat code first. Half a second, not the
+    1 s refusal budget: searching the distance of parity(2)^22 first
+    already takes most of a second."""
+    argv = ["experiment", "--kind", "rejection", "--family", family, "--m", m, "--trials", "1",
+            "--sample-trials", sample]
+    child, _ = run_capped(argv, tmp_path / "rows.csv")
+    assert child.returncode == 2, child.stderr
+    assert "index array" in child.stderr and "Traceback" not in child.stderr
+    assert float(child.stdout) < 0.5
 
 
 def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):

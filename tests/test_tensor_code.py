@@ -9,7 +9,7 @@ from reference import all_planes
 
 from tensorltc.errors import CapacityError, ShapeError
 from tensorltc.field import PrimeField
-from tensorltc.linear_code import parity_code, repetition_code
+from tensorltc.linear_code import parity_code, random_linear_code, repetition_code
 from tensorltc.local_testing import _pair_fails
 from tensorltc.tensor_code import (
     PLAN_CACHE,
@@ -18,6 +18,7 @@ from tensorltc.tensor_code import (
     TensorCode,
     TensorWord,
     index_plan,
+    line_syndromes,
     load_tensor,
     save_tensor,
 )
@@ -171,7 +172,7 @@ def test_sub_and_check_shape(cube3, parity3):
 
 # -- index plans -------------------------------------------------------------
 
-PLAN_ARRAYS = ("views", "gather", "plane_of", "pairs", "pair_cell", "lines")
+PLAN_ARRAYS = ("views", "gather", "pairs", "pair_cell")
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -194,14 +195,23 @@ def test_index_plan_matches_axis_formulation(n, m):
     at = nearest.reshape(-1)[plan.gather]
     for b in range(m):
         assert np.array_equal(at[b].reshape(shape), np.moveaxis(nearest[b].reshape(shape), 0, b))
-        assert np.array_equal(plan.plane_of[b].reshape(shape), np.broadcast_to(b * n + point[b], shape))
 
     assert plan.pairs.T.tolist() == [list(pair) for pair in pairs]
     for q, (b, c) in enumerate(pairs):
         cell = (q * n + point[b]) * n + point[c]
         assert np.array_equal(plan.pair_cell[q].reshape(shape), np.broadcast_to(cell, shape))
-    for a in range(m):
-        assert np.array_equal(plan.lines[a], np.moveaxis(grid, a, -1).reshape(-1, n))
+
+    # column [a, :, j] of the line syndromes is line j along axis a, lines in
+    # row-major order of the other axes
+    for p in (2, 3, 5):
+        for k in range(1, n + 1):
+            line_code = random_linear_code(n, k, p, seed=rng.integers(2**32))
+            e = rng.integers(0, p, size=shape)
+            syndromes = line_syndromes(line_code, e)
+            assert syndromes.shape == (m, n - k, n ** (m - 1))
+            for a in range(m):
+                lines = np.moveaxis(e, a, -1).reshape(-1, n)
+                assert np.array_equal(syndromes[a].T, line_code.syndrome(lines))
 
     # the slice-fail masks against the square-power check of every slice:
     # pair (b, c) free, the other axes fixed at the mask's coordinates
@@ -235,7 +245,7 @@ def test_index_plan_refuses_arrays_above_the_cap():
     refused before anything is allocated. At m = 13 the pair cells, 78
     entries per point, exceed it."""
     plan = IndexPlan(3, 15)
-    for name in ("views", "gather", "plane_of", "pair_cell", "lines"):
+    for name in ("views", "gather", "pair_cell"):
         with pytest.raises(CapacityError, match="3\\^15 cube exceeds cap"):
             getattr(plan, name)
     with pytest.raises(CapacityError):
