@@ -27,14 +27,27 @@ in microseconds per call:
 - ``pass5``: the column check of pass 5 on the word's decoded rows
   (failed rows zero), a matrix whose rows are all codewords.
 
+For the codebook it prints the same three figures over 7 passes, in
+microseconds per call:
+
+- ``pack``: a cold enumerate-and-pack, all packed blocks of a fresh code
+  object, for the flat codes of parity(3)^4 ([81, 16]) and hamming74^2
+  ([49, 16]), for ``random:20,10,3,0`` over GF(3), and for a random binary
+  [40, 22] code, whose 2^22 codewords are above ``CODEBOOK_CAP``, so its
+  blocks are streamed and never cached;
+- ``oracle``: warm ``nearest_batch`` calls on the parity(3)^4 flat code
+  with 1 and with 250 seeded random words, the one-word call being the
+  one an experiment trial makes.
+
 The spread between the fastest and slowest pass shows how far the host
 drifts during a run; a change smaller than it is not resolved. BLAS is
 pinned to one thread. The package is imported from this checkout's
 ``src/``.
 
-    python3 scripts/layer_times.py                  # both tables (about a minute)
+    python3 scripts/layer_times.py                  # all three tables (about a minute)
     python3 scripts/layer_times.py --m 3 4          # a subset of the per-word table
     python3 scripts/layer_times.py --only decoder   # the decoder table alone
+    python3 scripts/layer_times.py --only codebook  # the codebook table alone
 """
 
 from __future__ import annotations
@@ -62,6 +75,7 @@ from tensorltc.analysis import (  # noqa: E402
 )
 from tensorltc.decoding import DecoderConfig, decode_square  # noqa: E402
 from tensorltc.errors import InvariantError  # noqa: E402
+from tensorltc.linear_code import random_linear_code  # noqa: E402
 from tensorltc.local_testing import rejection_probability_exact, robustness_exact  # noqa: E402
 from tensorltc.noise import codeword_plus_errors, random_word  # noqa: E402
 
@@ -78,6 +92,15 @@ DECODE_KINDS = {
     "random": (repetition_code(50), None),
     "ham1": (hamming74(), 1),
 }
+# case -> a fresh code object, built untimed before each pass
+CODEBOOKS = {
+    "pack parity(3)^4 flat [81,16]": lambda: TensorCode(parity_code(3), 4).flattened(),
+    "pack hamming74^2 flat [49,16]": lambda: TensorCode(hamming74(), 2).flattened(),
+    "pack random:20,10,3,0 [20,10]": lambda: random_linear_code(20, 10, 3, seed=0),
+    "pack streamed [40,22] GF(2)": lambda: random_linear_code(40, 22, 2, seed=0),
+}
+CODEBOOK_COPIES = 5  # fresh codes enumerated per pass
+ORACLE_CALLS = {1: 300, 250: 4}  # words per oracle call -> calls per pass
 
 
 def _subcube(report):
@@ -145,24 +168,50 @@ def decoder_times(kind: str) -> dict[str, list[float]]:
     }
 
 
+def enumerate_and_pack(code) -> None:
+    """Every packed block of ``code``; streamed blocks are dropped as they
+    come, so that only the cached codes keep theirs."""
+    for _ in code._packed_blocks():
+        pass
+
+
+def codebook_times() -> dict[str, list[float]]:
+    times = {
+        case: pass_us(enumerate_and_pack, [make] * CODEBOOK_COPIES, lambda makers: [m() for m in makers])
+        for case, make in CODEBOOKS.items()
+    }
+    flat = TensorCode(parity_code(3), 4).flattened()
+    rng = np.random.default_rng(0)
+    flat.nearest_batch(rng.integers(0, 2, size=(1, flat.n)))  # fills the cache
+    for count, calls in ORACLE_CALLS.items():
+        batches = [rng.integers(0, 2, size=(count, flat.n)) for _ in range(calls)]
+        times[f"oracle parity(3)^4 flat, {count} word(s)"] = pass_us(flat.nearest_batch, batches)
+    return times
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, nargs="+", default=[3, 4, 5], choices=[3, 4, 5])
-    parser.add_argument("--only", choices=["words", "decoder"])
+    parser.add_argument("--only", choices=["words", "decoder", "codebook"])
     args = parser.parse_args(argv)
-    if args.only != "decoder":
+    if args.only in (None, "words"):
         print(f"us per word, median (min-max) of {PASSES} passes, {WORDS} parity(3)^m words")
         print(f"{'m':>2} {'axes':<12}" + "".join(f"{name:>24}" for name in LAYERS))
         for m in args.m:
             for axis_mode in ("all", "first-three"):
                 times = layer_times(m, axis_mode)
                 print(f"{m:>2} {axis_mode:<12}" + "".join(cell(times[name], 24) for name in LAYERS))
-    if args.only != "words":
+    if args.only in (None, "decoder"):
         print(f"us per call, median (min-max) of {PASSES} passes over {WORDS} words of each kind")
         print(f"{'kind':<8}" + "".join(f"{name:>24}" for name in DECODER_LAYERS))
         for kind in DECODE_KINDS:
             times = decoder_times(kind)
             print(f"{kind:<8}" + "".join(cell(times[name], 24) for name in DECODER_LAYERS))
+    if args.only in (None, "codebook"):
+        print(f"us per call, median (min-max) of {PASSES} passes")
+        print(f"{'case':<38}{'us per call':>24}")
+        for case, times in codebook_times().items():
+            print(f"{case:<38}" + cell(times, 24))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -141,7 +141,7 @@ class ResultRow:
     bound_satisfied: str
 
     def csv_values(self) -> list[str]:
-        return [str(value) for value in astuple(self)]
+        return [str(getattr(self, name)) for name in CSV_COLUMNS]
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))

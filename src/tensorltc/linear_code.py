@@ -3,9 +3,10 @@
 A :class:`LinearCode` keeps a canonical (RREF) generator matrix and its
 pivots, builds a parity-check matrix on first use, and offers encoding,
 membership, exhaustive distance / nearest-codeword oracles, erasure
-decoding, and bounded-distance decoding. All exhaustive searches are
-guarded by explicit capacity caps and raise :class:`CapacityError`
-rather than silently taking forever.
+decoding, and bounded-distance decoding. The exhaustive searches and
+``codewords()`` read one enumerator, which builds the codebook in packed
+bit-plane form. All exhaustive searches are guarded by explicit capacity
+caps and raise :class:`CapacityError` rather than silently taking forever.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ PATTERN_CAP = 1 << 20  # max error patterns enumerated for a coset table
 FILE_CAP = 1 << 24  # max entries a code or tensor file header may declare
 _BLOCK = 1 << 14  # max codewords per enumerated block, or p when p is larger
 _PAIRS = 1 << 16  # (word, codeword) pairs per distance chunk; keeps temporaries in cache
+_BITS = 1 << np.arange(16)[:, None]  # row j picks bit j of a symbol below 2**16
 
 
 class ErasureFailure(Enum):
@@ -164,56 +166,65 @@ class LinearCode:
     # -- exhaustive enumeration --------------------------------------------
 
     def _blocks(self):
-        """Every codeword in message order, as ``(start, block)`` pairs.
+        """Every codeword in message order, packed: ``(start, columns)``
+        pairs, where ``columns`` is the (planes, ceil(n/64), count) bit-plane
+        form of ``count`` consecutive codewords (see :meth:`_pack`).
 
         A block adds one prefix codeword, from the first k - r generator
         rows, to the suffix codebook of the last r rows (the largest r >= 1
-        with p**r <= _BLOCK), which is built once, one row at a time.
-        Symbols are unsigned and wide enough for 2p - 2: after adding two
-        symbols, x - p wraps above x unless x >= p, so ``minimum(x, x - p)``
-        reduces mod p.
+        with p**r <= _BLOCK). The suffix is built once from the packed
+        multiples of those rows: it starts as the p multiples of the last
+        row, not as the zero codeword, which saves an add over p columns,
+        and each earlier row is prepended as the most significant digit by
+        adding all p of its multiples to every suffix codeword at once.
+        Every add is :meth:`_add` on packed planes, so no codeword is held
+        as symbols.
         """
         p, k, n = self.p, self.k, self.n
-        dtype = np.min_scalar_type(2 * (p - 1))
         r = 1
         while r < k and p ** (r + 1) <= _BLOCK:
             r += 1
-        multiples = ((np.arange(p)[:, None, None] * self.G[k - r :]) % p).astype(dtype)
-        suffix = multiples[:, -1]
-        for j in reversed(range(r - 1)):  # prepend row j as the most significant digit
-            total = (multiples[:, j, None, :] + suffix).reshape(-1, n)
-            suffix = np.minimum(total, total - p)
+        packed = self._pack((np.arange(p)[:, None] * self.G[k - r :, None, :] % p).reshape(-1, n))
+        shape = packed.shape[1:]  # (planes, ceil(n/64))
+        # row j's multiples as (planes, words, p, 1), the suffix as (planes, words, 1, count)
+        multiples = packed.reshape(r, p, *shape, 1).transpose(0, 2, 3, 1, 4)
+        suffix = multiples[-1].reshape(*shape, 1, p)
+        for row in multiples[-2::-1]:
+            suffix = self._add(row, suffix).reshape(*shape, 1, -1)
+        suffix = np.ascontiguousarray(suffix.reshape(*shape, -1))
         if r == k:
             yield 0, suffix
             return
         for b, prefix in enumerate(itertools.product(range(p), repeat=k - r)):
-            offset = (np.array(prefix, dtype=np.int64) @ self.G[: k - r]) % p
-            total = suffix + offset.astype(dtype)
-            yield b * suffix.shape[0], np.minimum(total, total - p)
+            offset = self._pack((np.array(prefix) @ self.G[: k - r])[None] % p)
+            yield b * suffix.shape[-1], self._add(offset.transpose(1, 2, 0), suffix)
 
     def codewords(self) -> np.ndarray:
-        """All p**k codewords, row i encoding the i-th message in lex order."""
+        """All p**k codewords, row i encoding the i-th message in lex order,
+        unpacked once from the packed blocks."""
         if exceeds_cap(self.p, self.k, CODEBOOK_CAP):
             raise CapacityError(
                 f"codebook of {self.p}^{self.k} codewords exceeds cap {CODEBOOK_CAP}"
             )
         if self._codebook is None:
-            blocks = [block for _, block in self._blocks()]
-            self._codebook = np.concatenate(blocks).astype(np.int64)
+            blocks = [columns for _, columns in self._packed_blocks()]
+            self._codebook = self._unpack_columns(np.concatenate(blocks, axis=-1))
         return self._codebook
 
     def minimum_distance(self) -> int:
-        """Exact minimum weight over nonzero codewords (cached)."""
+        """Exact minimum weight over nonzero codewords (cached): the least
+        popcount of the OR over planes of a packed codeword."""
         if self._distance is None:
             if exceeds_cap(self.p, self.k):
                 raise CapacityError(
                     f"distance enumeration over {self.p}^{self.k} codewords exceeds cap {ENUM_CAP}"
                 )
-            # block 0 starts with the zero codeword; every block has p >= 2 rows
-            self._distance = min(
-                int(np.count_nonzero(block[1:] if start == 0 else block, axis=1).min())
-                for start, block in self._blocks()
-            )
+            distance = self.n
+            for start, columns in self._packed_blocks():
+                weights = np.bitwise_count(functools.reduce(np.bitwise_or, columns)).sum(axis=0)
+                # block 0 starts with the zero codeword; every block has p >= 2 columns
+                distance = min(distance, int((weights[1:] if start == 0 else weights).min()))
+            self._distance = distance
         return self._distance
 
     # -- nearest-codeword oracle --------------------------------------------
@@ -222,38 +233,60 @@ class LinearCode:
         """Bit-plane form of (t, n) symbols: (t, planes, ceil(n/64)) uint64.
 
         Plane j holds bit j of every symbol, so two words differ at a
-        position exactly when some plane differs there.
+        position exactly when some plane differs there. The padding bits
+        past position n are zero.
         """
         t, n = words.shape
         planes = (self.p - 1).bit_length()
-        bits = np.zeros((t, planes, -(-n // 64) * 64), dtype=np.uint8)
-        bits[..., :n] = (words[:, None, :] >> np.arange(planes, dtype=words.dtype)[:, None]) & 1
+        bits = np.zeros((t, planes, -(-n // 64) * 64), dtype=bool)
+        np.bitwise_and(words[:, None, :], _BITS[:planes], out=bits[..., :n], casting="unsafe")
         return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
-    def _pack_columns(self, block: np.ndarray) -> np.ndarray:
-        """Codewords packed column-wise: (planes, ceil(n/64), count)."""
-        return np.ascontiguousarray(self._pack(block).transpose(1, 2, 0))
+    def _add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Packed (a + b) % p of packed a and b, planes on the first axis
+        and the other axes broadcast.
+
+        XOR when p = 2. For odd p, a ripple-carry add over the planes gives
+        the sum with its carry; the borrow chain of sum - p gives the bits
+        that subtracting p flips, and, with the carry, whether sum >= p,
+        which is where they are flipped. Padding bits stay zero: 0 + 0 < p.
+        """
+        if self.p == 2:
+            return x ^ y
+        total, carry = [x[0] ^ y[0]], x[0] & y[0]
+        for xj, yj in zip(x[1:], y[1:]):
+            half = xj ^ yj
+            total.append(half ^ carry)
+            carry = (xj & yj) | (carry & half)
+        flips, borrow = [], np.zeros_like(carry)
+        for j, bit in enumerate(total):
+            if self.p >> j & 1:
+                flips.append(~borrow)
+                borrow = ~bit | borrow
+            else:
+                flips.append(borrow)
+                borrow = ~bit & borrow
+        over = carry | ~borrow
+        return np.stack([bit ^ (over & flip) for bit, flip in zip(total, flips)])
 
     def _unpack_columns(self, columns: np.ndarray) -> np.ndarray:
         """The (count, n) int64 symbols of column-wise packed codewords."""
         packed = np.ascontiguousarray(columns.transpose(2, 0, 1))
         bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=self.n, bitorder="little")
-        symbols = bits[:, 0].astype(np.int64)
+        dtype = np.min_scalar_type(self.p - 1)  # assembled narrow, widened once
+        symbols = bits[:, 0].astype(dtype)
         for j in range(1, bits.shape[1]):
-            symbols |= bits[:, j].astype(np.int64) << j
-        return symbols
+            symbols |= bits[:, j].astype(dtype) << j
+        return symbols.astype(np.int64)
 
     def _packed_blocks(self):
-        """The codebook the nearest oracle scans, as ``(start, columns)``
-        pairs of packed blocks in message order.
-
-        A list built on first use and cached when p**k <= CODEBOOK_CAP;
-        above that, a generator that packs each block as it is enumerated.
-        """
+        """The packed blocks of :meth:`_blocks`: a list built on first use
+        and cached when p**k <= CODEBOOK_CAP, the enumerator itself above
+        that."""
         if exceeds_cap(self.p, self.k, CODEBOOK_CAP):
-            return ((start, self._pack_columns(block)) for start, block in self._blocks())
+            return self._blocks()
         if self._packed is None:
-            self._packed = [(start, self._pack_columns(block)) for start, block in self._blocks()]
+            self._packed = list(self._blocks())
         return self._packed
 
     def _scan(self, words: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

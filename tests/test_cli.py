@@ -461,8 +461,9 @@ def test_threaded_experiment_enumerates_each_code_once(capsys, tmp_path, monkeyp
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "two.csv"))
     assert code == 0
     # robustness: the base distance, the flat codebook and the plane-view
-    # codebook; decode: the distance and the codebook of the base code
-    assert sorted(enumerations.values()) == ([1, 1, 1] if kind == "robustness" else [2])
+    # codebook; decode: the base code's packed blocks, which its distance
+    # and its codebook both read
+    assert sorted(enumerations.values()) == ([1, 1, 1] if kind == "robustness" else [1])
     assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
 
 

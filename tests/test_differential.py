@@ -431,6 +431,62 @@ def test_enumeration_matches_reencoding_reference(code, block):
     assert distance == reference.minimum_distance(code)
 
 
+@pytest.mark.parametrize("path", ORACLE_PATHS)
+@pytest.mark.parametrize("n", [3, 70])
+def test_sixteen_plane_code_matches_reencoding_reference(path, n):
+    """GF(65521) symbols take 16 bit-planes, the most any field below 2**16
+    needs; k = 1 keeps its 65,521 codewords under ENUM_CAP."""
+    code = random_linear_code(n, 1, 65521, seed=n)
+    words = oracle_batch(code, np.random.default_rng(n))
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in path.items():
+            mp.setattr(linear_code, name, value)
+        result = code.nearest_batch(words)
+        distance = code.minimum_distance()
+        assert isinstance(code._packed_blocks(), list) != ("CODEBOOK_CAP" in path)
+    for got, expected in zip(result, reference.nearest_batch(code, words)):
+        assert np.array_equal(got, expected)
+    assert distance == reference.minimum_distance(code)
+    if not path:
+        assert np.array_equal(code.codewords(), reference.codewords(code))
+
+
+# p = 2 adds by XOR; the odd primes take 2, 3, 3, 4 and 16 planes, and n up
+# to 130 crosses a 64-bit word boundary twice.
+ADD_ARGS = (st.sampled_from([2, 3, 5, 7, 13, 65521]), st.integers(1, 130), st.integers(0, 2**32 - 1))
+
+
+def check_packed_add(module, p, n, seed):
+    """The packed sum of packed a and b is packed (a + b) % p. Whole uint64
+    words are compared, so the padding bits must stay zero too."""
+    code = module.repetition_code(n, p)
+    rng = np.random.default_rng(seed)
+    a = np.concatenate([rng.integers(0, p, size=(4, n)), np.full((2, n), p - 1)])
+    b = np.concatenate([rng.integers(0, p, size=(4, n)), np.full((1, n), p - 1), np.ones((1, n), int)])
+
+    def columns(words):
+        return code._pack(words).transpose(1, 2, 0)
+
+    assert np.array_equal(code._add(columns(a), columns(b)), columns((a + b) % p))
+
+
+@PROPERTY
+@given(*ADD_ARGS)
+def test_packed_add_matches_symbol_add(p, n, seed):
+    check_packed_add(linear_code, p, n, seed)
+
+
+def test_packed_add_property_catches_a_missing_reduction(monkeypatch):
+    """The mutant "the sum is never reduced by p" must fail the property."""
+    mutant = load_mutant(
+        monkeypatch,
+        linear_code,
+        "np.stack([bit ^ (over & flip) for bit, flip in zip(total, flips)])",
+        "np.stack(total)",
+    )
+    assert_property_fails(check_packed_add, mutant, ADD_ARGS)
+
+
 # -- the line decoders -----------------------------------------
 
 decoder_codes = codes(n=st.integers(1, 8), max_k={2: 6, 3: 4, 5: 3})
