@@ -39,6 +39,19 @@ microseconds per call:
   with 1 and with 250 seeded random words, the one-word call being the
   one an experiment trial makes.
 
+For the experiment command it prints the same three figures over 7
+passes, in microseconds:
+
+- per trial, each of the four ``tensorltc experiment`` calls of the
+  experiment-cli benchmark (robustness on parity(3)^4, sampled rejection
+  on parity(3)^4, exact rejection of planted parity(3)^3 words, decoding
+  repetition(50)^2), run in process through ``cli.main`` over seeds
+  0-4 per pass;
+- per call, the one-word paths that the sweep and decode benchmarks
+  time: ``TensorCode.encode`` on repetition(50)^2 and parity(3)^3
+  messages and ``rejection_probability_exact`` on parity(3)^3 words,
+  each over 300 seeded inputs.
+
 The spread between the fastest and slowest pass shows how far the host
 drifts during a run; a change smaller than it is not resolved. BLAS is
 pinned to one thread. The package is imported from this checkout's
@@ -48,6 +61,7 @@ pinned to one thread. The package is imported from this checkout's
     python3 scripts/layer_times.py --m 3 4          # a subset of the per-word table
     python3 scripts/layer_times.py --only decoder   # the decoder table alone
     python3 scripts/layer_times.py --only codebook  # the codebook table alone
+    python3 scripts/layer_times.py --only experiment  # the experiment table alone
 """
 
 from __future__ import annotations
@@ -58,8 +72,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
+import io  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 from statistics import median  # noqa: E402
 from time import perf_counter  # noqa: E402
@@ -67,6 +84,7 @@ from time import perf_counter  # noqa: E402
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from tensorltc import TensorCode, TensorWord, hamming74, parity_code, repetition_code  # noqa: E402
+from tensorltc import cli  # noqa: E402
 from tensorltc.analysis import (  # noqa: E402
     compute_opinions,
     heavy_free_subcube,
@@ -101,6 +119,22 @@ CODEBOOKS = {
 }
 CODEBOOK_COPIES = 5  # fresh codes enumerated per pass
 ORACLE_CALLS = {1: 300, 250: 4}  # words per oracle call -> calls per pass
+# the experiment-cli benchmark's calls: label -> (argv without --seed/--out, trials)
+EXPERIMENT_CALLS = {
+    "robustness parity(3)^4 errors": (
+        "--kind robustness --family parity:3 --m 4 --mode errors --errors 2", 2
+    ),
+    "sampled rejection parity(3)^4": (
+        "--kind rejection --family parity:3 --m 4 --mode random --sample-trials 10000", 2
+    ),
+    "exact rejection parity(3)^3 planted": (
+        "--kind rejection --family parity:3 --m 3 --mode planted", 50
+    ),
+    "decode repetition(50)^2 errors": (
+        "--kind decode --family repetition:50 --m 2 --mode errors --errors 5", 50
+    ),
+}
+EXPERIMENT_SEEDS = 5  # seeds per call per pass
 
 
 def _subcube(report):
@@ -189,10 +223,40 @@ def codebook_times() -> dict[str, list[float]]:
     return times
 
 
+def experiment_times() -> dict[str, list[float]]:
+    """us per trial of each experiment call, then us per call of the
+    one-word encode and exact-rejection paths."""
+    times = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "rows.csv")
+
+        def run(call):
+            args, seed = call
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(["experiment", *args, "--seed", str(seed), "--out", out]) != 0:
+                    raise SystemExit(f"experiment {' '.join(args)} failed")
+
+        for label, (args, trials) in EXPERIMENT_CALLS.items():
+            args = [*args.split(), "--trials", str(trials)]
+            calls = [(args, seed) for seed in range(EXPERIMENT_SEEDS)]
+            times[f"{label}, per trial"] = [t / trials for t in pass_us(run, calls)]
+    rng = np.random.default_rng(0)
+    for label, code in (("repetition(50)^2", TensorCode(repetition_code(50), 2)),
+                        ("parity(3)^3", TensorCode(parity_code(3), 3))):
+        messages = list(rng.integers(0, 2, size=(WORDS, code.dimension)))
+        times[f"encode {label}"] = pass_us(code.encode, messages)
+    cube = TensorCode(parity_code(3), 3)
+    words = [random_word(cube, seed) for seed in range(WORDS)]
+    times["rejection_probability_exact parity(3)^3"] = pass_us(
+        lambda word: rejection_probability_exact(word, cube), words
+    )
+    return times
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, nargs="+", default=[3, 4, 5], choices=[3, 4, 5])
-    parser.add_argument("--only", choices=["words", "decoder", "codebook"])
+    parser.add_argument("--only", choices=["words", "decoder", "codebook", "experiment"])
     args = parser.parse_args(argv)
     if args.only in (None, "words"):
         print(f"us per word, median (min-max) of {PASSES} passes, {WORDS} parity(3)^m words")
@@ -212,6 +276,11 @@ def main(argv=None) -> None:
         print(f"{'case':<38}{'us per call':>24}")
         for case, times in codebook_times().items():
             print(f"{case:<38}" + cell(times, 24))
+    if args.only in (None, "experiment"):
+        print(f"us per trial or per call, median (min-max) of {PASSES} passes")
+        print(f"{'case':<48}{'us':>24}")
+        for case, times in experiment_times().items():
+            print(f"{case:<48}" + cell(times, 24))
 
 
 if __name__ == "__main__":

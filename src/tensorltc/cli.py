@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage or input error, 2 capacity cap hit,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -88,7 +89,10 @@ def _load_word(code: TensorCode, path: str) -> TensorWord:
     return word
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it unchanged, so every ``main`` call can share it."""
     parser = _Parser(prog="tensorltc", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

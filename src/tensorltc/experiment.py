@@ -3,12 +3,15 @@
 A spec pins the base code, tensor exponent, word generation mode, trial
 count, and master seed; running it twice produces byte-identical output.
 Each trial derives its own integer seed from (master seed, trial index),
-so results do not depend on execution order or thread count.
+so results do not depend on execution order, chunking or thread count.
+Trials run in chunks: each trial draws from its own generators, then the
+chunk's words are built and scored as one (W, n, ..., n) stack.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -34,7 +37,7 @@ from .linear_code import (
 )
 from .local_testing import (
     composed_robustness_bound,
-    rejection_probability_exact,
+    rejection_probability_exact_batch,
     rejection_probability_sampled,
     robustness_exact,
     robustness_lower_bound,
@@ -79,27 +82,40 @@ def trial_seed(master: int, trial: int) -> int:
     return int(np.random.SeedSequence([master, trial]).generate_state(1, np.uint64)[0])
 
 
-def distance_lower_bound(code: TensorCode, word: TensorWord) -> int:
-    """Cheap valid lower bound on the distance to the code.
+def distance_lower_bound_batch(code: TensorCode, words: np.ndarray) -> list[int]:
+    """Cheap valid lower bounds on the distance to the code of each word of
+    a validated (W, n, ..., n) stack.
 
     Counts violated line checks; one symbol change can repair at most
     m * (max parity-check column weight) of them.
     """
-    violated = int(np.count_nonzero(line_syndromes(code.base, word.entries)))
-    if violated == 0:
-        return 0
+    syndromes = line_syndromes(code.base, words, code.m).reshape(-1, len(words))
     H = code.base.H
-    max_col = int(np.count_nonzero(H, axis=0).max()) if H.size else 0
-    if max_col == 0:
-        return 0
-    return max(1, math.ceil(violated / (code.m * max_col)))
+    repair = code.m * int(np.count_nonzero(H, axis=0).max()) if H.size else 0
+    violated = np.count_nonzero(syndromes, axis=0).tolist()
+    return [max(1, math.ceil(v / repair)) if v and repair else 0 for v in violated]
+
+
+def distance_lower_bound(code: TensorCode, word: TensorWord) -> int:
+    """Cheap valid lower bound on one word's distance to the code."""
+    return distance_lower_bound_batch(code, word.entries[None])[0]
+
+
+def word_relative_distance_batch(code: TensorCode, words: np.ndarray) -> tuple[list, str]:
+    """(relative distance of each word of a validated stack, mode): exact,
+    from one flat-oracle call, when enumerable, else lower bounds."""
+    if not exceeds_cap(code.field.p, code.dimension):
+        distances = code.flattened().nearest_batch(words.reshape(len(words), -1))[1].tolist()
+        return [Fraction(d, code.blocklength) for d in distances], "exact"
+    bounds = distance_lower_bound_batch(code, words)
+    return [Fraction(b, code.blocklength) for b in bounds], "lower_bound"
 
 
 def word_relative_distance(code: TensorCode, word: TensorWord) -> tuple[Fraction, str]:
     """(relative distance, mode): exact when enumerable, else a lower bound."""
-    if not exceeds_cap(code.field.p, code.dimension):
-        return Fraction(code.distance_to(word), code.blocklength), "exact"
-    return Fraction(distance_lower_bound(code, word), code.blocklength), "lower_bound"
+    code.check_shape(word)
+    deltas, mode = word_relative_distance_batch(code, word.entries[None])
+    return deltas[0], mode
 
 
 @dataclass(frozen=True)
@@ -147,71 +163,71 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
-def _make_word(code: TensorCode, spec: ExperimentSpec, seed: int) -> TensorWord:
-    if spec.mode == "random":
-        return noise.random_word(code, seed)
-    if spec.mode == "errors":
-        return noise.codeword_plus_errors(code, spec.errors, seed)[1]
-    return noise.planted_word(code, seed)
+# Entries of one chunk's stacked words; a word larger than this runs alone.
+CHUNK_ENTRIES = 1 << 20
 
 
-def _trial(runner, code: TensorCode, spec: ExperimentSpec, trial: int) -> ResultRow:
-    """One result row: ``runner(code, spec, seed)`` returns (delta,
-    distance mode, statistic, value, bound, satisfied) for the trial's seed."""
-    seed = trial_seed(spec.seed, trial)
-    delta, distance_mode, statistic, value, bound, satisfied = runner(code, spec, seed)
-    return ResultRow(
-        trial=trial,
-        kind=spec.kind,
-        mode=spec.mode,
-        m=code.m,
-        n=code.n,
-        seed=seed,
-        true_distance=str(delta),
-        distance_mode=distance_mode,
-        statistic=statistic,
-        value=str(value),
-        bound=str(bound),
-        bound_satisfied=str(satisfied).lower(),
-    )
-
-
-def _robustness_trial(code: TensorCode, spec: ExperimentSpec, seed: int) -> tuple:
-    word = _make_word(code, spec, seed)
-    rho = robustness_exact(word, code, spec.axis_mode)
-    delta, mode = word_relative_distance(code, word)
-    bound = robustness_lower_bound(code) * delta
-    return delta, mode, "robustness_exact", rho, bound, rho >= bound
-
-
-def _rejection_trial(code: TensorCode, spec: ExperimentSpec, seed: int) -> tuple:
-    # the tester first: a word too large for its line syndromes is refused
-    # before the distance search
-    word = _make_word(code, spec, seed)
-    slack = 0
-    if spec.sample_trials > 0:
-        sampled = rejection_probability_sampled(
-            word, code, spec.sample_trials, seed, spec.axis_mode
-        )
-        statistic, value = "rejection_sampled", sampled.estimate
-        slack = Fraction(3 * sampled.standard_error).limit_denominator(10**9)
+def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list[tuple]:
+    """(delta, distance mode, statistic, value, bound, satisfied) per word.
+    The tester runs before the distance search, so a word too large for
+    its line syndromes is refused first."""
+    field = code.field
+    if spec.kind == "decode":
+        cfg = DecoderConfig.for_code(code.base)
+        budget = cfg.error_budget()
+        unique_radius = (code.base.minimum_distance() ** 2 - 1) // 2
+        mode = "exact" if spec.errors <= unique_radius else "upper_bound"
+        delta = Fraction(spec.errors, code.blocklength)
+        scores = []
+        for c, w in zip(clean, words):
+            decoded, _ = decode_square(TensorWord._from_valid(field, w), cfg)
+            success = decoded is not None and np.array_equal(decoded.entries, c)
+            satisfied = success or spec.errors > budget
+            scores.append((delta, mode, "decode_exact", int(success), budget, satisfied))
+        return scores
+    slacks = [0] * len(words)
+    if spec.kind == "robustness":
+        statistic, coefficient = "robustness_exact", robustness_lower_bound
+        values = [
+            robustness_exact(TensorWord._from_valid(field, w), code, spec.axis_mode) for w in words
+        ]
+    elif spec.sample_trials > 0:
+        statistic, coefficient = "rejection_sampled", composed_robustness_bound
+        sampled = [
+            rejection_probability_sampled(
+                TensorWord._from_valid(field, w), code, spec.sample_trials, seed, spec.axis_mode
+            )
+            for seed, w in zip(seeds, words)
+        ]
+        values = [s.estimate for s in sampled]
+        slacks = [Fraction(3 * s.standard_error).limit_denominator(10**9) for s in sampled]
     else:
-        statistic, value = "rejection_exact", rejection_probability_exact(word, code, spec.axis_mode)
-    delta, mode = word_relative_distance(code, word)
-    bound = composed_robustness_bound(code) * delta
-    return delta, mode, statistic, value, bound, value + slack >= bound
+        statistic, coefficient = "rejection_exact", composed_robustness_bound
+        values = rejection_probability_exact_batch(words, code, spec.axis_mode)
+    deltas, mode = word_relative_distance_batch(code, words)
+    coefficient = coefficient(code)
+    bounds = [coefficient * delta for delta in deltas]
+    return [
+        (delta, mode, statistic, value, bound, value + slack >= bound)
+        for delta, value, slack, bound in zip(deltas, values, slacks, bounds)
+    ]
 
 
-def _decode_trial(code: TensorCode, spec: ExperimentSpec, seed: int) -> tuple:
-    clean, noisy = noise.codeword_plus_errors(code, spec.errors, seed)
-    cfg = DecoderConfig.for_code(code.base)
-    decoded, _ = decode_square(noisy, cfg)
-    success = decoded is not None and decoded == clean
-    budget = cfg.error_budget()
-    unique_radius = (code.base.minimum_distance() ** 2 - 1) // 2
-    mode = "exact" if spec.errors <= unique_radius else "upper_bound"
-    delta = Fraction(spec.errors, code.blocklength)
-    return delta, mode, "decode_exact", int(success), budget, success or spec.errors > budget
+def _chunk(code: TensorCode, spec: ExperimentSpec, trials: range) -> list[ResultRow]:
+    """The rows of a chunk of trials. Each trial draws from its own seeds;
+    the chunk's words are then built, validated and scored as one stack."""
+    seeds = [trial_seed(spec.seed, trial) for trial in trials]
+    clean, words = noise.build_words(
+        code, spec.mode, [noise.word_draws(code, spec.mode, spec.errors, seed) for seed in seeds]
+    )
+    code.field.validate(words)
+    return [
+        ResultRow(trial, spec.kind, spec.mode, code.m, code.n, seed, str(delta), distance_mode,
+                  statistic, str(value), str(bound), str(satisfied).lower())
+        for trial, seed, (delta, distance_mode, statistic, value, bound, satisfied) in zip(
+            trials, seeds, _scores(code, spec, seeds, clean, words)
+        )
+    ]
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
@@ -221,26 +237,37 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             raise ShapeError(
                 f"decode experiments run on the square power; m must be 2, got m = {spec.m}"
             )
-        code = TensorCode(base, 2)
-        runner = _decode_trial
-    else:
-        if spec.m < 3:
-            raise ShapeError(f"{spec.kind} experiments need m >= 3, got m = {spec.m}")
-        code = TensorCode(base, spec.m)
-        runner = _robustness_trial if spec.kind == "robustness" else _rejection_trial
+        if spec.mode != "errors":
+            raise ValueError(
+                f"decode experiments decode codewords with errors; mode must be errors, "
+                f"got {spec.mode!r}"
+            )
+    elif spec.m < 3:
+        raise ShapeError(f"{spec.kind} experiments need m >= 3, got m = {spec.m}")
+    code = TensorCode(base, spec.m)
     if exceeds_cap(code.n, code.m, FILE_CAP):
         raise CapacityError(
             f"experiment words of {code.n}^{code.m} entries exceed cap {FILE_CAP}"
         )
-    run = functools.partial(_trial, runner, code, spec)
-    # trial 0 builds every lazy cache the trials share before any worker starts
-    rows = [run(0)]
     threads = max(1, int(os.environ.get("TENSORLTC_THREADS", "1")))
+    size = max(1, CHUNK_ENTRIES // code.blocklength)
+    # the first chunk builds every lazy cache the chunks share before any
+    # worker starts; with threads it is trial 0 alone, and the other trials
+    # make about one chunk per thread, the calling thread's included
+    first = min(size, spec.trials) if threads == 1 else 1
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows += pool.map(run, range(1, spec.trials))
+        size = max(1, min(size, -(-(spec.trials - first) // threads)))
+    trials = range(spec.trials)
+    chunks = [trials[:first]] + [trials[at : at + size] for at in range(first, spec.trials, size)]
+    run = functools.partial(_chunk, code, spec)
+    rows = run(chunks[0])
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+            later = pool.map(run, chunks[2:])
+            rows += itertools.chain.from_iterable(map(run, chunks[1:2]))
+            rows += itertools.chain.from_iterable(later)
     else:
-        rows += map(run, range(1, spec.trials))
+        rows += itertools.chain.from_iterable(map(run, chunks[1:]))
     return rows
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, sqrt
@@ -83,9 +84,10 @@ def _pair_weights(m: int, axis_mode: str) -> tuple[int, ...]:
     return tuple(3 ** max(0, b - 2) * 2 ** max(0, c - max(b, 2)) for b, c in pairs)
 
 
-def _pair_fails(word: TensorWord, code: TensorCode) -> list[np.ndarray]:
-    """Which two-axis slices of the word fail the square-power check: one
-    bool array of shape (n,) * (m - 2) per axis pair b < c, in
+def _pair_fails(entries: np.ndarray, code: TensorCode) -> list[np.ndarray]:
+    """Which two-axis slices of a validated word, or of each word of a (W,
+    n, ..., n) stack, fail the square-power check: one bool array of shape
+    (n,) * (m - 2), then (W,) for a stack, per axis pair b < c in
     ``IndexPlan.pairs`` order, indexed by the other coordinates in
     ascending axis order.
 
@@ -93,8 +95,8 @@ def _pair_fails(word: TensorWord, code: TensorCode) -> list[np.ndarray]:
     two free axes, violates a base check.
     """
     m, n = code.m, code.n
-    violated = line_syndromes(code.base, word.entries).any(axis=1)
-    violated = violated.reshape((m,) + (n,) * (m - 1))
+    violated = np.logical_or.reduce(line_syndromes(code.base, entries, m), axis=1)
+    violated = violated.reshape((m,) + (n,) * (m - 1) + entries.shape[:-m])
     # along[j][a]: some line parallel to axis a violates, over the j-th of
     # its m - 1 other coordinates
     along = [np.logical_or.reduce(violated, axis=j + 1) for j in range(m - 1)]
@@ -108,14 +110,29 @@ def rejection_probability_exact(
 
     Each path fixes one coordinate per collapsed axis, so the paths that
     leave a pair free reach each of its slices equally often; the count
-    of rejecting paths is a weighted sum of failing slices.
+    of rejecting paths is a weighted sum of failing slices, in Python ints
+    (at parity(2)^18 it passes 2^63).
     """
     code.check_shape(word)
     _check_composable(code)
     weights = _pair_weights(code.m, axis_mode)
-    rejected = sum(w * int(np.count_nonzero(f)) for w, f in zip(weights, _pair_fails(word, code)))
+    fails = _pair_fails(word.entries, code)
+    rejected = sum(w * int(np.count_nonzero(f)) for w, f in zip(weights, fails))
     # every axis-choice sequence leaves one pair free and has n^(m-2) paths
     return Fraction(rejected, sum(weights) * code.n ** (code.m - 2))
+
+
+def rejection_probability_exact_batch(
+    words: np.ndarray, code: TensorCode, axis_mode: str = "all"
+) -> list[Fraction]:
+    """``rejection_probability_exact`` of each word of a validated (W, n,
+    ..., n) stack, from one pass over the stack."""
+    _check_composable(code)
+    weights = _pair_weights(code.m, axis_mode)
+    fails = _pair_fails(words, code)
+    counts = np.count_nonzero(np.stack(fails).reshape(len(fails), -1, len(words)), axis=1)
+    paths = sum(weights) * code.n ** (code.m - 2)
+    return [Fraction(sum(map(operator.mul, weights, row)), paths) for row in counts.T.tolist()]
 
 
 @dataclass(frozen=True)
@@ -172,7 +189,7 @@ def rejection_probability_sampled(
     fixed = np.ones((trials, m), dtype=bool)
     fixed[rows, b] = fixed[rows, c] = False
     rank = point[fixed].reshape(trials, m - 2) @ code.n ** np.arange(m - 3, -1, -1)
-    fails = np.stack(_pair_fails(word, code))
+    fails = np.stack(_pair_fails(word.entries, code))
     rejections = int(np.count_nonzero(fails.reshape(len(fails), -1)[pair, rank]))
     return SampledRejection(
         estimate=Fraction(rejections, trials),

@@ -1,7 +1,8 @@
 """Seeded noise channels and word generators for experiments.
 
 Every function is deterministic given its seed; channels never leave the
-field's value range.
+field's value range. A word's draws (``word_draws``) are made apart from
+building it (``build_words``), so many words are built as one stack.
 """
 
 from __future__ import annotations
@@ -12,17 +13,28 @@ from .errors import ShapeError
 from .tensor_code import PlaneIndex, TensorCode, TensorWord, index_plan
 
 
+def _error_draws(size: int, t: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` distinct positions below ``size`` and a nonzero offset for each."""
+    if not 0 <= t <= size:
+        raise ShapeError(f"error count {t} outside [0, {size}]")
+    rng = np.random.default_rng(seed)
+    return rng.choice(size, size=t, replace=False), rng.integers(1, p, size=t)
+
+
+def _add_errors(words: np.ndarray, positions, offsets, p: int) -> np.ndarray:
+    """A copy of a (W, ...) stack with row w's offsets added at its flat positions."""
+    flat = words.reshape(len(words), -1).copy()
+    rows = np.arange(len(flat))[:, None]
+    flat[rows, positions] = (flat[rows, positions] + offsets) % p
+    return flat.reshape(words.shape)
+
+
 def exact_errors_channel(word: TensorWord, t: int, seed: int) -> TensorWord:
     """Change exactly ``t`` distinct positions to uniformly random
     different values, so the output is at Hamming distance exactly t."""
-    if not 0 <= t <= word.size:
-        raise ShapeError(f"error count {t} outside [0, {word.size}]")
-    rng = np.random.default_rng(seed)
-    flat = word.flat().copy()
-    positions = rng.choice(word.size, size=t, replace=False)
-    offsets = rng.integers(1, word.field.p, size=t)
-    flat[positions] = (flat[positions] + offsets) % word.field.p
-    return TensorWord(word.field, flat.reshape(word.entries.shape))
+    positions, offsets = _error_draws(word.size, t, word.field.p, seed)
+    noisy = _add_errors(word.entries[None], positions[None], offsets[None], word.field.p)
+    return TensorWord(word.field, noisy[0])
 
 
 def erase_planes(
@@ -48,11 +60,47 @@ def erase_planes(
     return TensorWord(word.field, entries), sets
 
 
+def word_draws(code: TensorCode, mode: str, t: int, seed: int) -> tuple:
+    """One word's random choices in mode ``random``, ``errors`` (``t`` of
+    them) or ``planted``: ``seed``'s generator draws the word, or the
+    message, then a planted word's donor message and plane (axis 1..m,
+    coordinate); ``seed + 1``'s draws the error positions and offsets."""
+    rng = np.random.default_rng(seed)
+    p = code.field.p
+    if mode == "random":
+        return (rng.integers(0, p, size=(code.n,) * code.m),)
+    first = rng.integers(0, p, size=code.dimension)
+    if mode == "errors":
+        return (first, *_error_draws(code.blocklength, t, p, seed + 1))
+    second = rng.integers(0, p, size=code.dimension)
+    while (second == first).all():
+        second = rng.integers(0, p, size=code.dimension)
+    return first, second, int(rng.integers(1, code.m + 1)), int(rng.integers(0, code.n))
+
+
+def build_words(code: TensorCode, mode: str, draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """(clean, words): the (W, n, ..., n) stacks of W words' draws, clean
+    holding the codewords before their errors in mode ``errors`` and the
+    words otherwise. A planted word is a codeword with one plane overwritten
+    by another codeword's, which makes plane opinions disagree."""
+    columns = [np.stack(c) for c in zip(*draws)]
+    if mode == "random":
+        return columns[0], columns[0]
+    clean = code.encode_batch(columns[0])
+    if mode == "errors":
+        return clean, _add_errors(clean, columns[1], columns[2], code.field.p)
+    donors = code.encode_batch(columns[1])
+    axes, coords = columns[2], columns[3]
+    for axis in np.unique(axes).tolist():
+        rows = np.flatnonzero(axes == axis)
+        planes = np.moveaxis(donors, axis, 1)[rows, coords[rows]]
+        np.moveaxis(clean, axis, 1)[rows, coords[rows]] = planes
+    return clean, clean
+
+
 def random_word(code: TensorCode, seed: int) -> TensorWord:
     """A uniformly random word of the code's shape (rarely a codeword)."""
-    rng = np.random.default_rng(seed)
-    entries = rng.integers(0, code.field.p, size=(code.n,) * code.m)
-    return TensorWord(code.field, entries)
+    return TensorWord(code.field, word_draws(code, "random", 0, seed)[0])
 
 
 def random_codeword(code: TensorCode, seed: int) -> TensorWord:
@@ -63,21 +111,12 @@ def random_codeword(code: TensorCode, seed: int) -> TensorWord:
 
 def codeword_plus_errors(code: TensorCode, t: int, seed: int) -> tuple[TensorWord, TensorWord]:
     """A random codeword and a copy with exactly t entries corrupted."""
-    clean = random_codeword(code, seed)
-    return clean, exact_errors_channel(clean, t, seed + 1)
+    clean, noisy = build_words(code, "errors", [word_draws(code, "errors", t, seed)])
+    return tuple(TensorWord(code.field, words[0]) for words in (clean, noisy))
 
 
 def planted_word(code: TensorCode, seed: int) -> TensorWord:
-    """Overwrite one plane of a random codeword with another codeword's
-    plane, creating structured disagreement between plane opinions."""
-    rng = np.random.default_rng(seed)
-    p = code.field.p
-    first = rng.integers(0, p, size=code.dimension)
-    second = first.copy()
-    while np.array_equal(second, first):
-        second = rng.integers(0, p, size=code.dimension)
-    plane = PlaneIndex(int(rng.integers(1, code.m + 1)), int(rng.integers(0, code.n)))
-    entries = code.encode(first).entries.copy()
-    points = index_plan(code.n, code.m).views[(plane.axis - 1) * code.n + plane.coord]
-    entries.reshape(-1)[points] = code.encode(second).entries.reshape(-1)[points]
-    return TensorWord(code.field, entries)
+    """One plane of a random codeword overwritten with another codeword's
+    plane (see ``build_words``)."""
+    words = build_words(code, "planted", [word_draws(code, "planted", 0, seed)])[1]
+    return TensorWord(code.field, words[0])

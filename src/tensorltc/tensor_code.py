@@ -41,6 +41,16 @@ class TensorWord:
         self.field.validate(entries)
         object.__setattr__(self, "entries", entries)
 
+    @classmethod
+    def _from_valid(cls, field: PrimeField, entries: np.ndarray) -> TensorWord:
+        """A word over entries this package made valid (int64 symbols in
+        [0, p), equal axes): encoder output, or a word of a validated stack.
+        Nothing is rechecked; the check is about a fifth of a small encode."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "field", field)
+        object.__setattr__(word, "entries", entries)
+        return word
+
     @property
     def m(self) -> int:
         return self.entries.ndim
@@ -151,17 +161,22 @@ def index_plan(n: int, m: int) -> IndexPlan:
     return IndexPlan(n, m)
 
 
-def line_syndromes(base: LinearCode, entries: np.ndarray) -> np.ndarray:
-    """Syndromes of every axis-parallel line of a validated m-axis array.
+def line_syndromes(base: LinearCode, entries: np.ndarray, m: int | None = None) -> np.ndarray:
+    """Syndromes of every axis-parallel line of a validated m-axis array,
+    or of a (W, n, ..., n) stack of them.
 
-    Shape (m, n - k, n^(m-1)): column [a, :, j] is the syndrome of line j
-    parallel to (0-based) axis a, lines in row-major order of the other
-    m - 1 axes, read as the columns of the axis's plane views. The array
-    is a word of the m-fold power exactly when the result is all zero.
+    Shape (m, n - k, n^(m-1) * W), W = 1 for one array: column [a, :, j * W
+    + w] is the syndrome of line j of word w parallel to (0-based) axis a,
+    lines in row-major order of the other m - 1 axes, read as the columns
+    of the axis's plane views. A word is in the m-fold power exactly when
+    its columns are all zero.
     """
-    n, m = entries.shape[0], entries.ndim
-    views = entries.reshape(-1)[index_plan(n, m).views].reshape(m, n, -1)
-    return (base.H @ views) % base.p
+    n, ndim = entries.shape[-1], entries.ndim
+    m = m or ndim
+    views = index_plan(n, m).views
+    # one array: a flat gather costs a third of a stack's
+    lines = entries.reshape(-1)[views] if ndim == m else entries.reshape(-1, n**m).T[views]
+    return (base.H @ lines.reshape(m, n, -1)) % base.p
 
 
 def complete_subcube(
@@ -267,23 +282,28 @@ class TensorCode:
     # -- encoding -----------------------------------------------------------
 
     def encode(self, message, counter: EncodeCounter | None = None) -> TensorWord:
-        """Encode k^m symbols by m mode products with the base generator.
+        """Encode k^m symbols: ``encode_batch`` of a one-row stack."""
+        messages = np.asarray(message).reshape(1, -1)
+        return TensorWord._from_valid(self.field, self.encode_batch(messages, counter)[0])
 
-        The message is viewed as a k x ... x k array and every line along
-        one axis at a time is encoded, last axis first; the counter grows
-        by the number of lines each product encodes.
+    def encode_batch(self, messages, counter: EncodeCounter | None = None) -> np.ndarray:
+        """Encode each row of a (W, k^m) message array: shape (W, n, ..., n).
+
+        Each message is viewed as a k x ... x k array and every line along
+        one axis at a time, of all W messages, is encoded by one product,
+        last axis first; the counter grows by the lines each product encodes.
         """
-        entries = self.field.validate(np.asarray(message)).reshape(-1)
-        if entries.size != self.dimension:
-            raise ShapeError(f"message length {entries.size} != k^m = {self.dimension}")
-        base = self.base
+        entries = self.field.validate(np.asarray(messages))
+        if entries.ndim != 2 or entries.shape[1] != self.dimension:
+            raise ShapeError(f"message length {entries.shape[-1]} != k^m = {self.dimension}")
+        base, words = self.base, entries.shape[0]
         for axis in reversed(range(self.m)):
             # axes before ``axis`` still hold k message symbols, later ones n
-            lines = entries.reshape(base.k**axis, base.k, -1)
+            lines = entries.reshape(words * base.k**axis, base.k, -1)
             if counter is not None:
                 counter.base_calls += lines.shape[0] * lines.shape[2]
             entries = (base.G.T @ lines) % base.p
-        return TensorWord(self.field, entries.reshape((self.n,) * self.m))
+        return entries.reshape((words,) + (self.n,) * self.m)
 
     # -- flat (Kronecker) view ------------------------------------------------
 

@@ -14,7 +14,10 @@ erasure decoding through one linear solve per line, and the square
 decoder and subcube extension that loop over lines. ``solve`` and
 ``nullspace`` are the GF(p) solvers the per-line erasure decoder uses;
 ``rref`` clears one row at a time. The noise helpers ``erase_planes`` and
-``planted_word`` address each plane through an indexer tuple.
+``planted_word`` address each plane through an indexer tuple, and
+``exact_errors_channel`` changes one position at a time. ``experiment_rows``
+is the per-trial experiment loop: each trial builds its own word and
+scores it with the library's one-word calls.
 The differential tests require the two forms to agree exactly.
 """
 from __future__ import annotations
@@ -30,9 +33,19 @@ import numpy as np
 
 from tensorltc import linear_code
 from tensorltc.analysis import LARGE_DISAGREEMENT, SMALL_DISAGREEMENT
+from tensorltc.decoding import DecoderConfig
+from tensorltc.decoding import decode_square as library_decode_square
+from tensorltc.experiment import ResultRow, resolve_base_code, trial_seed, word_relative_distance
 from tensorltc.errors import InvariantError, ShapeError
 from tensorltc.field import PrimeField, rref
 from tensorltc.linear_code import AMBIGUOUS, INCONSISTENT, ErasureFailure, PartialWord
+from tensorltc.local_testing import (
+    composed_robustness_bound,
+    rejection_probability_sampled,
+    robustness_lower_bound,
+)
+from tensorltc.local_testing import rejection_probability_exact as library_rejection
+from tensorltc.local_testing import robustness_exact as library_robustness
 from tensorltc.tensor_code import EncodeCounter, PlaneIndex, TensorCode, TensorWord
 
 
@@ -639,3 +652,83 @@ def planted_word(code: TensorCode, seed: int) -> TensorWord:
     indexer[plane.axis - 1] = plane.coord
     entries[tuple(indexer)] = donor[tuple(indexer)]
     return TensorWord(code.field, entries)
+
+
+def random_word(code: TensorCode, seed: int) -> TensorWord:
+    rng = np.random.default_rng(seed)
+    return TensorWord(code.field, rng.integers(0, code.field.p, size=(code.n,) * code.m))
+
+
+def exact_errors_channel(word: TensorWord, t: int, seed: int) -> TensorWord:
+    """Add each drawn offset at its drawn position, one position at a time."""
+    if not 0 <= t <= word.size:
+        raise ShapeError(f"error count {t} outside [0, {word.size}]")
+    rng = np.random.default_rng(seed)
+    flat = word.flat().copy()
+    positions = rng.choice(word.size, size=t, replace=False)
+    offsets = rng.integers(1, word.field.p, size=t)
+    for position, offset in zip(positions, offsets):
+        flat[position] = (flat[position] + offset) % word.field.p
+    return TensorWord(word.field, flat.reshape(word.entries.shape))
+
+
+def codeword_plus_errors(code: TensorCode, t: int, seed: int) -> tuple[TensorWord, TensorWord]:
+    rng = np.random.default_rng(seed)
+    clean = encode(code, rng.integers(0, code.field.p, size=code.dimension))
+    return clean, exact_errors_channel(clean, t, seed + 1)
+
+
+def experiment_rows(spec) -> list[ResultRow]:
+    """The experiment one trial at a time: each trial derives its seed,
+    builds its word alone, and the one-word library calls score it, the
+    tester before the distance."""
+    base = resolve_base_code(spec.base)
+    code = TensorCode(base, spec.m)
+    rows = []
+    for trial in range(spec.trials):
+        seed = trial_seed(spec.seed, trial)
+        if spec.kind == "decode":
+            clean, noisy = codeword_plus_errors(code, spec.errors, seed)
+            cfg = DecoderConfig.for_code(base)
+            decoded, _ = library_decode_square(noisy, cfg)
+            success = decoded is not None and decoded == clean
+            budget = cfg.error_budget()
+            unique_radius = (base.minimum_distance() ** 2 - 1) // 2
+            mode = "exact" if spec.errors <= unique_radius else "upper_bound"
+            delta = Fraction(spec.errors, code.blocklength)
+            statistic, value, bound = "decode_exact", int(success), budget
+            satisfied = success or spec.errors > budget
+        else:
+            if spec.mode == "random":
+                word = random_word(code, seed)
+            elif spec.mode == "errors":
+                word = codeword_plus_errors(code, spec.errors, seed)[1]
+            else:
+                word = planted_word(code, seed)
+            slack = 0
+            if spec.kind == "robustness":
+                statistic = "robustness_exact"
+                value = library_robustness(word, code, spec.axis_mode)
+                coefficient = robustness_lower_bound(code)
+            elif spec.sample_trials > 0:
+                sampled = rejection_probability_sampled(
+                    word, code, spec.sample_trials, seed, spec.axis_mode
+                )
+                statistic, value = "rejection_sampled", sampled.estimate
+                slack = Fraction(3 * sampled.standard_error).limit_denominator(10**9)
+                coefficient = composed_robustness_bound(code)
+            else:
+                statistic = "rejection_exact"
+                value = library_rejection(word, code, spec.axis_mode)
+                coefficient = composed_robustness_bound(code)
+            delta, mode = word_relative_distance(code, word)
+            bound = coefficient * delta
+            satisfied = value + slack >= bound
+        rows.append(
+            ResultRow(
+                trial=trial, kind=spec.kind, mode=spec.mode, m=code.m, n=code.n, seed=seed,
+                true_distance=str(delta), distance_mode=mode, statistic=statistic,
+                value=str(value), bound=str(bound), bound_satisfied=str(satisfied).lower(),
+            )
+        )
+    return rows

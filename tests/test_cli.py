@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorltc import cli
+from tensorltc import cli, experiment, noise
 from tensorltc.analysis import compute_opinions
 from tensorltc.errors import CapacityError, ShapeError
 from tensorltc.experiment import (
@@ -430,6 +430,78 @@ def test_experiment_decode_kind_requires_square_power(capsys, tmp_path):
         run_experiment(ExperimentSpec(kind="decode", base="repetition:5", m=3, trials=1))
 
 
+@pytest.mark.parametrize("mode", ["random", "planted"])
+def test_experiment_decode_kind_takes_errors_mode_only(capsys, tmp_path, mode):
+    """Decode trials always decode codewords with errors, so any other mode
+    would label those rows wrongly: it is refused with exit 1."""
+    out = tmp_path / "dec.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", "decode", "--family", "repetition:5",
+        "--m", "2", "--mode", mode, "--trials", "2", "--out", str(out),
+    )
+    assert code == 1 and "mode must be errors" in err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="mode must be errors"):
+        run_experiment(ExperimentSpec(kind="decode", base="repetition:5", m=2, mode=mode))
+
+
+def test_consecutive_main_calls_share_one_parser(capsys, tmp_path):
+    """The parser is built once per process, and no value of one call
+    leaks into the next: a sampled run followed by the same run without
+    ``--sample-trials`` enumerates every path again."""
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["experiment", "--kind", "rejection", "--family", "parity:3", "--m", "3",
+            "--trials", "2", "--seed", "4"]
+    assert run_cli(capsys, *argv, "--sample-trials", "50", "--out", str(tmp_path / "a.csv"))[0] == 0
+    assert run_cli(capsys, *argv, "--out", str(tmp_path / "b.csv"))[0] == 0
+    sampled, exact = (
+        [line.split(",")[8] for line in (tmp_path / name).read_text().splitlines()[2:]]
+        for name in ("a.csv", "b.csv")
+    )
+    assert sampled == ["rejection_sampled"] * 2 and exact == ["rejection_exact"] * 2
+    code, out, _ = run_cli(capsys, "test", "--family", "parity:3", "--m", "3", "--help")
+    assert code == 0 and "--exact" in out
+    code, _, err = run_cli(capsys, "params", "--family", "parity:3", "--m", "3", "--bogus")
+    assert code == 1 and "unrecognized arguments: --bogus" in err
+    code, _, err = run_cli(capsys, "params", "--family", "parity:3")
+    assert code == 1 and "--m" in err
+    code, out, _ = run_cli(capsys, "params", "--family", "parity:3", "--m", "3")
+    assert code == 0 and out.startswith("n^m=27 ")
+
+
+def test_experiment_stacks_stay_within_the_entry_budget(monkeypatch):
+    """Each chunk's stacked words hold at most CHUNK_ENTRIES entries, and a
+    word larger than the budget runs alone."""
+    shapes = []
+    build_words = noise.build_words
+
+    def spy(code, mode, draws):
+        clean, words = build_words(code, mode, draws)
+        shapes.append(words.shape)
+        return clean, words
+
+    monkeypatch.setattr(noise, "build_words", spy)
+    monkeypatch.setattr(experiment, "CHUNK_ENTRIES", 100)
+    for kind, m, trials, chunks in (("rejection", 3, 20, 7), ("robustness", 5, 3, 3)):
+        shapes.clear()
+        spec = ExperimentSpec(kind=kind, base="parity:3", m=m, mode="planted", trials=trials)
+        assert len(run_experiment(spec)) == trials
+        assert len(shapes) == chunks and sum(shape[0] for shape in shapes) == trials
+        assert all(np.prod(shape) <= 100 or shape[0] == 1 for shape in shapes)
+    monkeypatch.undo()
+    shapes.clear()
+    monkeypatch.setattr(noise, "build_words", spy)
+    spec = ExperimentSpec(kind="rejection", base="parity:3", m=3, trials=50)
+    run_experiment(spec)
+    assert shapes == [(50, 3, 3, 3)]  # on one thread, a run within the budget is one chunk
+    shapes.clear()
+    monkeypatch.setenv("TENSORLTC_THREADS", "2")
+    run_experiment(spec)
+    # trial 0 alone first, then about one chunk per thread
+    assert shapes[0] == (1, 3, 3, 3)
+    assert sorted(shapes[1:]) == [(24, 3, 3, 3), (25, 3, 3, 3)]
+
+
 def test_experiment_threads_do_not_change_output(capsys, tmp_path, monkeypatch):
     spec = ExperimentSpec(
         kind="robustness", base="parity:3", m=3, mode="random", trials=10, seed=77
@@ -445,6 +517,8 @@ def test_threaded_experiment_enumerates_each_code_once(capsys, tmp_path, monkeyp
     """Every lazy codebook is built before the trials fan out over threads."""
     family, m = ("parity:3", "3") if kind == "robustness" else ("repetition:30", "2")
     argv = ["experiment", "--kind", kind, "--family", family, "--m", m, "--trials", "40"]
+    if kind == "decode":
+        argv += ["--mode", "errors"]  # decode experiments take no other mode
     code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "one.csv"))
     assert code == 0
 

@@ -4,7 +4,7 @@ import importlib.util
 import inspect
 import sys
 from fractions import Fraction
-from math import ceil
+from math import ceil, factorial
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ import reference
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from tensorltc import analysis, linear_code, local_testing, tensor_code
+from tensorltc import analysis, experiment, linear_code, local_testing, noise, tensor_code
 from tensorltc.analysis import (
     OpinionTable,
     compute_opinions,
@@ -21,13 +21,14 @@ from tensorltc.analysis import (
 )
 from tensorltc.decoding import DecoderConfig, decode_square
 from tensorltc.errors import InvariantError, ZeroCodeError
-from tensorltc.experiment import distance_lower_bound
+from tensorltc.experiment import KINDS, MODES, ExperimentSpec, distance_lower_bound, run_experiment
 from tensorltc.field import PrimeField
 from tensorltc.linear_code import (
     ErasureFailure,
     LinearCode,
     PartialWord,
     hamming74,
+    parity_code,
     random_linear_code,
     repetition_code,
 )
@@ -668,3 +669,147 @@ def test_extend_from_subcube_with_repeated_coordinates_matches_reference(base, m
     sets = tuple(tuple(rng.choice(n, size=int(rng.integers(1, n + 2))).tolist()) for _ in range(m))
     for word in (near_codeword(code, rng), random_word(code, seed)):
         assert extend_from_subcube(word, sets, code) == reference.extend_from_subcube(word, sets, code)
+
+
+# -- experiments: stacked trials against one word at a time -----------------------
+
+
+@PROPERTY
+@given(codes(), st.integers(1, 4), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_stacked_encode_matches_one_word_encodes(base, m, count, seed):
+    code = TensorCode(base, m)
+    messages = np.random.default_rng(seed).integers(0, base.p, size=(count, code.dimension))
+    stacked, one_by_one = EncodeCounter(), EncodeCounter()
+    words = code.encode_batch(messages, stacked)
+    assert words.shape == (count,) + (code.n,) * m
+    for message, entries in zip(messages, words):
+        assert np.array_equal(entries, code.encode(message, one_by_one).entries)
+    assert stacked.base_calls == one_by_one.base_calls
+
+
+@PROPERTY
+@given(
+    codes(), st.integers(3, 4), st.sampled_from(AXIS_MODES), st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_stacked_pair_fails_match_one_word_calls(base, m, axis_mode, count, seed):
+    code = TensorCode(base, m)
+    rng = np.random.default_rng(seed)
+    words = np.stack([near_codeword(code, rng).entries for _ in range(count)])
+    fails = np.stack(local_testing._pair_fails(words, code))
+    assert fails.shape == (m * (m - 1) // 2,) + (code.n,) * (m - 2) + (count,)
+    for w, entries in enumerate(words):
+        assert np.array_equal(fails[..., w], np.stack(local_testing._pair_fails(entries, code)))
+    expected = [
+        rejection_probability_exact(TensorWord(code.field, e), code, axis_mode) for e in words
+    ]
+    assert local_testing.rejection_probability_exact_batch(words, code, axis_mode) == expected
+
+
+@PROPERTY
+@given(
+    codes(), st.integers(2, 4), st.sampled_from(MODES), st.integers(1, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_noise_builders_match_one_word_generators(base, m, mode, count, seed):
+    """The stacked words of W trials' draws are the words each trial's
+    generator builds alone, and the one-word generators match the loop
+    references."""
+    code = TensorCode(base, m)
+    t = seed % (code.blocklength + 1)
+    seeds = [seed + 2 * i for i in range(count)]
+    draws = [noise.word_draws(code, mode, t, s) for s in seeds]
+    clean, words = noise.build_words(code, mode, draws)
+    for s, clean_entries, entries in zip(seeds, clean, words):
+        if mode == "random":
+            expected = expected_clean = reference.random_word(code, s)
+            assert noise.random_word(code, s) == expected
+        elif mode == "errors":
+            expected_clean, expected = reference.codeword_plus_errors(code, t, s)
+            assert noise.codeword_plus_errors(code, t, s) == (expected_clean, expected)
+        else:
+            expected = expected_clean = reference.planted_word(code, s)
+            assert noise.planted_word(code, s) == expected
+        assert np.array_equal(entries, expected.entries)
+        assert np.array_equal(clean_entries, expected_clean.entries)
+
+
+# kind, mode and sampled draws of every valid experiment; decode words are
+# codewords with errors on the square power
+EXPERIMENTS = [
+    (kind, mode, sample) for kind in ("robustness", "rejection") for mode in MODES
+    for sample in ((False, True) if kind == "rejection" else (False,))
+] + [("decode", "errors", False)]
+
+
+@st.composite
+def experiment_specs(draw, kind, mode, sample):
+    """A spec over a random base code small enough for every path: the
+    plane oracle enumerates at most 3^8 codewords and the flat oracle at
+    most 2^16, or, for GF(3) codes with k = 2 at m = 4 (3^16 codewords),
+    the distance is the lower bound."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, min(n, {2: 2, 3: 2, 5: 1}[p])))
+    m = 2 if kind == "decode" else draw(st.integers(3, 4))
+    return ExperimentSpec(
+        kind=kind,
+        base=f"random:{n},{k},{p},{draw(st.integers(0, 2**16))}",
+        m=m,
+        mode=mode,
+        errors=draw(st.integers(0, n**m)),
+        trials=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        axis_mode=draw(st.sampled_from(AXIS_MODES)),
+        sample_trials=draw(st.integers(1, 60)) if sample else 0,
+    )
+
+
+def check_experiment_rows(spec, words_per_chunk, threads):
+    """Chunks of ``words_per_chunk`` words (None: the default budget, so
+    the whole run) on ``threads`` threads give the per-trial loop's rows."""
+    expected = reference.experiment_rows(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        if words_per_chunk is not None:
+            entries = experiment.resolve_base_code(spec.base).n ** spec.m
+            patch.setattr(experiment, "CHUNK_ENTRIES", words_per_chunk * entries)
+        patch.setenv("TENSORLTC_THREADS", threads)
+        assert run_experiment(spec) == expected
+
+
+@pytest.mark.parametrize("kind, mode, sample", EXPERIMENTS)
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.data(), st.sampled_from([1, 7, None]), st.sampled_from(["1", "2"]))
+def test_experiment_rows_match_per_trial_loop(kind, mode, sample, data, words_per_chunk, threads):
+    spec = data.draw(experiment_specs(kind, mode, sample))
+    check_experiment_rows(spec, words_per_chunk, threads)
+
+
+@pytest.mark.parametrize("kind, mode, sample", [e for e in EXPERIMENTS if e[0] != "decode"])
+def test_experiment_rows_match_per_trial_loop_with_lower_bounds(kind, mode, sample):
+    """A GF(3) base with k = 2 at m = 4 has 3^16 codewords: every row's
+    distance is the line-syndrome lower bound, from one stacked pass."""
+    spec = ExperimentSpec(
+        kind=kind, base="random:3,2,3,5", m=4, mode=mode, errors=5, trials=9, seed=11,
+        axis_mode="first-three", sample_trials=30 if sample else 0,
+    )
+    assert run_experiment(spec)[0].distance_mode == "lower_bound"
+    for words_per_chunk, threads in ((1, "1"), (7, "2"), (None, "1")):
+        check_experiment_rows(spec, words_per_chunk, threads)
+
+
+def test_exact_rejection_weighted_sum_passes_int64():
+    """Every line of the parity(2)^18 word x -> (x_1 + ... + x_18) mod 2
+    holds a 0 and a 1, so every slice of all 153 pairs fails: each pair
+    weighs 16! and has 2^16 slices, so the rejecting paths number
+    153 * 16! * 2^16 > 2^63, which an int64 sum would wrap."""
+    m = 18
+    code = TensorCode(parity_code(2), m)
+    weights = local_testing._pair_weights(m, "all")
+    assert weights == (factorial(16),) * 153
+    assert sum(weights) * 2 ** (m - 2) > 2**63
+    entries = np.indices((2,) * m, dtype=np.int8).sum(axis=0, dtype=np.int64) % 2
+    word = TensorWord(code.field, entries)
+    assert rejection_probability_exact(word, code) == 1
+    stack = np.stack([entries, np.zeros_like(entries)])
+    assert local_testing.rejection_probability_exact_batch(stack, code) == [1, 0]

@@ -219,7 +219,7 @@ def test_index_plan_matches_axis_formulation(n, m):
     code = TensorCode(base, m)
     for density in (0.05, 0.3, 0.8):
         entries = (rng.random(shape) < density).astype(np.int64)
-        fails = _pair_fails(TensorWord(code.field, entries), code)
+        fails = _pair_fails(entries, code)
         assert len(fails) == len(pairs)
         for (b, c), fail in zip(pairs, fails):
             others = [a for a in range(m) if a not in (b, c)]
