@@ -3,9 +3,11 @@
 Each command runs in its own child process under a 2 GiB address-space
 limit (``RLIMIT_AS``) and one BLAS thread, with a 60 s timeout, strictly
 one after another so that at most one child holds memory at a time. The
-grid covers three kinds, robustness, exact rejection and sampled
+grid covers three tester kinds, robustness, exact rejection and sampled
 rejection (100 draws), over parity(3) and repetition(3) at m = 5..16,
-parity(2) at m in {10, 14, 18, 22, 24, 25} and parity(4) at m = 4..13.
+parity(2) at m in {10, 14, 18, 22, 24, 25} and parity(4) at m = 4..13,
+and decoding with 5 errors over repetition(n)^2 for n in {1024, 2048,
+4096, 4097}.
 
 For each command it prints the exit code, the wall time, the child's
 peak resident set and the last line it wrote to stderr. A size the caps
@@ -15,6 +17,7 @@ imported from this checkout's ``src/``.
 
     python3 scripts/cap_edge.py                       # the whole grid (minutes)
     python3 scripts/cap_edge.py --kind rejection      # exact rejection rows only
+    python3 scripts/cap_edge.py --kind decode         # the square decoder's rows
     python3 scripts/cap_edge.py --family parity:2     # one family's rows
 """
 
@@ -44,6 +47,7 @@ KINDS = {
     "robustness": ["--kind", "robustness"],
     "rejection": ["--kind", "rejection"],
     "sampled": ["--kind", "rejection", "--sample-trials", "100"],
+    "decode": ["--kind", "decode", "--mode", "errors", "--errors", "5"],
 }
 
 GRID = [
@@ -52,6 +56,7 @@ GRID = [
     ("parity:2", (10, 14, 18, 22, 24, 25)),
     ("parity:4", range(4, 14)),
 ]
+DECODE_GRID = [(f"repetition:{n}", (2,)) for n in (1024, 2048, 4096, 4097)]
 
 
 def run(argv: list[str], tmp: Path) -> tuple[int | None, float, float, str]:
@@ -82,15 +87,17 @@ def run(argv: list[str], tmp: Path) -> tuple[int | None, float, float, str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--kind", choices=sorted(KINDS), action="append")
-    parser.add_argument("--family", choices=[family for family, _ in GRID], action="append")
+    parser.add_argument(
+        "--family", choices=[family for family, _ in GRID + DECODE_GRID], action="append"
+    )
     args = parser.parse_args(argv)
     kinds = args.kind or list(KINDS)
-    families = args.family or [family for family, _ in GRID]
+    families = args.family or [family for family, _ in GRID + DECODE_GRID]
     faults = 0
     print(f"{'kind':<10} {'family':<13} {'m':>2} {'exit':>7} {'wall_s':>7} {'peak_mb':>8}  last stderr line")
     with tempfile.TemporaryDirectory() as tmp:
         for kind in kinds:
-            for family, exponents in GRID:
+            for family, exponents in DECODE_GRID if kind == "decode" else GRID:
                 if family not in families:
                     continue
                 for m in exponents:

@@ -17,13 +17,16 @@ measure the same calls.
 
 For the square decoder it prints the same three figures over 7 passes
 over 300 seeded words of each kind the decode-square benchmark decodes,
-in microseconds per call:
+in microseconds per call or per word:
 
 - ``rep5``, ``rep400``: repetition(50)^2 codewords with 5 (in budget) and
   400 flipped entries; ``random``: uniform binary 50 x 50 words;
   ``ham1``: hamming74^2 codewords with one flipped entry;
-- ``decode_square``: the whole decoder on the word;
-- ``pass1``: ``bounded_distance_decode_batch`` on the word's 2n lines;
+- ``decode_square``: the whole decoder on the word, one call per word;
+- ``stack W=1``, ``stack W=10``, ``stack W=50``: ``decode_stack`` on
+  stacks of 1, 10 and 50 of the same words, per word;
+- ``pass1``: the line decoder pass 1 runs on the word's 2n lines, in the
+  decoder's narrow symbols;
 - ``pass5``: the column check of pass 5 on the word's decoded rows
   (failed rows zero), a matrix whose rows are all codewords.
 
@@ -91,7 +94,7 @@ from tensorltc.analysis import (  # noqa: E402
     inconsistency,
     verify_heavy_cover,
 )
-from tensorltc.decoding import DecoderConfig, decode_square  # noqa: E402
+from tensorltc.decoding import DecoderConfig, decode_square, decode_stack  # noqa: E402
 from tensorltc.errors import InvariantError  # noqa: E402
 from tensorltc.linear_code import random_linear_code  # noqa: E402
 from tensorltc.local_testing import rejection_probability_exact, robustness_exact  # noqa: E402
@@ -102,7 +105,8 @@ import numpy as np  # noqa: E402
 WORDS = 300
 PASSES = 7
 LAYERS = ("oracle", "inconsistency", "cover", "subcube", "rejection")
-DECODER_LAYERS = ("decode_square", "pass1", "pass5")
+STACK_SIZES = (1, 10, 50)  # words per decode_stack call; each divides WORDS
+DECODER_LAYERS = ("decode_square", *(f"stack W={size}" for size in STACK_SIZES), "pass1", "pass5")
 # kind -> (base code, flipped entries, or None for uniform random words)
 DECODE_KINDS = {
     "rep5": (repetition_code(50), 5),
@@ -192,14 +196,18 @@ def decoder_times(kind: str) -> dict[str, list[float]]:
         words = [random_word(square, seed) for seed in range(WORDS)]
     else:
         words = [codeword_plus_errors(square, errors, seed)[1] for seed in range(WORDS)]
-    lines = [np.concatenate([word.entries, word.entries.T]) for word in words]
-    rows = [base.bounded_distance_decode_batch(word.entries, cfg.radius)[0] for word in words]
-    return {
-        "decode_square": pass_us(lambda word: decode_square(word, cfg), words),
-        "pass1": pass_us(lambda line: base.bounded_distance_decode_batch(line, cfg.radius), lines),
-        # the check decode_square makes in pass 5
-        "pass5": pass_us(lambda out: base.syndrome(out.take(base.pivots, axis=1).T).any(), rows),
-    }
+    narrow = np.min_scalar_type(base.p - 1)
+    lines = [np.concatenate([word.entries, word.entries.T]).astype(narrow) for word in words]
+    rows = [base._decode_lines(word.entries.astype(narrow), cfg.radius)[0] for word in words]
+    times = {"decode_square": pass_us(lambda word: decode_square(word, cfg), words)}
+    for size in STACK_SIZES:
+        stacks = [np.stack([w.entries for w in words[at : at + size]]) for at in range(0, WORDS, size)]
+        per_stack = pass_us(lambda stack: decode_stack(stack, cfg), stacks)
+        times[f"stack W={size}"] = [t / size for t in per_stack]
+    times["pass1"] = pass_us(lambda line: base._decode_lines(line, cfg.radius), lines)
+    # the check decode_stack makes in pass 5, on one word
+    times["pass5"] = pass_us(lambda out: ((base.H @ out[:, base.pivots]) % base.p).any(), rows)
+    return times
 
 
 def enumerate_and_pack(code) -> None:
@@ -267,10 +275,10 @@ def main(argv=None) -> None:
                 print(f"{m:>2} {axis_mode:<12}" + "".join(cell(times[name], 24) for name in LAYERS))
     if args.only in (None, "decoder"):
         print(f"us per call, median (min-max) of {PASSES} passes over {WORDS} words of each kind")
-        print(f"{'kind':<8}" + "".join(f"{name:>24}" for name in DECODER_LAYERS))
+        print(f"{'kind':<8}" + "".join(f"{name:>22}" for name in DECODER_LAYERS))
         for kind in DECODE_KINDS:
             times = decoder_times(kind)
-            print(f"{kind:<8}" + "".join(cell(times[name], 24) for name in DECODER_LAYERS))
+            print(f"{kind:<8}" + "".join(cell(times[name], 22) for name in DECODER_LAYERS))
     if args.only in (None, "codebook"):
         print(f"us per call, median (min-max) of {PASSES} passes")
         print(f"{'case':<38}{'us per call':>24}")

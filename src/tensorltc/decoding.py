@@ -91,10 +91,107 @@ class DecodeTrace:
         }
 
 
-def _removed(counts: np.ndarray, threshold: Fraction, n: int) -> np.ndarray:
-    # count >= threshold * n, exactly, and never drop a clean line
-    least = max(1, -(-threshold.numerator * n // threshold.denominator))
-    return counts >= least
+@dataclass
+class StackedDecode:
+    """The decoder's arrays for a stack of W words, word w at index w.
+
+    Symbols are in the narrow dtype ``np.min_scalar_type(p - 1)``. Lines
+    run rows first, then columns: index n + j of a (W, 2n) array is column
+    j's. A word's ``output`` is its decoded codeword where its status is ok.
+    """
+
+    cfg: DecoderConfig
+    output: np.ndarray  # (W, n, n)
+    marks: np.ndarray  # bool, (W, n, n)
+    failed: np.ndarray  # bool, (W, 2n): the line's bounded-distance decoding failed
+    counts: np.ndarray  # (W, 2n): marks on the line
+    removed: np.ndarray  # bool, (W, 2n)
+    status: list[str]
+    distance: list[int | None]
+
+    def trace(self, w: int) -> DecodeTrace:
+        n = self.cfg.base.n
+        # alpha * n equals the radius exactly, so the diagnostic threshold is an int
+        bad = self.counts[w].reshape(2, n) >= self.cfg.radius
+        bad_rows, bad_cols = bad.sum(axis=1).tolist()
+        removed = self.removed[w]
+        return DecodeTrace(
+            budget=self.cfg.error_budget(),
+            inconsistent=self.marks[w],
+            row_failed=self.failed[w, :n],
+            col_failed=self.failed[w, n:],
+            bad_rows=bad_rows,
+            bad_cols=bad_cols,
+            removed_rows=tuple(removed[:n].nonzero()[0].tolist()),
+            removed_cols=tuple(removed[n:].nonzero()[0].tolist()),
+            status=self.status[w],
+            result_distance=self.distance[w],
+        )
+
+
+def decode_stack(words: np.ndarray, cfg: DecoderConfig) -> StackedDecode:
+    """Decode every word of a valid (W, n, n) stack, unchecked.
+
+    Passes 1-3 and 5 each run once over the whole stack; pass 4 runs per
+    word, on the words that removed some line. Each word's results are
+    those of :func:`decode_square` on it alone.
+    """
+    base, n = cfg.base, cfg.base.n
+    words = words.astype(np.min_scalar_type(base.p - 1), copy=False)
+    count = len(words)
+
+    # Pass 1: bounded-distance decode every row and every column, in one batch.
+    lines = np.concatenate([words, words.transpose(0, 2, 1)], axis=1).reshape(-1, n)
+    decoded, failed = base._decode_lines(lines, cfg.radius)
+    decoded, failed = decoded.reshape(count, 2 * n, n), failed.reshape(count, 2 * n)
+    output = decoded[:, :n]  # the decoded rows
+
+    # Pass 2: mark entries where the passes disagree or either line failed.
+    columns = decoded[:, n:].transpose(0, 2, 1)
+    marks = (output != columns) | failed[:, :n, None] | failed[:, None, n:]
+    counts = np.concatenate([marks.sum(axis=2), marks.sum(axis=1)], axis=1)
+
+    # Pass 3: remove lines at the removal threshold: count >= threshold * n,
+    # exactly, and never a clean line.
+    threshold = cfg.removal_threshold
+    removed = counts >= max(1, -(-threshold.numerator * n // threshold.denominator))
+    status = ["ok"] * count
+
+    # Pass 4: treat removed lines as erasures and re-extend from the
+    # surviving submatrix of consistently decoded values. On the transpose,
+    # axis 0 runs along rows: the surviving rows are completed first, then
+    # every column. A failed row is always removed, and no removed line's
+    # entries are read before they are completed, so the output starts as
+    # the decoded rows.
+    for w in np.flatnonzero(removed.any(axis=1)).tolist():
+        surviving_rows = np.flatnonzero(~removed[w, :n])
+        surviving_cols = np.flatnonzero(~removed[w, n:])
+        if surviving_rows.size == 0 or surviving_cols.size == 0:
+            status[w] = "all-lines-removed"
+            continue
+        failure = complete_subcube(base, output[w].T, (surviving_cols, surviving_rows))
+        if failure is not None:
+            axis, state = failure
+            status[w] = f"{('row', 'column')[axis]}-erasure-{state.value}"
+
+    # Pass 5: verify membership and plausibility. Every row is a base
+    # codeword by now: a decoded row, a row completed by erasure decoding,
+    # or, when columns were completed, a linear combination of surviving
+    # rows. So output = X G with X = output[:, pivots], as G[:, pivots] = I_k,
+    # and every column is a combination of the pivot columns: the columns
+    # are all codewords exactly when the pivot columns are.
+    distance: list[int | None] = [None] * count
+    if "ok" in status:
+        wrong = ((base.H @ output[:, :, base.pivots]) % base.p).any(axis=(1, 2)).tolist()
+        distances = np.count_nonzero(output != words, axis=(1, 2)).tolist()
+        beyond = (base.minimum_distance() ** 2 - 1) // 2
+        for w in [w for w in range(count) if status[w] == "ok"]:
+            if wrong[w]:
+                status[w] = "not-a-codeword"
+            else:
+                distance[w] = distances[w]
+                status[w] = "beyond-unique-radius" if distances[w] > beyond else "ok"
+    return StackedDecode(cfg, output, marks, failed, counts, removed, status, distance)
 
 
 def decode_square(
@@ -105,70 +202,14 @@ def decode_square(
     Returns (codeword, trace) on success and (None, trace) on failure.
     Any returned word is a verified member of the square code. A failing
     erasure pass reports the first failing row, or column, in index order.
+    This is :func:`decode_stack` on a stack of one word.
     """
     entries = word.entries if isinstance(word, TensorWord) else np.asarray(word)
     n = cfg.base.n
     if entries.shape != (n, n):
         raise ShapeError(f"expected an {n} x {n} word, got shape {entries.shape}")
-    entries = cfg.base.field.validate(entries)
-
-    # Pass 1: bounded-distance decode every row and every column, in one batch.
-    decoded, failed = cfg.base.bounded_distance_decode_batch(
-        np.concatenate([entries, entries.T]), cfg.radius
-    )
-    row_decoded, col_decoded = decoded[:n], decoded[n:].T
-    row_failed, col_failed = failed[:n], failed[n:]
-
-    # Pass 2: mark entries where the passes disagree or either line failed.
-    marks = (row_decoded != col_decoded) | row_failed[:, None] | col_failed[None, :]
-    row_counts = marks.sum(axis=1, dtype=np.int64)
-    col_counts = marks.sum(axis=0, dtype=np.int64)
-
-    # Pass 3: remove lines at the removal threshold.
-    removed_rows = _removed(row_counts, cfg.removal_threshold, n)
-    removed_cols = _removed(col_counts, cfg.removal_threshold, n)
-    trace = DecodeTrace(
-        budget=cfg.error_budget(),
-        inconsistent=marks,
-        row_failed=row_failed,
-        col_failed=col_failed,
-        # alpha * n equals the radius exactly, so the diagnostic threshold is an int
-        bad_rows=int((row_counts >= cfg.radius).sum()),
-        bad_cols=int((col_counts >= cfg.radius).sum()),
-        removed_rows=tuple(np.flatnonzero(removed_rows).tolist()),
-        removed_cols=tuple(np.flatnonzero(removed_cols).tolist()),
-    )
-    surviving_rows = np.flatnonzero(~removed_rows)
-    surviving_cols = np.flatnonzero(~removed_cols)
-    if surviving_rows.size == 0 or surviving_cols.size == 0:
-        trace.status = "all-lines-removed"
+    stack = decode_stack(cfg.base.field.validate(entries)[None], cfg)
+    trace = stack.trace(0)
+    if trace.status != "ok":
         return None, trace
-
-    # Pass 4: treat removed lines as erasures and re-extend from the
-    # surviving submatrix of consistently decoded values. On the transpose,
-    # axis 0 runs along rows: the surviving rows are completed first, then
-    # every column.
-    output = np.zeros((n, n), dtype=np.int64)
-    output[surviving_rows] = row_decoded[surviving_rows]  # each a decoded codeword
-    failure = complete_subcube(cfg.base, output.T, (surviving_cols, surviving_rows))
-    if failure is not None:
-        axis, status = failure
-        trace.status = f"{('row', 'column')[axis]}-erasure-{status.value}"
-        return None, trace
-
-    # Pass 5: verify membership and plausibility. Every row is a base
-    # codeword by now: a decoded row, a row completed by erasure decoding,
-    # or, when columns were completed, a linear combination of surviving
-    # rows. So output = X G with X = output[:, pivots], as G[:, pivots] = I_k,
-    # and every column is a combination of the pivot columns: the columns
-    # are all codewords exactly when the pivot columns are.
-    if cfg.base.syndrome(output.take(cfg.base.pivots, axis=1).T).any():
-        trace.status = "not-a-codeword"
-        return None, trace
-    dist = int(np.count_nonzero(output != entries))
-    trace.result_distance = dist
-    d_square = cfg.base.minimum_distance() ** 2
-    if dist > (d_square - 1) // 2:
-        trace.status = "beyond-unique-radius"
-        return None, trace
-    return TensorWord(cfg.base.field, output), trace
+    return TensorWord._from_valid(cfg.base.field, stack.output[0].astype(np.int64)), trace

@@ -22,12 +22,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import noise
-from .decoding import DecoderConfig, decode_square
+from .decoding import DecoderConfig, decode_stack
 from .errors import CapacityError, ShapeError
 from .linear_code import (
     FILE_CAP,
     LinearCode,
     check_generator_size,
+    check_search,
     exceeds_cap,
     hamming74,
     load_code,
@@ -42,7 +43,7 @@ from .local_testing import (
     robustness_exact,
     robustness_lower_bound,
 )
-from .tensor_code import TensorCode, TensorWord, line_syndromes
+from .tensor_code import TensorCode, TensorWord, index_plan, line_syndromes
 
 KINDS = ("robustness", "rejection", "decode")
 MODES = ("random", "errors", "planted")
@@ -165,6 +166,9 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 # Entries of one chunk's stacked words; a word larger than this runs alone.
 CHUNK_ENTRIES = 1 << 20
+# Entries of the slice of a chunk the square decoder takes at a time; its
+# temporaries, not the chunk's words, set a decode run's peak memory.
+DECODE_ENTRIES = 1 << 14
 
 
 def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list[tuple]:
@@ -178,12 +182,15 @@ def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list
         unique_radius = (code.base.minimum_distance() ** 2 - 1) // 2
         mode = "exact" if spec.errors <= unique_radius else "upper_bound"
         delta = Fraction(spec.errors, code.blocklength)
+        size = max(1, DECODE_ENTRIES // code.blocklength)
         scores = []
-        for c, w in zip(clean, words):
-            decoded, _ = decode_square(TensorWord._from_valid(field, w), cfg)
-            success = decoded is not None and np.array_equal(decoded.entries, c)
-            satisfied = success or spec.errors > budget
-            scores.append((delta, mode, "decode_exact", int(success), budget, satisfied))
+        for at in range(0, len(words), size):
+            stack = decode_stack(words[at : at + size], cfg)
+            matches = (stack.output == clean[at : at + size]).all(axis=(1, 2)).tolist()
+            for status, match in zip(stack.status, matches):
+                success = status == "ok" and match
+                satisfied = success or spec.errors > budget
+                scores.append((delta, mode, "decode_exact", int(success), budget, satisfied))
         return scores
     slacks = [0] * len(words)
     if spec.kind == "robustness":
@@ -249,6 +256,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         raise CapacityError(
             f"experiment words of {code.n}^{code.m} entries exceed cap {FILE_CAP}"
         )
+    if spec.kind != "decode":
+        # the testers' refusals, in the order the first trial meets them,
+        # before any word is drawn
+        if spec.kind == "robustness":
+            check_search(code.field.p, base.k ** (code.m - 1))  # the plane-view oracle
+        index_plan(code.n, code.m).check_grid()  # the plane views
     threads = max(1, int(os.environ.get("TENSORLTC_THREADS", "1")))
     size = max(1, CHUNK_ENTRIES // code.blocklength)
     # the first chunk builds every lazy cache the chunks share before any

@@ -208,7 +208,7 @@ class LinearCode:
             )
         if self._codebook is None:
             blocks = [columns for _, columns in self._packed_blocks()]
-            self._codebook = self._unpack_columns(np.concatenate(blocks, axis=-1))
+            self._codebook = self._unpack_columns(np.concatenate(blocks, axis=-1)).astype(np.int64)
         return self._codebook
 
     def minimum_distance(self) -> int:
@@ -239,7 +239,9 @@ class LinearCode:
         t, n = words.shape
         planes = (self.p - 1).bit_length()
         bits = np.zeros((t, planes, -(-n // 64) * 64), dtype=bool)
-        np.bitwise_and(words[:, None, :], _BITS[:planes], out=bits[..., :n], casting="unsafe")
+        np.bitwise_and(
+            words[:, None, :], _BITS[:planes], out=bits[..., :n], casting="unsafe", dtype=words.dtype
+        )
         return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
     def _add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -270,14 +272,14 @@ class LinearCode:
         return np.stack([bit ^ (over & flip) for bit, flip in zip(total, flips)])
 
     def _unpack_columns(self, columns: np.ndarray) -> np.ndarray:
-        """The (count, n) int64 symbols of column-wise packed codewords."""
+        """The (count, n) symbols of column-wise packed codewords, in the
+        narrow dtype ``np.min_scalar_type(p - 1)``."""
         packed = np.ascontiguousarray(columns.transpose(2, 0, 1))
         bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=self.n, bitorder="little")
-        dtype = np.min_scalar_type(self.p - 1)  # assembled narrow, widened once
-        symbols = bits[:, 0].astype(dtype)
+        symbols = bits[:, 0].astype(np.min_scalar_type(self.p - 1))
         for j in range(1, bits.shape[1]):
-            symbols |= bits[:, j].astype(dtype) << j
-        return symbols.astype(np.int64)
+            symbols |= bits[:, j].astype(symbols.dtype) << j
+        return symbols
 
     def _packed_blocks(self):
         """The packed blocks of :meth:`_blocks`: a list built on first use
@@ -325,6 +327,12 @@ class LinearCode:
         words = self.field.validate(np.atleast_2d(np.asarray(words)))
         if words.shape[1] != self.n:
             raise ShapeError(f"word length {words.shape[1]} != n = {self.n}")
+        codewords, distances, messages = self._nearest(words)
+        return codewords.astype(np.int64), distances, messages
+
+    def _nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`nearest_batch` of valid (t, n) words of any integer dtype,
+        unchecked, the codewords in the narrow dtype of :meth:`_unpack_columns`."""
         check_search(self.p, self.k)
         packed = self._pack(words)
         for start, columns in self._packed_blocks():
@@ -406,7 +414,8 @@ class LinearCode:
         return self._coset_tables[radius]
 
     def _syndrome_keys(self, words: np.ndarray) -> np.ndarray:
-        return self.syndrome(words) @ self.p ** np.arange(self.n - self.k, dtype=np.int64)
+        """Each valid word's syndrome read as a base-p integer, unchecked."""
+        return (words @ self.H.T) % self.p @ self.p ** np.arange(self.n - self.k, dtype=np.int64)
 
     def _pattern_count(self, radius: int) -> int:
         return sum(
@@ -429,6 +438,13 @@ class LinearCode:
         words = self.field.validate(np.asarray(words))
         if words.ndim != 2 or words.shape[1] != self.n:
             raise ShapeError(f"expected rows of length n = {self.n}, got shape {words.shape}")
+        codewords, failed = self._decode_lines(words, radius)
+        return codewords.astype(np.int64), failed
+
+    def _decode_lines(self, words: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`bounded_distance_decode_batch` of valid (t, n) words of
+        any integer dtype, unchecked, the codewords in the narrow dtype of
+        :meth:`_unpack_columns`."""
         if (
             not exceeds_cap(self.p, self.n - self.k, SYNDROME_CAP)
             and self._pattern_count(radius) <= PATTERN_CAP
@@ -437,9 +453,9 @@ class LinearCode:
             syndrome_keys = self._syndrome_keys(words)
             at = np.minimum(np.searchsorted(keys, syndrome_keys), keys.size - 1)
             failed = keys[at] != syndrome_keys
-            codewords = (words - leaders[at]) % self.p
+            codewords = ((words - leaders[at]) % self.p).astype(np.min_scalar_type(self.p - 1))
         elif not exceeds_cap(self.p, self.k):
-            codewords, dists, _ = self.nearest_batch(words)
+            codewords, dists, _ = self._nearest(words)
             failed = dists > radius
         else:
             raise CapacityError(

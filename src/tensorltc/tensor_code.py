@@ -115,8 +115,13 @@ class IndexPlan:
                 f"exceeds cap {PLAN_CAP}"
             )
 
+    def check_grid(self) -> None:
+        """Refuse, before anything is built, a plan whose arrays stacked
+        from the point grid (m * n^m entries each) exceed PLAN_CAP."""
+        self._check(self.m * self.n**self.m)
+
     def _grid(self) -> np.ndarray:
-        self._check(self.m * self.n**self.m)  # the size of each array stacked from it
+        self.check_grid()
         return np.arange(self.n**self.m, dtype=np.intp).reshape((self.n,) * self.m)
 
     @functools.cached_property

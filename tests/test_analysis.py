@@ -30,6 +30,7 @@ from tensorltc.linear_code import (
     INCONSISTENT,
     ErasureFailure,
     LinearCode,
+    parity_code,
     repetition_code,
 )
 from tensorltc.local_testing import robustness_exact
@@ -304,6 +305,17 @@ def test_certified_bound_planted_cross(cube3, planted_cross):
     certified = certified_distance_bound(report)
     assert certified.branch == LARGE_DISAGREEMENT
     assert certified.value == 1
+
+
+def test_certified_bound_takes_the_large_branch_at_equality():
+    """The small-disagreement branch needs 2 m |E| < d^m strictly. On
+    parity(2)^4, d^m = 16: one mark gives 8 < 16, two give 16 = 16,
+    which is the trivial bound."""
+    code = TensorCode(parity_code(2), 4)
+    one = certified_distance_bound(forged_report(code, marks=[(0, 0, 0, 0)]))
+    assert one.branch == SMALL_DISAGREEMENT and one.value == Fraction(2 * 4 * 1, 2 * 2**3)
+    two = certified_distance_bound(forged_report(code, marks=[(0, 0, 0, 0), (1, 1, 1, 1)]))
+    assert two.branch == LARGE_DISAGREEMENT and two.value == 1
 
 
 def test_certified_bound_dominates_truth(cube3):

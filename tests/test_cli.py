@@ -342,6 +342,27 @@ def test_rejection_refusals_come_before_the_distance(tmp_path, family, m, sample
     assert float(child.stdout) < 0.5
 
 
+@pytest.mark.parametrize(
+    "kind, family, m, message",
+    [
+        ("robustness", "parity:3", 15, r"nearest-codeword search over 2\^16384"),
+        ("robustness", "repetition:3", 15, "index array"),
+        ("rejection", "parity:2", 24, "index array"),
+    ],
+)
+def test_tester_refusals_come_before_any_word_is_drawn(monkeypatch, kind, family, m, message):
+    """The caps the first trial's tester would hit, robustness's plane-view
+    search first and then the plane views' index array, refuse the
+    experiment before any word is drawn or built."""
+
+    def no_draws(*args):
+        raise AssertionError("a word was drawn before the refusal")
+
+    monkeypatch.setattr(noise, "word_draws", no_draws)
+    with pytest.raises(CapacityError, match=message):
+        run_experiment(ExperimentSpec(kind=kind, base=family, m=m, trials=1))
+
+
 def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):
     """parity(64)^3's plane views would be searched over 2^(63^2)
     codewords: the cap is hit without the Kronecker generator being built."""
@@ -416,6 +437,21 @@ def test_experiment_decode_kind(capsys, tmp_path):
     assert code == 0
     rows = out.read_text().splitlines()[2:]
     assert all(",decode_exact,1,5,true" in line for line in rows)
+
+
+@pytest.mark.parametrize("errors, mode", [("4", "exact"), ("5", "upper_bound")])
+def test_decode_distance_mode_is_exact_up_to_the_unique_radius(capsys, tmp_path, errors, mode):
+    """repetition(3)^2 has d^2 = 9 and unique radius 4: up to 4 errors the
+    planted codeword is the nearest, so the error count is the distance;
+    past it, only an upper bound."""
+    out = tmp_path / "dec.csv"
+    code, _, _ = run_cli(
+        capsys, "experiment", "--kind", "decode", "--family", "repetition:3", "--m", "2",
+        "--mode", "errors", "--errors", errors, "--trials", "3", "--out", str(out),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert [row[7] for row in rows] == [mode] * 3
 
 
 def test_experiment_decode_kind_requires_square_power(capsys, tmp_path):

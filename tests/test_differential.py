@@ -2,6 +2,7 @@
 
 import importlib.util
 import inspect
+import io
 import sys
 from fractions import Fraction
 from math import ceil, factorial
@@ -12,7 +13,7 @@ import reference
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from tensorltc import analysis, experiment, linear_code, local_testing, noise, tensor_code
+from tensorltc import analysis, decoding, experiment, linear_code, local_testing, noise, tensor_code
 from tensorltc.analysis import (
     OpinionTable,
     compute_opinions,
@@ -644,6 +645,108 @@ def test_decode_square_status_matches_reference_on_random_words(code, radius, th
         assert decode_square(word, cfg)[1].status == reference.decode_square(word, cfg)[1].status
 
 
+# -- the stacked square decoder ---------------------------------------------------
+
+
+def square_stack(code: LinearCode, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` words of the square power, in turn a codeword with up to
+    n errors, a codeword with n to n^2/2 errors and a uniform random word."""
+    square, n = TensorCode(code, 2), code.n
+    words = []
+    for i in range(count):
+        seed = int(rng.integers(2**32))
+        if i % 3 == 2:
+            words.append(random_word(square, seed).entries)
+        else:
+            low, high = (0, n) if i % 3 == 0 else (n, n * n // 2)
+            errors = int(rng.integers(low, high + 1))
+            words.append(codeword_plus_errors(square, errors, seed)[1].entries)
+    return np.stack(words)
+
+
+def check_stacked_decoder(module, code, radius, threshold, enumerate_, count, seed):
+    """The stacked decoder against the per-line reference on each word of
+    a mixed stack: output word, status and trace JSON."""
+    cfg = DecoderConfig.for_code(code, radius=radius, removal_threshold=threshold)
+    words = square_stack(code, np.random.default_rng(seed), count)
+    with pytest.MonkeyPatch.context() as mp:
+        if enumerate_:  # the nearest-codeword path of pass 1
+            mp.setattr(linear_code, "SYNDROME_CAP", 1)
+        stack = module.decode_stack(words, cfg)
+        expected = [reference.decode_square(TensorWord(code.field, w), cfg) for w in words]
+    assert stack.status == [trace.status for _, trace in expected]
+    for w, (decoded, trace) in enumerate(expected):
+        assert stack.trace(w).to_json_dict() == trace.to_json_dict()
+        if decoded is not None:
+            assert np.array_equal(stack.output[w], decoded.entries)
+    return stack.status
+
+
+STACK_ARGS = (
+    square_codes,
+    st.sampled_from([None, 0, 1, 2]),
+    st.sampled_from([None, Fraction(1, 5), Fraction(1, 2)]),
+    st.booleans(),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@PROPERTY
+@given(*STACK_ARGS)
+def test_stacked_decoder_matches_per_line_reference(code, radius, threshold, enumerate_, count, seed):
+    check_stacked_decoder(decoding, code, radius, threshold, enumerate_, count, seed)
+
+
+ERASURE_FAILURES = {
+    f"{axis}-erasure-{state.value}" for axis in ("row", "column") for state in ErasureFailure
+}
+
+
+@pytest.mark.parametrize("enumerate_", [False, True])
+@pytest.mark.parametrize(
+    "code, threshold, seed",
+    [
+        (random_linear_code(7, 3, 2, 4), Fraction(1, 5), 34),
+        (random_linear_code(6, 2, 3, 1), Fraction(1, 2), 0),
+        (random_linear_code(5, 2, 5, 2), Fraction(1, 2), 10),
+    ],
+)
+def test_stacked_decoder_mixes_every_status(code, threshold, seed, enumerate_):
+    """Radius 2, above the unique radius, with a custom removal threshold:
+    one stack of 15 words over GF(2), GF(3) or GF(5) holds an ok word, an
+    all-lines-removed one, an erasure failure, a non-codeword and one
+    beyond the unique radius."""
+    assert code.unique_decoding_radius() < 2
+    statuses = set(check_stacked_decoder(decoding, code, 2, threshold, enumerate_, 15, seed))
+    assert {"ok", "all-lines-removed", "not-a-codeword", "beyond-unique-radius"} <= statuses
+    assert statuses & ERASURE_FAILURES
+
+
+def test_stacked_decoder_property_catches_untransposed_columns(monkeypatch):
+    """Pass 1 decoding the rows twice, instead of the rows and then the
+    columns, must fail the stacked decoder's property."""
+    mutant = load_mutant(monkeypatch, decoding, "words.transpose(0, 2, 1)", "words")
+    assert_property_fails(check_stacked_decoder, mutant, STACK_ARGS)
+
+
+def test_decode_experiment_bytes_do_not_depend_on_threads(monkeypatch):
+    """Decode experiments in decoder slices of three words, on one thread
+    and on two, write the same bytes."""
+    spec = ExperimentSpec(
+        kind="decode", base="hamming74", m=2, mode="errors", errors=2, trials=20, seed=5
+    )
+    monkeypatch.setattr(experiment, "DECODE_ENTRIES", 3 * 49)
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TENSORLTC_THREADS", threads)
+        out = io.StringIO()
+        experiment.write_csv(run_experiment(spec), out)
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+    assert {"0", "1"} <= {line.split(",")[9] for line in outputs[0].splitlines()[2:]}
+
+
 @PROPERTY
 @given(codes(n=st.integers(1, 6), max_k={2: 4, 3: 3, 5: 2}), st.integers(2, 3), st.integers(0, 2**32 - 1))
 def test_extend_from_subcube_matches_per_line_reference(base, m, seed):
@@ -767,12 +870,14 @@ def experiment_specs(draw, kind, mode, sample):
 
 def check_experiment_rows(spec, words_per_chunk, threads):
     """Chunks of ``words_per_chunk`` words (None: the default budget, so
-    the whole run) on ``threads`` threads give the per-trial loop's rows."""
+    the whole run), decoded in slices of two words, on ``threads`` threads
+    give the per-trial loop's rows."""
     expected = reference.experiment_rows(spec)
     with pytest.MonkeyPatch.context() as patch:
         if words_per_chunk is not None:
             entries = experiment.resolve_base_code(spec.base).n ** spec.m
             patch.setattr(experiment, "CHUNK_ENTRIES", words_per_chunk * entries)
+            patch.setattr(experiment, "DECODE_ENTRIES", 2 * entries)
         patch.setenv("TENSORLTC_THREADS", threads)
         assert run_experiment(spec) == expected
 
