@@ -7,17 +7,21 @@ grid covers three tester kinds, robustness, exact rejection and sampled
 rejection (100 draws), over parity(3) and repetition(3) at m = 5..16,
 parity(2) at m in {10, 14, 18, 22, 24, 25} and parity(4) at m = 4..13,
 and decoding with 5 errors over repetition(n)^2 for n in {1024, 2048,
-4096, 4097}.
+4096, 4097}. Three more commands ask for 10^12 of a count over
+parity(3)^4: tester draws of ``test``, ``--sample-trials`` and
+``--trials`` of a rejection experiment.
 
 For each command it prints the exit code, the wall time, the child's
 peak resident set and the last line it wrote to stderr. A size the caps
-let through should exit 0; one they refuse should exit 2 within a
-second. A traceback (exit 1) or a timeout is a fault. The package is
-imported from this checkout's ``src/``.
+let through should exit 0; one they refuse should exit 2 within half a
+second, child start-up included. A traceback (exit 1), a timeout or a
+slower refusal is a fault. The package is imported from this checkout's
+``src/``.
 
     python3 scripts/cap_edge.py                       # the whole grid (minutes)
     python3 scripts/cap_edge.py --kind rejection      # exact rejection rows only
     python3 scripts/cap_edge.py --kind decode         # the square decoder's rows
+    python3 scripts/cap_edge.py --kind counts         # the huge-count rows
     python3 scripts/cap_edge.py --family parity:2     # one family's rows
 """
 
@@ -35,6 +39,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 LIMIT = 2 << 30
 TIMEOUT_S = 60
+REFUSAL_S = 0.5
 
 CHILD = f"""
 import resource, sys
@@ -57,6 +62,33 @@ GRID = [
     ("parity:4", range(4, 14)),
 ]
 DECODE_GRID = [(f"repetition:{n}", (2,)) for n in (1024, 2048, 4096, 4097)]
+HUGE = "1000000000000"
+# (label, arguments) of the counts past their caps, over parity(3)^4
+COUNTS = [
+    ("draws", ["test", "--trials", HUGE]),
+    ("samples", ["experiment", "--kind", "rejection", "--trials", "1", "--sample-trials", HUGE]),
+    ("trials", ["experiment", "--kind", "rejection", "--trials", HUGE]),
+]
+
+
+def commands(kinds: list[str], families: list[str], tmp: Path):
+    """(kind, family, m, CLI arguments) of every selected command."""
+    for kind in kinds:
+        if kind == "counts":
+            if "parity:3" in families:
+                for label, argv in COUNTS:
+                    if argv[0] == "test":  # the tester reads a word: parity(3)^4's zero word
+                        (tmp / "word.txt").write_text("2 4 3\n" + " 0" * 81 + "\n")
+                        argv = [*argv, "--word", str(tmp / "word.txt")]
+                    else:
+                        argv = [*argv, "--out", str(tmp / "rows.csv")]
+                    yield label, "parity:3", 4, [*argv, "--family", "parity:3", "--m", "4"]
+            continue
+        for family, exponents in DECODE_GRID if kind == "decode" else GRID:
+            if family in families:
+                for m in exponents:
+                    argv = ["experiment", *KINDS[kind], "--family", family, "--m", str(m)]
+                    yield kind, family, m, [*argv, "--trials", "1", "--out", str(tmp / "rows.csv")]
 
 
 def run(argv: list[str], tmp: Path) -> tuple[int | None, float, float, str]:
@@ -65,7 +97,7 @@ def run(argv: list[str], tmp: Path) -> tuple[int | None, float, float, str]:
     with open(tmp / "stderr.txt", "w+", encoding="utf-8") as err:
         start = time.perf_counter()
         child = subprocess.Popen(
-            [sys.executable, "-c", CHILD, *argv, "--out", str(tmp / "rows.csv")],
+            [sys.executable, "-c", CHILD, *argv],
             env=env,
             stdout=subprocess.DEVNULL,
             stderr=err,
@@ -86,27 +118,22 @@ def run(argv: list[str], tmp: Path) -> tuple[int | None, float, float, str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--kind", choices=sorted(KINDS), action="append")
+    parser.add_argument("--kind", choices=sorted([*KINDS, "counts"]), action="append")
     parser.add_argument(
         "--family", choices=[family for family, _ in GRID + DECODE_GRID], action="append"
     )
     args = parser.parse_args(argv)
-    kinds = args.kind or list(KINDS)
+    kinds = args.kind or [*KINDS, "counts"]
     families = args.family or [family for family, _ in GRID + DECODE_GRID]
     faults = 0
     print(f"{'kind':<10} {'family':<13} {'m':>2} {'exit':>7} {'wall_s':>7} {'peak_mb':>8}  last stderr line")
     with tempfile.TemporaryDirectory() as tmp:
-        for kind in kinds:
-            for family, exponents in DECODE_GRID if kind == "decode" else GRID:
-                if family not in families:
-                    continue
-                for m in exponents:
-                    argv = ["experiment", *KINDS[kind], "--family", family, "--m", str(m), "--trials", "1"]
-                    code, wall, peak, last = run(argv, Path(tmp))
-                    faults += code not in (0, 2)
-                    shown = "timeout" if code is None else str(code)
-                    print(f"{kind:<10} {family:<13} {m:>2} {shown:>7} {wall:>7.2f} {peak:>8.0f}  {last}", flush=True)
-    print(f"{faults} commands ended in a traceback or a timeout")
+        for kind, family, m, argv in commands(kinds, families, Path(tmp)):
+            code, wall, peak, last = run(argv, Path(tmp))
+            faults += code not in (0, 2) or (code == 2 and wall > REFUSAL_S)
+            shown = "timeout" if code is None else str(code)
+            print(f"{kind:<10} {family:<13} {m:>2} {shown:>7} {wall:>7.2f} {peak:>8.0f}  {last}", flush=True)
+    print(f"{faults} commands ended in a traceback, a timeout or a refusal slower than {REFUSAL_S} s")
     return 1 if faults else 0
 
 

@@ -21,7 +21,14 @@ import numpy as np
 
 from .errors import InvariantError, ShapeError
 from .linear_code import AMBIGUOUS, ErasureFailure
-from .tensor_code import PlaneIndex, TensorCode, TensorWord, complete_subcube, index_plan
+from .tensor_code import (
+    PlaneIndex,
+    TensorCode,
+    TensorWord,
+    complete_subcube,
+    plane_index,
+    point_index,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,7 +90,7 @@ class InconsistencyReport:
         """bool, shape (n,)*m: the marks that lie in no heavy plane."""
         code = self.code
         uncovered = self.disagreement.astype(bool)  # a copy, cleared on every heavy plane
-        uncovered.reshape(-1)[index_plan(code.n, code.m).views[self.heavy.reshape(-1)]] = False
+        uncovered.reshape(-1)[plane_index(code.n, code.m)[self.heavy.reshape(-1)]] = False
         return uncovered
 
     @functools.cached_property
@@ -103,17 +110,16 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
     code = opinions.code
     m, n = code.m, code.n
     d = code.base.minimum_distance()
-    plan = index_plan(n, m)
+    gather, (b, c), pair_cell = point_index(n, m)
     # at[b, x] is the opinion of plane (b + 1, x_b) at point x.
-    at = opinions.nearest.reshape(-1)[plan.gather]
+    at = opinions.nearest.reshape(-1)[gather]
 
     # Planes on the same axis never intersect. Where two planes meet, their
     # opinions restrict to codewords of the (m-2)-fold power, and distinct
     # ones differ in at least d^(m-2) positions: count each pair's
     # disagreements per (x_b, x_c) cell.
-    b, c = plan.pairs
     diff = at[b] != at[c]
-    cells = np.bincount(plan.pair_cell[diff], minlength=plan.num_pairs * n * n)
+    cells = np.bincount(pair_cell[diff], minlength=len(b) * n * n)
     too_few = (cells > 0) & (cells < d ** (m - 2))
     if too_few.any():
         q = int(np.argmax(too_few)) // (n * n)
@@ -124,7 +130,7 @@ def inconsistency(word: TensorWord, opinions: OpinionTable) -> InconsistencyRepo
     # Points some containing plane wants changed.
     wants_change = (at != word.entries.reshape(-1)).any(axis=0)
 
-    marks = disagree[plan.views].reshape(m, n, -1).sum(axis=-1)
+    marks = disagree[plane_index(n, m)].reshape(m, n, -1).sum(axis=-1)
     return InconsistencyReport(
         code=code,
         disagreement=disagree.view(np.uint8).reshape((n,) * m),

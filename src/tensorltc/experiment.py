@@ -37,13 +37,14 @@ from .linear_code import (
     repetition_code,
 )
 from .local_testing import (
+    check_draws,
     composed_robustness_bound,
     rejection_probability_exact_batch,
     rejection_probability_sampled,
     robustness_exact,
     robustness_lower_bound,
 )
-from .tensor_code import TensorCode, TensorWord, index_plan, line_syndromes
+from .tensor_code import TensorCode, TensorWord, check_index_size, line_syndromes
 
 KINDS = ("robustness", "rejection", "decode")
 MODES = ("random", "errors", "planted")
@@ -95,11 +96,6 @@ def distance_lower_bound_batch(code: TensorCode, words: np.ndarray) -> list[int]
     repair = code.m * int(np.count_nonzero(H, axis=0).max()) if H.size else 0
     violated = np.count_nonzero(syndromes, axis=0).tolist()
     return [max(1, math.ceil(v / repair)) if v and repair else 0 for v in violated]
-
-
-def distance_lower_bound(code: TensorCode, word: TensorWord) -> int:
-    """Cheap valid lower bound on one word's distance to the code."""
-    return distance_lower_bound_batch(code, word.entries[None])[0]
 
 
 def word_relative_distance_batch(code: TensorCode, words: np.ndarray) -> tuple[list, str]:
@@ -164,6 +160,8 @@ class ResultRow:
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
+# Most trials one experiment runs; every row stays in memory until written.
+TRIALS_CAP = 1 << 20
 # Entries of one chunk's stacked words; a word larger than this runs alone.
 CHUNK_ENTRIES = 1 << 20
 # Entries of the slice of a chunk the square decoder takes at a time; its
@@ -256,12 +254,16 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         raise CapacityError(
             f"experiment words of {code.n}^{code.m} entries exceed cap {FILE_CAP}"
         )
+    if spec.trials > TRIALS_CAP:
+        raise CapacityError(f"{spec.trials} trials exceed cap {TRIALS_CAP}")
     if spec.kind != "decode":
         # the testers' refusals, in the order the first trial meets them,
         # before any word is drawn
         if spec.kind == "robustness":
             check_search(code.field.p, base.k ** (code.m - 1))  # the plane-view oracle
-        index_plan(code.n, code.m).check_grid()  # the plane views
+        else:
+            check_draws(spec.sample_trials)  # the sampled tester's draws
+        check_index_size(code.n, code.m)  # the plane views
     threads = max(1, int(os.environ.get("TENSORLTC_THREADS", "1")))
     size = max(1, CHUNK_ENTRIES // code.blocklength)
     # the first chunk builds every lazy cache the chunks share before any

@@ -19,10 +19,19 @@ from math import factorial, sqrt
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import CapacityError, ShapeError
 from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 AXIS_MODES = ("all", "first-three")
+# Most draws one sampled-tester call replays; the replay holds a few int64
+# arrays of draws x m entries next to the word's line syndromes.
+DRAW_CAP = 1 << 20
+
+
+def check_draws(trials: int) -> None:
+    """Refuse more sampled-tester draws than DRAW_CAP before any is made."""
+    if trials > DRAW_CAP:
+        raise CapacityError(f"{trials} tester draws exceed cap {DRAW_CAP}")
 
 
 def _tester_axes(level: int, axis_mode: str) -> tuple[int, ...]:
@@ -68,9 +77,9 @@ def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all")
 
 @functools.cache
 def _pair_weights(m: int, axis_mode: str) -> tuple[int, ...]:
-    """For each pair of 0-based axes b < c, in ``IndexPlan.pairs`` order, the
-    number of tester axis-choice sequences, levels m down to 3, that leave
-    exactly that pair free.
+    """For each pair of 0-based axes b < c, in ``itertools.combinations``
+    order, the number of tester axis-choice sequences, levels m down to 3,
+    that leave exactly that pair free.
 
     With all axes, the m - 2 other axes go in any order. With the first
     three, stage s = 1..m-2 picks among the three remaining axes of
@@ -88,7 +97,7 @@ def _pair_fails(entries: np.ndarray, code: TensorCode) -> list[np.ndarray]:
     """Which two-axis slices of a validated word, or of each word of a (W,
     n, ..., n) stack, fail the square-power check: one bool array of shape
     (n,) * (m - 2), then (W,) for a stack, per axis pair b < c in
-    ``IndexPlan.pairs`` order, indexed by the other coordinates in
+    ``itertools.combinations`` order, indexed by the other coordinates in
     ascending axis order.
 
     A slice fails exactly when some line inside it, along either of its
@@ -165,10 +174,14 @@ def rejection_probability_sampled(
     code.check_shape(word)
     if trials < 1:
         raise ValueError("need at least one trial")
+    check_draws(trials)
     _check_composable(code)
     m = code.m
-    rng = np.random.default_rng(seed)
     axis_counts = [len(_tester_axes(level, axis_mode)) for level in range(m, 2, -1)]
+    # the failing slices first, so the line syndromes they come from are
+    # freed before any draw is made
+    fails = np.stack(_pair_fails(word.entries, code))
+    rng = np.random.default_rng(seed)
     axis_draws = np.column_stack([rng.integers(0, c, size=trials) for c in axis_counts])
     coord_draws = rng.integers(0, code.n, size=(trials, m - 2))
     # Replay every draw at once: pop the drawn axis from each trial's
@@ -181,15 +194,14 @@ def rejection_probability_sampled(
         point[rows, remaining[rows, rel]] = coord_draws[:, stage]
         keep = np.arange(m - stage)[None, :] != rel[:, None]
         remaining = remaining[keep].reshape(trials, m - stage - 1)
-    # the number of the free pair (b, c) in ``IndexPlan.pairs`` order, and
-    # the row-major rank of the other m - 2 coordinates: ``point`` without
-    # its two free columns, both zero
+    # the number of the free pair (b, c) in ``itertools.combinations``
+    # order, and the row-major rank of the other m - 2 coordinates:
+    # ``point`` without its two free columns, both zero
     b, c = remaining[:, 0], remaining[:, 1]
     pair = b * (2 * m - b - 1) // 2 + c - b - 1
     fixed = np.ones((trials, m), dtype=bool)
     fixed[rows, b] = fixed[rows, c] = False
     rank = point[fixed].reshape(trials, m - 2) @ code.n ** np.arange(m - 3, -1, -1)
-    fails = np.stack(_pair_fails(word.entries, code))
     rejections = int(np.count_nonzero(fails.reshape(len(fails), -1)[pair, rank]))
     return SampledRejection(
         estimate=Fraction(rejections, trials),

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_code import PlaneIndex, TensorCode, TensorWord, index_plan
+from .tensor_code import PlaneIndex, TensorCode, TensorWord, plane_index
 
 
 def _error_draws(size: int, t: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,7 +51,7 @@ def erase_planes(
             raise ShapeError(f"plane {pl} outside a {word.m}-axis cube of side {word.n}")
         erased_by_axis[pl.axis].add(pl.coord)
     entries = word.entries.copy()
-    views = index_plan(word.n, word.m).views
+    views = plane_index(word.n, word.m)
     entries.reshape(-1)[views[[(pl.axis - 1) * word.n + pl.coord for pl in planes]]] = 0
     sets = tuple(
         tuple(i for i in range(word.n) if i not in erased_by_axis[b])

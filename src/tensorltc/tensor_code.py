@@ -83,9 +83,22 @@ class PlaneIndex:
     coord: int  # 0-based
 
 
-# Index plans are small next to the words they serve; a few shapes cover a run.
+# The index arrays of an n^m cube depend only on (n, m), are cached per shape
+# and shared by every code and word of it; a few shapes cover a run. Each is
+# a read-only, C-ordered ``np.intp`` array, so a gather through it needs no
+# conversion, and an array above PLAN_CAP is refused before it is allocated.
 PLAN_CACHE = 16
-PLAN_CAP = 1 << 26  # max entries of one index-plan array: 512 MiB of intp
+PLAN_CAP = 1 << 26  # max entries of one index array: 512 MiB of intp
+
+
+def check_index_size(n: int, m: int, per_point: int | None = None) -> None:
+    """Refuse an index array of ``per_point`` entries per point of the n^m
+    cube (m, the plane views', by default) above PLAN_CAP."""
+    entries = (m if per_point is None else per_point) * n**m
+    if entries > PLAN_CAP:
+        raise CapacityError(
+            f"an index array of {entries} entries for the {n}^{m} cube exceeds cap {PLAN_CAP}"
+        )
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -93,77 +106,34 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-class IndexPlan:
-    """Flat index arrays for the axis shuffles of an n^m cube.
-
-    Each array depends only on (n, m), is built on first use from the
-    row-major point grid ``np.arange(n**m).reshape((n,) * m)``, and is a
-    read-only, C-ordered ``np.intp`` array, so a gather through it needs no
-    conversion. An array of more than PLAN_CAP entries is refused before it
-    is allocated. Axis pairs (b, c), b < c, are numbered in
-    ``itertools.combinations`` order.
-    """
-
-    def __init__(self, n: int, m: int):
-        self.n, self.m = n, m
-        self.num_pairs = m * (m - 1) // 2
-
-    def _check(self, entries: int) -> None:
-        if entries > PLAN_CAP:
-            raise CapacityError(
-                f"an index array of {entries} entries for the {self.n}^{self.m} cube "
-                f"exceeds cap {PLAN_CAP}"
-            )
-
-    def check_grid(self) -> None:
-        """Refuse, before anything is built, a plan whose arrays stacked
-        from the point grid (m * n^m entries each) exceed PLAN_CAP."""
-        self._check(self.m * self.n**self.m)
-
-    def _grid(self) -> np.ndarray:
-        self.check_grid()
-        return np.arange(self.n**self.m, dtype=np.intp).reshape((self.n,) * self.m)
-
-    @functools.cached_property
-    def views(self) -> np.ndarray:
-        """Shape (m*n, n^(m-1)): row b*n + i lists plane (b + 1, i)'s points,
-        in row-major order of the other m - 1 coordinates, so column j of
-        rows b*n .. b*n + n - 1 is the j-th line parallel to axis b + 1."""
-        grid = self._grid()
-        views = np.stack([np.moveaxis(grid, b, 0) for b in range(self.m)])
-        return _read_only(views.reshape(self.m * self.n, -1))
-
-    @functools.cached_property
-    def gather(self) -> np.ndarray:
-        """Shape (m, n^m): where, in an (m, n, n^(m-1)) stack of plane
-        opinions read flat, plane (b + 1, x_b)'s opinion at point x sits."""
-        grid, size = self._grid(), self.n**self.m
-        return _read_only(
-            np.stack([np.moveaxis(grid, 0, b).reshape(-1) + b * size for b in range(self.m)])
-        )
-
-    @functools.cached_property
-    def pairs(self) -> np.ndarray:
-        """Shape (2, P): the axes b < c of each pair."""
-        pairs = np.array(list(itertools.combinations(range(self.m), 2)), dtype=np.intp)
-        return _read_only(pairs.reshape(-1, 2).T.copy())
-
-    @functools.cached_property
-    def pair_cell(self) -> np.ndarray:
-        """Shape (P, n^m): q*n^2 + x_b*n + x_c, the cell of pair q = (b, c)
-        that holds point x."""
-        n, m = self.n, self.m
-        self._check(max(m, self.num_pairs) * n**m)  # the coordinates or the cells
-        coords, (b, c) = np.indices((n,) * m, dtype=np.intp).reshape(m, -1), self.pairs
-        q = np.arange(self.num_pairs, dtype=np.intp)[:, None]
-        return _read_only((q * n + coords[b]) * n + coords[c])
+@functools.lru_cache(maxsize=PLAN_CACHE)
+def plane_index(n: int, m: int) -> np.ndarray:
+    """Shape (m*n, n^(m-1)): row b*n + i lists plane (b + 1, i)'s points,
+    in row-major order of the other m - 1 coordinates, so column j of
+    rows b*n .. b*n + n - 1 is the j-th line parallel to axis b + 1."""
+    check_index_size(n, m)
+    grid = np.arange(n**m, dtype=np.intp).reshape((n,) * m)
+    return _read_only(np.stack([np.moveaxis(grid, b, 0) for b in range(m)]).reshape(m * n, -1))
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE)
-def index_plan(n: int, m: int) -> IndexPlan:
-    """The index plan of the n^m cube, shared by every code and word of
-    that shape."""
-    return IndexPlan(n, m)
+def point_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gather, pairs, pair_cell), the per-point arrays of the disagreement
+    analysis; axis pairs (b, c), b < c, in ``itertools.combinations`` order.
+
+    - gather, shape (m, n^m): where, in an (m, n, n^(m-1)) stack of plane
+      opinions read flat, plane (b + 1, x_b)'s opinion at point x sits;
+    - pairs, shape (2, P): the axes b < c of each pair;
+    - pair_cell, shape (P, n^m): q*n^2 + x_b*n + x_c, the cell of pair
+      q = (b, c) that holds point x.
+    """
+    pairs = np.array(list(itertools.combinations(range(m), 2)), dtype=np.intp).reshape(-1, 2).T
+    check_index_size(n, m, max(m, pairs.shape[1]))  # the coordinates or the cells
+    grid, size = np.arange(n**m, dtype=np.intp).reshape((n,) * m), n**m
+    gather = np.stack([np.moveaxis(grid, 0, b).reshape(-1) + b * size for b in range(m)])
+    coords, (b, c) = np.indices((n,) * m, dtype=np.intp).reshape(m, -1), pairs
+    q = np.arange(len(b), dtype=np.intp)[:, None]
+    return tuple(map(_read_only, (gather, pairs.copy(), (q * n + coords[b]) * n + coords[c])))
 
 
 def line_syndromes(base: LinearCode, entries: np.ndarray, m: int | None = None) -> np.ndarray:
@@ -178,7 +148,7 @@ def line_syndromes(base: LinearCode, entries: np.ndarray, m: int | None = None) 
     """
     n, ndim = entries.shape[-1], entries.ndim
     m = m or ndim
-    views = index_plan(n, m).views
+    views = plane_index(n, m)
     # one array: a flat gather costs a third of a stack's
     lines = entries.reshape(-1)[views] if ndim == m else entries.reshape(-1, n**m).T[views]
     return (base.H @ lines.reshape(m, n, -1)) % base.p
@@ -343,7 +313,7 @@ class TensorCode:
         Plane (b + 1, i) sits at index [b, i] of both results, so planes run
         axis by axis, coordinates ascending: ``nearest`` has shape
         (axes, n, n^(m-1)) and ``distances`` shape (axes, n). All axes*n
-        views are gathered through the index plan into one oracle call. The
+        views are gathered through ``plane_index`` into one oracle call. The
         last word's results are memoised on its entries' bytes, and a call
         for fewer axes is served from their prefix, so the tester and the
         analyzer share them; the arrays are read-only.
@@ -358,7 +328,7 @@ class TensorCode:
         memo = getattr(self, "_plane_memo", None)
         if memo is not None and memo[0] == key and memo[1].shape[0] >= axes:
             return memo[1][:axes], memo[2][:axes]
-        views = word.entries.reshape(-1)[index_plan(n, m).views[: axes * n]]
+        views = word.entries.reshape(-1)[plane_index(n, m)[: axes * n]]
         nearest, distances, _ = self.sub().flattened().nearest_batch(views)
         nearest, distances = nearest.reshape(axes, n, -1), distances.reshape(axes, n)
         nearest.flags.writeable = distances.flags.writeable = False

@@ -18,6 +18,7 @@ from tensorltc import cli, experiment, noise
 from tensorltc.analysis import compute_opinions
 from tensorltc.errors import CapacityError, ShapeError
 from tensorltc.experiment import (
+    TRIALS_CAP,
     ExperimentSpec,
     ResultRow,
     resolve_base_code,
@@ -26,7 +27,7 @@ from tensorltc.experiment import (
     violations,
 )
 from tensorltc.linear_code import LinearCode, hamming74, parity_code
-from tensorltc.local_testing import robustness_exact
+from tensorltc.local_testing import DRAW_CAP, check_draws, robustness_exact
 from tensorltc.noise import random_codeword
 from tensorltc.tensor_code import TensorCode, save_tensor
 
@@ -266,11 +267,12 @@ sys.exit(code)
 """
 
 
-def run_capped(argv: list[str], out: Path) -> tuple[subprocess.CompletedProcess, float]:
-    """Run the CLI in a CAPPED_CHILD with a 60 s timeout: (child, wall s)."""
+def run_capped(argv: list[str], out: Path | None) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a CAPPED_CHILD with a 60 s timeout, writing to ``out``
+    if given: (child, wall s)."""
     start = time.perf_counter()
     child = subprocess.run(
-        [sys.executable, "-c", CAPPED_CHILD, *argv, "--out", str(out)],
+        [sys.executable, "-c", CAPPED_CHILD, *argv, *(["--out", str(out)] if out else [])],
         env=dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS="1"),
         capture_output=True,
         text=True,
@@ -283,7 +285,7 @@ def run_capped(argv: list[str], out: Path) -> tuple[subprocess.CompletedProcess,
 def test_index_plans_above_the_cap_exit_two_at_once(tmp_path, kind, family):
     """3^15 entries pass the word-file cap, but the plane-view index array
     of the 3^15 cube, which the line syndromes also read, holds 15 * 3^15
-    entries, 1.6 GiB of intp: the plan refuses it before allocating it."""
+    entries, 1.6 GiB of intp: it is refused before it is allocated."""
     out = tmp_path / "rows.csv"
     argv = ["experiment", "--kind", kind, "--family", family, "--m", "15", "--trials", "1"]
     child, _ = run_capped(argv, out)
@@ -313,7 +315,7 @@ def test_exact_rejection_needs_no_slice_tables(tmp_path, family, m, status):
     from a closed form, so no table grows with 2^m axis subsets or with
     the slices of every line: parity(2)^18 and parity(3)^13 run in
     seconds, and the plane views of the 2^22 and 2^24 cubes, over the
-    index-plan cap, are refused with exit 2."""
+    index-array cap, are refused with exit 2."""
     argv = ["experiment", "--kind", "rejection", "--family", family, "--m", m, "--trials", "1"]
     child, wall = run_capped(argv, tmp_path / "rows.csv")
     assert child.returncode == status, child.stderr
@@ -330,7 +332,7 @@ def test_exact_rejection_needs_no_slice_tables(tmp_path, family, m, status):
 )
 def test_rejection_refusals_come_before_the_distance(tmp_path, family, m, sample):
     """The tester runs before the exact distance search, so a word whose
-    plane views are over the index-plan cap is refused at once, exact or
+    plane views are over the index-array cap is refused at once, exact or
     sampled, without scanning the flat code first. Half a second, not the
     1 s refusal budget: searching the distance of parity(2)^22 first
     already takes most of a second."""
@@ -340,6 +342,51 @@ def test_rejection_refusals_come_before_the_distance(tmp_path, family, m, sample
     assert child.returncode == 2, child.stderr
     assert "index array" in child.stderr and "Traceback" not in child.stderr
     assert float(child.stdout) < 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["test", "--trials", "1000000000000"], "tester draws exceed cap"),
+        (["experiment", "--kind", "rejection", "--trials", "1", "--sample-trials", "1000000000000"],
+         "tester draws exceed cap"),
+        (["experiment", "--kind", "rejection", "--trials", "1000000000000"], "trials exceed cap"),
+    ],
+)
+def test_huge_counts_exit_two_at_once(tmp_path, argv, message):
+    """10^12 tester draws would take 7.28 TiB of draw arrays, and 10^12
+    trials a list of chunks past any memory: both counts are refused
+    before anything is allocated for them."""
+    argv = [argv[0], "--family", "parity:3", "--m", "4", *argv[1:]]
+    out = tmp_path / "rows.csv"
+    if argv[0] == "test":
+        word, out = tmp_path / "word.txt", None
+        save_tensor(random_codeword(TensorCode(parity_code(3), 4), 0), word)
+        argv += ["--word", str(word)]
+    child, _ = run_capped(argv, out)
+    assert child.returncode == 2, child.stderr
+    assert message in child.stderr and "Traceback" not in child.stderr
+    assert float(child.stdout) < 0.5
+    assert out is None or not out.exists()
+
+
+def test_count_caps_admit_their_bound_and_refuse_past_it(monkeypatch):
+    """Each count cap admits its own value; one more is refused, in an
+    experiment before any word is drawn."""
+    check_draws(DRAW_CAP)
+    with pytest.raises(CapacityError, match=f"{DRAW_CAP + 1} tester draws exceed cap"):
+        check_draws(DRAW_CAP + 1)
+
+    def no_draws(*args):
+        raise AssertionError("a word was drawn before the refusal")
+
+    monkeypatch.setattr(noise, "word_draws", no_draws)
+    for counts, message in [
+        (dict(trials=TRIALS_CAP + 1), "trials exceed cap"),
+        (dict(trials=1, sample_trials=DRAW_CAP + 1), "tester draws exceed cap"),
+    ]:
+        with pytest.raises(CapacityError, match=message):
+            run_experiment(ExperimentSpec(kind="rejection", base="parity:3", m=4, **counts))
 
 
 @pytest.mark.parametrize(
@@ -613,7 +660,7 @@ def test_trial_seed_stability():
 def test_distance_lower_bound_mode_above_enumeration_cap():
     from fractions import Fraction
 
-    from tensorltc.experiment import distance_lower_bound, word_relative_distance
+    from tensorltc.experiment import distance_lower_bound_batch, word_relative_distance
     from tensorltc.noise import random_codeword, random_word
 
     # parity(3)^5 has 2^32 codewords, beyond the exact-oracle cap
@@ -628,7 +675,7 @@ def test_distance_lower_bound_mode_above_enumeration_cap():
     cube = TensorCode(parity_code(3), 3)
     for seed in range(30):
         word = random_word(cube, seed)
-        assert distance_lower_bound(cube, word) <= cube.distance_to(word)
+        assert distance_lower_bound_batch(cube, word.entries[None])[0] <= cube.distance_to(word)
 
 
 def test_experiment_survives_lower_bound_distance_mode():

@@ -22,7 +22,13 @@ from tensorltc.analysis import (
 )
 from tensorltc.decoding import DecoderConfig, decode_square
 from tensorltc.errors import InvariantError, ZeroCodeError
-from tensorltc.experiment import KINDS, MODES, ExperimentSpec, distance_lower_bound, run_experiment
+from tensorltc.experiment import (
+    KINDS,
+    MODES,
+    ExperimentSpec,
+    distance_lower_bound_batch,
+    run_experiment,
+)
 from tensorltc.field import PrimeField
 from tensorltc.linear_code import (
     ErasureFailure,
@@ -73,7 +79,7 @@ def test_contains_and_lower_bound_match_reference(base, m, seed):
     violated = reference.violated_checks(code, word)
     max_col = int(np.count_nonzero(base.H, axis=0).max()) if base.H.size else 0
     expected = 0 if violated == 0 or max_col == 0 else max(1, ceil(violated / (m * max_col)))
-    assert distance_lower_bound(code, word) == expected
+    assert distance_lower_bound_batch(code, word.entries[None])[0] == expected
 
 
 @PROPERTY
@@ -279,8 +285,8 @@ def test_cover_and_subcube_match_loop_references_on_forged_reports(base, m, seed
 MUTATIONS = {
     "covered along the next axis": (
         analysis,
-        "views[self.heavy.reshape(-1)]",
-        "views[np.roll(self.heavy, -1, axis=0).reshape(-1)]",
+        "[self.heavy.reshape(-1)]",
+        "[np.roll(self.heavy, -1, axis=0).reshape(-1)]",
         check_forged_report,
         FORGED_ARGS,
     ),
@@ -293,8 +299,8 @@ MUTATIONS = {
     ),
     "plane views with axes 1 and 2 swapped": (
         tensor_code,
-        "np.moveaxis(grid, b, 0) for b in range(self.m)",
-        "np.moveaxis(grid, b, 0) for b in (1, 0, *range(2, self.m))",
+        "np.moveaxis(grid, b, 0) for b in range(m)",
+        "np.moveaxis(grid, b, 0) for b in (1, 0, *range(2, m))",
         check_analysis,
         ANALYSIS_ARGS,
     ),
@@ -327,12 +333,12 @@ def assert_property_fails(check, module, args):
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_analysis_properties_catch_mutations(monkeypatch, name):
     """A mutated library module must fail the property that guards the
-    changed expression. A mutated ``tensor_code`` serves its index plans to
+    changed expression. A mutated ``tensor_code`` serves its plane views to
     the real analysis."""
     module, old, new, check, args = MUTATIONS[name]
     mutant = load_mutant(monkeypatch, module, old, new)
     if module is tensor_code:
-        monkeypatch.setattr(tensor_code, "index_plan", mutant.index_plan)
+        monkeypatch.setattr(tensor_code, "plane_index", mutant.plane_index)
         mutant = analysis
     assert_property_fails(check, mutant, args)
 

@@ -83,7 +83,7 @@ def _outcome(call, *args):
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 5), st.data())
 def test_plane_slabs_match_the_indexer_reference(p, m, data):
-    """Planes selected as index-plan views erase and plant the same entries
+    """Planes selected through the plane views erase and plant the same entries
     as one indexer per plane, repeated planes included, and an
     out-of-range plane raises the same ShapeError."""
     n = data.draw(st.integers(1, 4 if m <= 3 else 3))

@@ -7,19 +7,26 @@ import pytest
 import reference
 from reference import all_planes
 
+from tensorltc.analysis import compute_opinions, inconsistency
 from tensorltc.errors import CapacityError, ShapeError
+from tensorltc.experiment import distance_lower_bound_batch
 from tensorltc.field import PrimeField
 from tensorltc.linear_code import parity_code, random_linear_code, repetition_code
-from tensorltc.local_testing import _pair_fails
+from tensorltc.local_testing import (
+    _pair_fails,
+    rejection_probability_exact,
+    rejection_probability_sampled,
+)
 from tensorltc.tensor_code import (
     PLAN_CACHE,
     EncodeCounter,
-    IndexPlan,
     TensorCode,
     TensorWord,
-    index_plan,
+    check_index_size,
     line_syndromes,
     load_tensor,
+    plane_index,
+    point_index,
     save_tensor,
 )
 
@@ -170,36 +177,34 @@ def test_sub_and_check_shape(cube3, parity3):
         cube3.check_shape(wrong)
 
 
-# -- index plans -------------------------------------------------------------
-
-PLAN_ARRAYS = ("views", "gather", "pairs", "pair_cell")
+# -- index arrays ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_index_plan_matches_axis_formulation(n, m):
-    """Every plan array against the moveaxis / np.ix_ form it replaces."""
-    plan = index_plan(n, m)
+    """Every index array against the moveaxis / np.ix_ form it replaces."""
+    views = plane_index(n, m)
+    gather, pairs, pair_cell = point_index(n, m)
     shape = (n,) * m
     grid = np.arange(n**m).reshape(shape)
     point = np.ix_(*[np.arange(n)] * m)  # point[b] broadcasts to x_b
-    pairs = list(itertools.combinations(range(m), 2))
+    pair_list = list(itertools.combinations(range(m), 2))
     rng = np.random.default_rng(10 * n + m)
-    for name in PLAN_ARRAYS:
-        array = getattr(plan, name)
+    for array in (views, gather, pairs, pair_cell):
         assert array.dtype == np.intp and array.flags.c_contiguous and not array.flags.writeable
 
     planes = [np.take(grid, i, axis=b).reshape(-1) for b in range(m) for i in range(n)]
-    assert np.array_equal(plan.views, np.stack(planes))
+    assert np.array_equal(views, np.stack(planes))
     nearest = rng.integers(0, 1000, size=(m, n, n ** (m - 1)))
-    at = nearest.reshape(-1)[plan.gather]
+    at = nearest.reshape(-1)[gather]
     for b in range(m):
         assert np.array_equal(at[b].reshape(shape), np.moveaxis(nearest[b].reshape(shape), 0, b))
 
-    assert plan.pairs.T.tolist() == [list(pair) for pair in pairs]
-    for q, (b, c) in enumerate(pairs):
+    assert pairs.T.tolist() == [list(pair) for pair in pair_list]
+    for q, (b, c) in enumerate(pair_list):
         cell = (q * n + point[b]) * n + point[c]
-        assert np.array_equal(plan.pair_cell[q].reshape(shape), np.broadcast_to(cell, shape))
+        assert np.array_equal(pair_cell[q].reshape(shape), np.broadcast_to(cell, shape))
 
     # column [a, :, j] of the line syndromes is line j along axis a, lines in
     # row-major order of the other axes
@@ -220,8 +225,8 @@ def test_index_plan_matches_axis_formulation(n, m):
     for density in (0.05, 0.3, 0.8):
         entries = (rng.random(shape) < density).astype(np.int64)
         fails = _pair_fails(entries, code)
-        assert len(fails) == len(pairs)
-        for (b, c), fail in zip(pairs, fails):
+        assert len(fails) == len(pair_list)
+        for (b, c), fail in zip(pair_list, fails):
             others = [a for a in range(m) if a not in (b, c)]
             assert fail.shape == (n,) * (m - 2)
             for rest in itertools.product(range(n), repeat=m - 2):
@@ -232,21 +237,36 @@ def test_index_plan_matches_axis_formulation(n, m):
 
 
 def test_index_plans_are_cached_per_shape():
-    assert index_plan(3, 4) is index_plan(3, 4)
-    assert index_plan(3, 4) is not index_plan(4, 3)
-    assert index_plan.cache_info().maxsize == PLAN_CACHE
-    plan = index_plan(2, 7)
-    assert "pair_cell" not in vars(plan)  # arrays are built on first use
-    assert plan.pair_cell is plan.pair_cell
+    for index in (plane_index, point_index):
+        assert index(3, 4) is index(3, 4)
+        assert index(3, 4) is not index(4, 3)
+        assert index.cache_info().maxsize == PLAN_CACHE
+
+
+def test_line_only_paths_leave_the_point_arrays_unbuilt():
+    """Membership, exact and sampled rejection and the distance lower bound
+    read the plane views only; the disagreement analysis builds the point
+    arrays."""
+    code = TensorCode(parity_code(2), 7)
+    word = TensorWord(code.field, np.random.default_rng(7).integers(0, 2, size=(2,) * 7))
+    planes, points = plane_index.cache_info(), point_index.cache_info()
+    code.contains(word)
+    rejection_probability_exact(word, code)
+    rejection_probability_sampled(word, code, 50, 0)
+    distance_lower_bound_batch(code, word.entries[None])
+    assert plane_index.cache_info() != planes
+    assert point_index.cache_info() == points
+    inconsistency(word, compute_opinions(word, code))
+    assert point_index.cache_info() != points
 
 
 def test_index_plan_refuses_arrays_above_the_cap():
-    """Each array of the 3^15 plan would hold at least 15 * 3^15 entries:
+    """Each array of the 3^15 cube would hold at least 15 * 3^15 entries:
     refused before anything is allocated. At m = 13 the pair cells, 78
-    entries per point, exceed it."""
-    plan = IndexPlan(3, 15)
-    for name in ("views", "gather", "pair_cell"):
+    entries per point, exceed it, while the plane views fit."""
+    for index in (plane_index, point_index):
         with pytest.raises(CapacityError, match="3\\^15 cube exceeds cap"):
-            getattr(plan, name)
-    with pytest.raises(CapacityError):
-        IndexPlan(3, 13).pair_cell
+            index(3, 15)
+    check_index_size(3, 13)
+    with pytest.raises(CapacityError, match="3\\^13 cube exceeds cap"):
+        point_index(3, 13)
