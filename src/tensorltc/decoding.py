@@ -43,18 +43,16 @@ class DecoderConfig:
     ) -> DecoderConfig:
         if radius is None:
             radius = base.unique_decoding_radius()
+        if radius < 0:
+            raise ValueError(f"radius {radius} is negative")
         if removal_threshold is None:
+            if radius > 2 * base.n:
+                raise ValueError(f"radius {radius} is above 2n = {2 * base.n}")
             removal_threshold = Fraction(radius, 2 * base.n)
         removal_threshold = Fraction(removal_threshold)
         if not 0 <= removal_threshold <= 1:
             raise ValueError("removal threshold must be a fraction of n in [0, 1]")
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
         return cls(base, radius, removal_threshold)
-
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(self.radius, self.base.n)
 
     def error_budget(self) -> int:
         """floor(alpha^2 n^2 / 100) correctable errors; alpha * n is the radius."""

@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -298,6 +298,11 @@ def write_csv(rows: list[ResultRow], fh) -> None:
 
 
 def write_json(rows: list[ResultRow], fh) -> None:
-    payload = {"schema": 1, "rows": [asdict(row) for row in rows]}
-    json.dump(payload, fh, indent=2, sort_keys=True)
-    fh.write("\n")
+    """``{"schema": 1, "rows": [...]}`` as ``json.dump`` writes it with
+    indent 2 and sorted keys, one row at a time."""
+    fh.write('{\n  "rows": [')
+    for i, row in enumerate(rows):
+        values = {name: getattr(row, name) for name in CSV_COLUMNS}
+        text = json.dumps(values, indent=2, sort_keys=True).replace("\n", "\n    ")
+        fh.write(("," if i else "") + "\n    " + text)
+    fh.write(("\n  " if rows else "") + '],\n  "schema": 1\n}\n')

@@ -215,10 +215,7 @@ class LinearCode:
         """Exact minimum weight over nonzero codewords (cached): the least
         popcount of the OR over planes of a packed codeword."""
         if self._distance is None:
-            if exceeds_cap(self.p, self.k):
-                raise CapacityError(
-                    f"distance enumeration over {self.p}^{self.k} codewords exceeds cap {ENUM_CAP}"
-                )
+            check_search(self.p, self.k)
             distance = self.n
             for start, columns in self._packed_blocks():
                 weights = np.bitwise_count(functools.reduce(np.bitwise_or, columns)).sum(axis=0)

@@ -43,7 +43,7 @@ def _tester_axes(level: int, axis_mode: str) -> tuple[int, ...]:
 
 def _check_composable(code: TensorCode) -> None:
     if code.m < 3:
-        raise ShapeError(f"composition needs m >= 3, got m = {code.m}")
+        raise ShapeError(f"the plane tester needs m >= 3, got m = {code.m}")
 
 
 def robustness_lower_bound(code: TensorCode) -> Fraction:
@@ -69,8 +69,7 @@ def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all")
     code's plane-view oracle, which the analyzer shares.
     """
     code.check_shape(word)
-    if code.m < 3:
-        raise ShapeError(f"the plane tester needs m >= 3, got m = {code.m}")
+    _check_composable(code)
     dists = code.plane_opinions(word, len(_tester_axes(code.m, axis_mode)))[1]
     return Fraction(int(dists.sum()), dists.size * code.n ** (code.m - 1))
 

@@ -29,14 +29,6 @@ def _add_errors(words: np.ndarray, positions, offsets, p: int) -> np.ndarray:
     return flat.reshape(words.shape)
 
 
-def exact_errors_channel(word: TensorWord, t: int, seed: int) -> TensorWord:
-    """Change exactly ``t`` distinct positions to uniformly random
-    different values, so the output is at Hamming distance exactly t."""
-    positions, offsets = _error_draws(word.size, t, word.field.p, seed)
-    noisy = _add_errors(word.entries[None], positions[None], offsets[None], word.field.p)
-    return TensorWord(word.field, noisy[0])
-
-
 def erase_planes(
     word: TensorWord, planes: list[PlaneIndex]
 ) -> tuple[TensorWord, tuple[tuple[int, ...], ...]]:
@@ -45,18 +37,15 @@ def erase_planes(
     Returns (masked word, per-axis surviving coordinates); entries outside
     the surviving product subcube are untrusted.
     """
-    erased_by_axis: dict[int, set[int]] = {b: set() for b in range(1, word.m + 1)}
+    n, m = word.n, word.m
+    erased = set()
     for pl in planes:
-        if not 1 <= pl.axis <= word.m or not 0 <= pl.coord < word.n:
-            raise ShapeError(f"plane {pl} outside a {word.m}-axis cube of side {word.n}")
-        erased_by_axis[pl.axis].add(pl.coord)
+        if not 1 <= pl.axis <= m or not 0 <= pl.coord < n:
+            raise ShapeError(f"plane {pl} outside a {m}-axis cube of side {n}")
+        erased.add((pl.axis, pl.coord))
     entries = word.entries.copy()
-    views = plane_index(word.n, word.m)
-    entries.reshape(-1)[views[[(pl.axis - 1) * word.n + pl.coord for pl in planes]]] = 0
-    sets = tuple(
-        tuple(i for i in range(word.n) if i not in erased_by_axis[b])
-        for b in range(1, word.m + 1)
-    )
+    entries.reshape(-1)[plane_index(n, m)[[(b - 1) * n + i for b, i in erased]]] = 0
+    sets = tuple(tuple(i for i in range(n) if (b, i) not in erased) for b in range(1, m + 1))
     return TensorWord(word.field, entries), sets
 
 
@@ -104,9 +93,8 @@ def random_word(code: TensorCode, seed: int) -> TensorWord:
 
 
 def random_codeword(code: TensorCode, seed: int) -> TensorWord:
-    rng = np.random.default_rng(seed)
-    message = rng.integers(0, code.field.p, size=code.dimension)
-    return code.encode(message)
+    """The codeword of a random message (``codeword_plus_errors`` with none)."""
+    return codeword_plus_errors(code, 0, seed)[0]
 
 
 def codeword_plus_errors(code: TensorCode, t: int, seed: int) -> tuple[TensorWord, TensorWord]:

@@ -335,12 +335,6 @@ class TensorCode:
         self._plane_memo = (key, nearest, distances)
         return nearest, distances
 
-    def distance_to(self, word: TensorWord) -> int:
-        """Exact Hamming distance from the word to the code (brute force)."""
-        self.check_shape(word)
-        check_search(self.field.p, self.dimension)  # before the flat code is built
-        return int(self.flattened().nearest_batch(word.flat())[1][0])
-
 
 # -- file format --------------------------------------------------------------
 #

@@ -20,6 +20,7 @@ import reference
 
 from tensorltc.analysis import analyze_word
 from tensorltc.decoding import DecoderConfig, decode_square
+from tensorltc.experiment import word_relative_distance
 from tensorltc.linear_code import (
     hamming74,
     parity_code,
@@ -298,7 +299,8 @@ def test_criterion_7_strong_local_testing(cube3, cube4, m3_sweep):
             word = codeword_plus_errors(cube4, 1 + seed % 4, seed)[1]
         else:
             word = random_codeword(cube4, seed)
-        delta = Fraction(cube4.distance_to(word), cube4.blocklength)
+        delta, mode = word_relative_distance(cube4, word)
+        assert mode == "exact"
         sampled = rejection_probability_sampled(
             word, cube4, SAMPLED_TRIALS, seed=index
         )

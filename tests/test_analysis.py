@@ -25,6 +25,7 @@ from tensorltc.analysis import (
     verify_heavy_cover,
 )
 from tensorltc.errors import InvariantError
+from tensorltc.experiment import word_relative_distance
 from tensorltc.linear_code import (
     AMBIGUOUS,
     INCONSISTENT,
@@ -297,7 +298,7 @@ def test_certified_bound_single_flip(cube3):
     word = single_flip(cube3)
     analysis = analyze_word(word, cube3)
     assert analysis.certified.value == Fraction(1, 27)
-    assert analysis.certified.value == Fraction(cube3.distance_to(word), 27)
+    assert word_relative_distance(cube3, word) == (analysis.certified.value, "exact")
 
 
 def test_certified_bound_planted_cross(cube3, planted_cross):
@@ -322,7 +323,8 @@ def test_certified_bound_dominates_truth(cube3):
     for seed in range(100):
         word = random_word(cube3, seed)
         analysis = analyze_word(word, cube3)
-        true_delta = Fraction(cube3.distance_to(word), cube3.blocklength)
+        true_delta, mode = word_relative_distance(cube3, word)
+        assert mode == "exact"
         assert analysis.certified.value >= true_delta
 
 
@@ -332,7 +334,8 @@ def test_end_to_end_theorem_chain(cube3):
     for seed in range(100):
         word = random_word(cube3, seed)
         rho = robustness_exact(word, cube3)
-        true_delta = Fraction(cube3.distance_to(word), cube3.blocklength)
+        true_delta, mode = word_relative_distance(cube3, word)
+        assert mode == "exact"
         assert rho * scale >= true_delta
 
 

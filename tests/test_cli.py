@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -25,6 +26,8 @@ from tensorltc.experiment import (
     run_experiment,
     trial_seed,
     violations,
+    word_relative_distance,
+    write_json,
 )
 from tensorltc.linear_code import LinearCode, hamming74, parity_code
 from tensorltc.local_testing import DRAW_CAP, check_draws, robustness_exact
@@ -160,6 +163,20 @@ def test_decode_command_success_and_failure(capsys, tmp_path):
     code, _, err = run_cli(capsys, "decode", "--family", "parity:3", "--word", str(bad))
     assert code == 3
     assert "decode failed" in err
+
+
+@pytest.mark.parametrize("radius", ["-1", "11"])
+def test_decode_radius_refusals_name_the_radius(capsys, tmp_path, radius):
+    """A negative radius, or one above 2n, whose default removal threshold
+    radius/(2n) would pass 1, is refused as a radius: the CLI has no
+    threshold setting to name."""
+    path = tmp_path / "w.txt"
+    save_tensor(random_codeword(TensorCode(resolve_base_code("repetition:5"), 2), 0), path)
+    code, _, err = run_cli(
+        capsys, "decode", "--family", "repetition:5", "--word", str(path), "--radius", radius
+    )
+    assert code == 1 and f"radius {radius}" in err
+    assert "threshold" not in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_one(capsys, tmp_path):
@@ -412,7 +429,9 @@ def test_tester_refusals_come_before_any_word_is_drawn(monkeypatch, kind, family
 
 def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):
     """parity(64)^3's plane views would be searched over 2^(63^2)
-    codewords: the cap is hit without the Kronecker generator being built."""
+    codewords: the cap is hit without the Kronecker generator being built.
+    The word's own distance, over 2^(63^3) codewords, takes the syndrome
+    lower bound, which builds no generator either."""
     built = []
     monkeypatch.setattr(TensorCode, "flattened", lambda self: built.append(self))
     base = parity_code(64)
@@ -420,8 +439,7 @@ def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, mo
     for call in (robustness_exact, compute_opinions):
         with pytest.raises(CapacityError, match=r"2\^3969 codewords"):
             call(word, TensorCode(base, 3))
-    with pytest.raises(CapacityError, match=r"2\^250047 codewords"):
-        TensorCode(base, 3).distance_to(word)
+    assert word_relative_distance(TensorCode(base, 3), word) == (0, "lower_bound")
     out = tmp_path / "rows.csv"
     code, _, err = run_cli(
         capsys, "experiment", "--kind", "robustness", "--family", "parity:64", "--m", "3",
@@ -472,6 +490,23 @@ def test_experiment_json_mirrors_csv(capsys, tmp_path):
     assert len(doc["rows"]) == 5
     assert doc["rows"][0]["statistic"] == "rejection_exact"
     assert all(row["bound_satisfied"] == "true" for row in doc["rows"])
+
+
+def test_write_json_matches_json_dump_of_the_whole_payload():
+    """Rows are written one at a time, in the bytes ``json.dump`` writes
+    for the whole payload, for rows of every kind and for no rows."""
+    specs = [
+        ExperimentSpec(kind="robustness", base="parity:3", m=3, mode="planted", trials=3),
+        ExperimentSpec(kind="rejection", base="parity:3", m=3, trials=3),
+        ExperimentSpec(kind="rejection", base="parity:3", m=4, sample_trials=20, trials=2),
+        ExperimentSpec(kind="rejection", base="parity:3", m=5, mode="errors", trials=1),
+        ExperimentSpec(kind="decode", base="hamming74", m=2, mode="errors", errors=2, trials=3),
+    ]
+    for rows in [[]] + [run_experiment(spec) for spec in specs]:
+        out = io.StringIO()
+        write_json(rows, out)
+        payload = {"schema": 1, "rows": [dataclasses.asdict(row) for row in rows]}
+        assert out.getvalue() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_experiment_decode_kind(capsys, tmp_path):
@@ -660,7 +695,7 @@ def test_trial_seed_stability():
 def test_distance_lower_bound_mode_above_enumeration_cap():
     from fractions import Fraction
 
-    from tensorltc.experiment import distance_lower_bound_batch, word_relative_distance
+    from tensorltc.experiment import distance_lower_bound_batch
     from tensorltc.noise import random_codeword, random_word
 
     # parity(3)^5 has 2^32 codewords, beyond the exact-oracle cap
@@ -675,7 +710,9 @@ def test_distance_lower_bound_mode_above_enumeration_cap():
     cube = TensorCode(parity_code(3), 3)
     for seed in range(30):
         word = random_word(cube, seed)
-        assert distance_lower_bound_batch(cube, word.entries[None])[0] <= cube.distance_to(word)
+        delta, mode = word_relative_distance(cube, word)
+        assert mode == "exact"
+        assert Fraction(distance_lower_bound_batch(cube, word.entries[None])[0], 27) <= delta
 
 
 def test_experiment_survives_lower_bound_distance_mode():

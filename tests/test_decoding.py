@@ -25,18 +25,18 @@ def rep50_square(rep50):
 def test_config_defaults(rep50, hamming):
     cfg = DecoderConfig.for_code(rep50)
     assert cfg.radius == 24
-    assert cfg.alpha == Fraction(12, 25)
+    assert Fraction(cfg.radius, rep50.n) == Fraction(12, 25)
     assert cfg.removal_threshold == Fraction(24, 100)
     cfg = DecoderConfig.for_code(hamming)
     assert cfg.radius == 1
-    assert cfg.alpha == Fraction(1, 7)
+    assert Fraction(cfg.radius, hamming.n) == Fraction(1, 7)
 
 
 def test_error_budget_examples(rep50, hamming):
     assert DecoderConfig.for_code(rep50).error_budget() == 5
     assert DecoderConfig.for_code(hamming).error_budget() == 0
     degenerate = DecoderConfig.for_code(parity_code(3))  # d = 2 gives radius 0
-    assert degenerate.alpha == 0
+    assert Fraction(degenerate.radius, degenerate.base.n) == 0
     assert degenerate.error_budget() == 0
 
 

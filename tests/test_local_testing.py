@@ -6,6 +6,7 @@ import reference
 from reference import all_planes
 
 from tensorltc.errors import ShapeError
+from tensorltc.experiment import word_relative_distance
 from tensorltc.linear_code import parity_code, repetition_code
 from tensorltc.local_testing import (
     composed_robustness_bound,
@@ -68,7 +69,8 @@ def test_robustness_bound_on_random_words(cube3):
     bound = robustness_lower_bound(cube3)
     for seed in range(100):
         word = random_word(cube3, seed)
-        delta = Fraction(cube3.distance_to(word), cube3.blocklength)
+        delta, mode = word_relative_distance(cube3, word)
+        assert mode == "exact"
         assert robustness_exact(word, cube3) >= bound * delta
 
 
@@ -123,7 +125,8 @@ def test_strong_ltc_inequality_exact(cube3):
     bound = composed_robustness_bound(cube3)
     for seed in range(60):
         word = random_word(cube3, seed)
-        delta = Fraction(cube3.distance_to(word), cube3.blocklength)
+        delta, mode = word_relative_distance(cube3, word)
+        assert mode == "exact"
         assert rejection_probability_exact(word, cube3) >= bound * delta
 
 

@@ -9,36 +9,31 @@ from tensorltc.linear_code import random_linear_code
 from tensorltc.noise import (
     codeword_plus_errors,
     erase_planes,
-    exact_errors_channel,
     planted_word,
     random_codeword,
-    random_word,
 )
 from tensorltc.tensor_code import PlaneIndex, TensorCode, TensorWord
 
 
 def test_exact_errors_distance_contract(cube3):
-    word = random_word(cube3, 0)
-    assert exact_errors_channel(word, 0, 1) == word
+    clean, noisy = codeword_plus_errors(cube3, 0, 1)
+    assert noisy == clean
     for t in (1, 5, 27):
-        noisy = exact_errors_channel(word, t, 1)
-        assert np.count_nonzero(noisy.entries != word.entries) == t
+        clean, noisy = codeword_plus_errors(cube3, t, 1)
+        assert np.count_nonzero(noisy.entries != clean.entries) == t
     with pytest.raises(ShapeError):
-        exact_errors_channel(word, 28, 1)
+        codeword_plus_errors(cube3, 28, 1)
 
 
 def test_exact_errors_deterministic(cube3):
-    word = random_word(cube3, 2)
-    assert exact_errors_channel(word, 3, 9) == exact_errors_channel(word, 3, 9)
-    assert exact_errors_channel(word, 3, 9) != exact_errors_channel(word, 3, 10)
+    assert codeword_plus_errors(cube3, 3, 9) == codeword_plus_errors(cube3, 3, 9)
+    assert codeword_plus_errors(cube3, 3, 9)[1] != codeword_plus_errors(cube3, 3, 10)[1]
 
 
 def test_exact_errors_nonbinary():
-    from tensorltc.field import PrimeField
-
-    word = TensorWord(PrimeField(5), np.zeros((4, 4), dtype=int))
-    noisy = exact_errors_channel(word, 7, 3)
-    assert np.count_nonzero(noisy.entries != word.entries) == 7
+    square = TensorCode(random_linear_code(4, 2, 5, 0), 2)
+    clean, noisy = codeword_plus_errors(square, 7, 3)
+    assert np.count_nonzero(noisy.entries != clean.entries) == 7
     assert noisy.entries.max() < 5
 
 
@@ -56,6 +51,7 @@ def test_erase_planes(cube3):
 def test_random_codeword_membership(cube3):
     for seed in range(10):
         assert cube3.contains(random_codeword(cube3, seed))
+        assert random_codeword(cube3, seed) == reference.codeword_plus_errors(cube3, 0, seed)[0]
 
 
 def test_codeword_plus_errors(cube3):

@@ -9,7 +9,7 @@ from reference import all_planes
 
 from tensorltc.analysis import compute_opinions, inconsistency
 from tensorltc.errors import CapacityError, ShapeError
-from tensorltc.experiment import distance_lower_bound_batch
+from tensorltc.experiment import distance_lower_bound_batch, word_relative_distance
 from tensorltc.field import PrimeField
 from tensorltc.linear_code import parity_code, random_linear_code, repetition_code
 from tensorltc.local_testing import (
@@ -140,7 +140,7 @@ def test_distance_to_and_nearest(cube3):
     word = np.zeros((3, 3, 3), dtype=int)
     word[0, 0, 0] = 1
     word = TensorWord(cube3.field, word)
-    assert cube3.distance_to(word) == 1
+    assert word_relative_distance(cube3, word) == (Fraction(1, 27), "exact")
     nearest, dist, _ = cube3.flattened().nearest_batch(word.flat())
     assert dist[0] == 1 and not nearest.any()
 
