@@ -5,8 +5,9 @@ limit (``RLIMIT_AS``) and one BLAS thread, with a 60 s timeout, strictly
 one after another so that at most one child holds memory at a time. The
 grid covers three tester kinds, robustness, exact rejection and sampled
 rejection (100 draws), over parity(3) and repetition(3) at m = 5..16,
-parity(2) at m in {10, 14, 18, 22, 24, 25} and parity(4) at m = 4..13,
-and decoding with 5 errors over repetition(n)^2 for n in {1024, 2048,
+parity(2) at m in {10, 14, 18, 22, 24, 25}, parity(4) at m = 4..13 and
+parity(26) at m in {3, 5}, whose 2^25 base codewords are too many to
+search for the minimum distance, and decoding with 5 errors over repetition(n)^2 for n in {1024, 2048,
 4096, 4097}. Three more commands ask for 10^12 of a count over
 parity(3)^4: tester draws of ``test``, ``--sample-trials`` and
 ``--trials`` of a rejection experiment.
@@ -60,6 +61,7 @@ GRID = [
     ("repetition:3", range(5, 17)),
     ("parity:2", (10, 14, 18, 22, 24, 25)),
     ("parity:4", range(4, 14)),
+    ("parity:26", (3, 5)),
 ]
 DECODE_GRID = [(f"repetition:{n}", (2,)) for n in (1024, 2048, 4096, 4097)]
 HUGE = "1000000000000"

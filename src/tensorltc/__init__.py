@@ -14,7 +14,6 @@ from .linear_code import (
     parity_code,
     random_linear_code,
     repetition_code,
-    save_code,
 )
 from .tensor_code import (
     EncodeCounter,

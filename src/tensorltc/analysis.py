@@ -57,9 +57,6 @@ class OpinionTable:
 def compute_opinions(word: TensorWord, code: TensorCode) -> OpinionTable:
     """Nearest (m-1)-fold-power codeword for every plane view (tie-broken
     toward the lexicographically smallest message)."""
-    code.check_shape(word)
-    if code.m < 2:
-        raise ShapeError("opinions need m >= 2")
     nearest, distances = code.plane_opinions(word)
     return OpinionTable(code=code, nearest=nearest, distances=distances)
 

@@ -192,9 +192,7 @@ def decode_stack(words: np.ndarray, cfg: DecoderConfig) -> StackedDecode:
     return StackedDecode(cfg, output, marks, failed, counts, removed, status, distance)
 
 
-def decode_square(
-    word: TensorWord | np.ndarray, cfg: DecoderConfig
-) -> tuple[TensorWord | None, DecodeTrace]:
+def decode_square(word: TensorWord, cfg: DecoderConfig) -> tuple[TensorWord | None, DecodeTrace]:
     """Decode an n x n word to the 2-fold power of the configured base.
 
     Returns (codeword, trace) on success and (None, trace) on failure.
@@ -202,11 +200,11 @@ def decode_square(
     erasure pass reports the first failing row, or column, in index order.
     This is :func:`decode_stack` on a stack of one word.
     """
-    entries = word.entries if isinstance(word, TensorWord) else np.asarray(word)
     n = cfg.base.n
-    if entries.shape != (n, n):
-        raise ShapeError(f"expected an {n} x {n} word, got shape {entries.shape}")
-    stack = decode_stack(cfg.base.field.validate(entries)[None], cfg)
+    if word.field != cfg.base.field or word.entries.shape != (n, n):
+        got = f"shape {word.entries.shape} over GF({word.field.p})"
+        raise ShapeError(f"expected an {n} x {n} word over GF({cfg.base.p}), got {got}")
+    stack = decode_stack(word.entries[None], cfg)
     trace = stack.trace(0)
     if trace.status != "ok":
         return None, trace

@@ -264,6 +264,7 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         else:
             check_draws(spec.sample_trials)  # the sampled tester's draws
         check_index_size(code.n, code.m)  # the plane views
+    base.minimum_distance()  # every kind's bound or decoder reads it
     threads = max(1, int(os.environ.get("TENSORLTC_THREADS", "1")))
     size = max(1, CHUNK_ENTRIES // code.blocklength)
     # the first chunk builds every lazy cache the chunks share before any
@@ -276,13 +277,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     chunks = [trials[:first]] + [trials[at : at + size] for at in range(first, spec.trials, size)]
     run = functools.partial(_chunk, code, spec)
     rows = run(chunks[0])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-            later = pool.map(run, chunks[2:])
-            rows += itertools.chain.from_iterable(map(run, chunks[1:2]))
-            rows += itertools.chain.from_iterable(later)
-    else:
-        rows += itertools.chain.from_iterable(map(run, chunks[1:]))
+    with ThreadPoolExecutor(max_workers=max(1, threads - 1)) as pool:
+        later = (pool.map if threads > 1 else map)(run, chunks[2:])
+        rows += itertools.chain.from_iterable(itertools.chain(map(run, chunks[1:2]), later))
     return rows
 
 

@@ -75,20 +75,6 @@ class PartialWord:
     values: np.ndarray
     known: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.int64)
-        known = np.asarray(self.known, dtype=bool)
-        if values.shape != known.shape or values.ndim != 1:
-            raise ShapeError("values and known must be 1-d arrays of equal length")
-        if values.size > 0 and not known.any():
-            raise ValueError("a nonempty partial word needs at least one known entry")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "known", known)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 class LinearCode:
     """A k-dimensional subspace of GF(p)^n given by a generator matrix.
@@ -382,7 +368,7 @@ class LinearCode:
         """Complete a partial word to the unique agreeing codeword, else
         AMBIGUOUS or INCONSISTENT (see :meth:`erasure_decode_batch`). With at
         most d - 1 erasures of a true codeword the completion is that codeword."""
-        codewords, status = self.erasure_decode_batch(partial.values[None], partial.known)
+        codewords, status = self.erasure_decode_batch(np.asarray(partial.values)[None], partial.known)
         return codewords[0] if status[0] is None else status[0]
 
     def _coset_table(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,29 +405,14 @@ class LinearCode:
             math.comb(self.n, w) * (self.p - 1) ** w for w in range(radius + 1)
         )
 
-    def bounded_distance_decode_batch(
-        self, words, radius: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Decode every row of ``words`` within ``radius``.
-
-        Returns ``(codewords, failed)``: failed[i] is True when no codeword
-        lies within ``radius`` of row i, and then row i of ``codewords`` is
-        zero. Uniqueness is guaranteed for radius <= floor((d-1)/2); for
-        larger radii some codeword within range is returned. Uses the coset
-        table (one syndrome product, one sorted-key lookup) when the
-        syndrome space and pattern count are small, otherwise one pass of
-        the nearest-codeword oracle.
-        """
-        words = self.field.validate(np.asarray(words))
-        if words.ndim != 2 or words.shape[1] != self.n:
-            raise ShapeError(f"expected rows of length n = {self.n}, got shape {words.shape}")
-        codewords, failed = self._decode_lines(words, radius)
-        return codewords.astype(np.int64), failed
-
     def _decode_lines(self, words: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`bounded_distance_decode_batch` of valid (t, n) words of
-        any integer dtype, unchecked, the codewords in the narrow dtype of
-        :meth:`_unpack_columns`."""
+        """``(codewords, failed)`` for valid (t, n) words of any integer
+        dtype, unchecked, the codewords in the narrow dtype of
+        :meth:`_unpack_columns`: failed[i] is True, and row i is zero, when
+        no codeword lies within ``radius`` of row i. The codeword is unique
+        for radius <= floor((d-1)/2); above that it is some codeword in
+        range. One coset-table lookup when the syndrome space and pattern
+        count are small, else one pass of the nearest-codeword oracle."""
         if (
             not exceeds_cap(self.p, self.n - self.k, SYNDROME_CAP)
             and self._pattern_count(radius) <= PATTERN_CAP
@@ -463,9 +434,12 @@ class LinearCode:
 
     def bounded_distance_decode(self, w, radius: int) -> np.ndarray | None:
         """The unique codeword within ``radius`` of ``w``, else None (see
-        :meth:`bounded_distance_decode_batch`)."""
-        codewords, failed = self.bounded_distance_decode_batch(np.asarray(w)[None], radius)
-        return None if failed[0] else codewords[0]
+        :meth:`_decode_lines`)."""
+        w = self.field.validate(np.asarray(w))
+        if w.shape != (self.n,):
+            raise ShapeError(f"expected a word of length n = {self.n}, got shape {w.shape}")
+        codewords, failed = self._decode_lines(w[None], radius)
+        return None if failed[0] else codewords[0].astype(np.int64)
 
     def unique_decoding_radius(self) -> int:
         return (self.minimum_distance() - 1) // 2
@@ -521,16 +495,6 @@ def random_linear_code(n: int, k: int, p: int, seed: int) -> LinearCode:
 # Text, UTF-8. Line 1: "p n k". Next k lines: n space-separated integers in
 # [0, p), the generator rows. A rank-deficient generator is accepted with a
 # warning; the code's k becomes the true rank.
-
-
-def save_code(code: LinearCode, target) -> None:
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="utf-8") as fh:
-            save_code(code, fh)
-        return
-    target.write(f"{code.p} {code.n} {code.k}\n")
-    for row in code.G:
-        target.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
 def load_code(source) -> LinearCode:

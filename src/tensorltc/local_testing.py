@@ -68,7 +68,6 @@ def robustness_exact(word: TensorWord, code: TensorCode, axis_mode: str = "all")
     Every plane view's distance to the (m-1)-fold power comes from the
     code's plane-view oracle, which the analyzer shares.
     """
-    code.check_shape(word)
     _check_composable(code)
     dists = code.plane_opinions(word, len(_tester_axes(code.m, axis_mode)))[1]
     return Fraction(int(dists.sum()), dists.size * code.n ** (code.m - 1))

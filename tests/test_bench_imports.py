@@ -66,19 +66,31 @@ def definitions(node: ast.AST, prefix: str = ""):
 
 def callers(path: Path, attributes_only: bool = False) -> set[str]:
     """Names a file reads: attributes, and unless ``attributes_only`` also
-    bare names, imported names and string constants."""
+    bare names, imported names and string constants. A read inside the
+    definition of the name it reads is a call to itself, and does not count."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+
+    def visit(node: ast.AST, inside: frozenset) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inside |= {node.name}
         if isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            read = node.attr
         elif attributes_only:
-            continue
+            read = None
         elif isinstance(node, ast.Name):
-            names.add(node.id)
+            read = node.id
         elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
+            read = node.name.rpartition(".")[2]
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            names.add(node.value)
+            read = node.value
+        else:
+            read = None
+        if read is not None and read not in inside:
+            names.add(read)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     return names
 
 

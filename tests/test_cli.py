@@ -57,9 +57,7 @@ def test_resolve_families(tmp_path):
     with pytest.raises(ValueError):
         resolve_base_code("nonsense:1")
     path = tmp_path / "c.txt"
-    from tensorltc.linear_code import save_code
-
-    save_code(parity_code(3), path)
+    path.write_text("2 3 2\n1 0 1\n0 1 1\n", encoding="utf-8")
     assert resolve_base_code(f"file:{path}") == parity_code(3)
     with pytest.raises(ValueError):
         resolve_base_code(str(path))  # a bare path is no family
@@ -425,6 +423,30 @@ def test_tester_refusals_come_before_any_word_is_drawn(monkeypatch, kind, family
     monkeypatch.setattr(noise, "word_draws", no_draws)
     with pytest.raises(CapacityError, match=message):
         run_experiment(ExperimentSpec(kind=kind, base=family, m=m, trials=1))
+
+
+@pytest.mark.parametrize(
+    "kind, m, extra",
+    [("rejection", 5, []), ("rejection", 5, ["--sample-trials", "10"]), ("decode", 2, ["--mode", "errors"])],
+)
+def test_base_distance_refusal_comes_before_any_word_is_drawn(
+    capsys, tmp_path, monkeypatch, kind, m, extra
+):
+    """Every kind reads the base code's minimum distance, for its bound or
+    its decoder; parity(26)'s search over 2^25 codewords is refused before
+    any word is drawn."""
+
+    def no_draws(*args):
+        raise AssertionError("a word was drawn before the refusal")
+
+    monkeypatch.setattr(noise, "word_draws", no_draws)
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", kind, "--family", "parity:26", "--m", str(m),
+        "--trials", "1", "--out", str(out), *extra,
+    )
+    assert code == 2 and "search over 2^25 codewords" in err
+    assert not out.exists()
 
 
 def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):

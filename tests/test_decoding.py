@@ -138,8 +138,10 @@ def test_decode_trace_serializes(rep50_square):
 
 def test_shape_validation(rep50):
     cfg = DecoderConfig.for_code(rep50)
-    with pytest.raises(ShapeError):
-        decode_square(np.zeros((3, 3), dtype=int), cfg)
+    with pytest.raises(ShapeError, match="50 x 50"):
+        decode_square(TensorWord(rep50.field, np.zeros((3, 3), dtype=int)), cfg)
+    with pytest.raises(ShapeError, match="GF"):
+        decode_square(TensorWord(PrimeField(3), np.zeros((50, 50), dtype=int)), cfg)
 
 
 def test_custom_radius_and_threshold(hamming):

@@ -17,7 +17,6 @@ from tensorltc.linear_code import (
     parity_code,
     random_linear_code,
     repetition_code,
-    save_code,
 )
 
 
@@ -209,9 +208,13 @@ def test_erasure_decode_recovers_within_distance():
             assert np.array_equal(out, cw)
 
 
-def test_partial_word_needs_a_known_entry():
-    with pytest.raises(ValueError):
-        PartialWord([0, 0], [False, False])
+def test_erasure_decode_all_erased_and_mismatched_shapes():
+    parity = parity_code(2)
+    assert parity.erasure_decode(PartialWord(np.zeros(2, int), np.zeros(2, bool))) is AMBIGUOUS
+    with pytest.raises(ShapeError):
+        parity.erasure_decode(PartialWord(np.zeros(2, int), np.ones(3, bool)))
+    with pytest.raises(ShapeError):
+        parity.erasure_decode(PartialWord(np.zeros(3, int), np.ones(2, bool)))
 
 
 def test_bounded_distance_examples():
@@ -272,7 +275,8 @@ def test_nearest_batch_matches_singletons():
 def test_code_file_round_trip(tmp_path):
     code = random_linear_code(6, 3, 5, 11)
     path = tmp_path / "code.txt"
-    save_code(code, path)
+    rows = "\n".join(" ".join(map(str, row)) for row in code.G)
+    path.write_text(f"{code.p} {code.n} {code.k}\n{rows}\n", encoding="utf-8")
     again = load_code(path)
     assert again == code
 
@@ -291,6 +295,3 @@ def test_code_file_rejects_bad_input():
         load_code(io.StringIO("2 3 1\n1 1\n"))  # wrong entry count
     with pytest.raises(ValueError):
         load_code(io.StringIO("3 2 1\n1 5\n"))  # entry outside the field
-    buffer = io.StringIO()
-    save_code(parity_code(3), buffer)
-    assert buffer.getvalue().splitlines()[0] == "2 3 2"
