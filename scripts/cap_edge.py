@@ -24,6 +24,7 @@ slower refusal is a fault. The package is imported from this checkout's
     python3 scripts/cap_edge.py --kind decode         # the square decoder's rows
     python3 scripts/cap_edge.py --kind counts         # the huge-count rows
     python3 scripts/cap_edge.py --family parity:2     # one family's rows
+    python3 scripts/cap_edge.py --kind rejection --family parity:3 --m 14   # one row
 """
 
 from __future__ import annotations
@@ -124,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--family", choices=[family for family, _ in GRID + DECODE_GRID], action="append"
     )
+    parser.add_argument("--m", type=int, action="append", help="only rows of this exponent")
     args = parser.parse_args(argv)
     kinds = args.kind or [*KINDS, "counts"]
     families = args.family or [family for family, _ in GRID + DECODE_GRID]
@@ -131,6 +133,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'kind':<10} {'family':<13} {'m':>2} {'exit':>7} {'wall_s':>7} {'peak_mb':>8}  last stderr line")
     with tempfile.TemporaryDirectory() as tmp:
         for kind, family, m, argv in commands(kinds, families, Path(tmp)):
+            if args.m and m not in args.m:
+                continue
             code, wall, peak, last = run(argv, Path(tmp))
             faults += code not in (0, 2) or (code == 2 and wall > REFUSAL_S)
             shown = "timeout" if code is None else str(code)

@@ -93,9 +93,9 @@ class DecodeTrace:
 class StackedDecode:
     """The decoder's arrays for a stack of W words, word w at index w.
 
-    Symbols are in the narrow dtype ``np.min_scalar_type(p - 1)``. Lines
-    run rows first, then columns: index n + j of a (W, 2n) array is column
-    j's. A word's ``output`` is its decoded codeword where its status is ok.
+    Symbols are in the field's narrow dtype. Lines run rows first, then
+    columns: index n + j of a (W, 2n) array is column j's. A word's
+    ``output`` is its decoded codeword where its status is ok.
     """
 
     cfg: DecoderConfig
@@ -135,7 +135,7 @@ def decode_stack(words: np.ndarray, cfg: DecoderConfig) -> StackedDecode:
     those of :func:`decode_square` on it alone.
     """
     base, n = cfg.base, cfg.base.n
-    words = words.astype(np.min_scalar_type(base.p - 1), copy=False)
+    words = words.astype(base.field.dtype, copy=False)
     count = len(words)
 
     # Pass 1: bounded-distance decode every row and every column, in one batch.
@@ -180,7 +180,7 @@ def decode_stack(words: np.ndarray, cfg: DecoderConfig) -> StackedDecode:
     # are all codewords exactly when the pivot columns are.
     distance: list[int | None] = [None] * count
     if "ok" in status:
-        wrong = ((base.H @ output[:, :, base.pivots]) % base.p).any(axis=(1, 2)).tolist()
+        wrong = ((base._narrow_H @ output[:, :, base.pivots]) % base.p).any(axis=(1, 2)).tolist()
         distances = np.count_nonzero(output != words, axis=(1, 2)).tolist()
         beyond = (base.minimum_distance() ** 2 - 1) // 2
         for w in [w for w in range(count) if status[w] == "ok"]:

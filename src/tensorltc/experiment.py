@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -102,7 +102,7 @@ def word_relative_distance_batch(code: TensorCode, words: np.ndarray) -> tuple[l
     """(relative distance of each word of a validated stack, mode): exact,
     from one flat-oracle call, when enumerable, else lower bounds."""
     if not exceeds_cap(code.field.p, code.dimension):
-        distances = code.flattened().nearest_batch(words.reshape(len(words), -1))[1].tolist()
+        distances = code.flattened()._nearest(words.reshape(len(words), -1))[1].tolist()
         return [Fraction(d, code.blocklength) for d in distances], "exact"
     bounds = distance_lower_bound_batch(code, words)
     return [Fraction(b, code.blocklength) for b in bounds], "lower_bound"
@@ -173,7 +173,6 @@ def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list
     """(delta, distance mode, statistic, value, bound, satisfied) per word.
     The tester runs before the distance search, so a word too large for
     its line syndromes is refused first."""
-    field = code.field
     if spec.kind == "decode":
         cfg = DecoderConfig.for_code(code.base)
         budget = cfg.error_budget()
@@ -191,18 +190,16 @@ def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list
                 scores.append((delta, mode, "decode_exact", int(success), budget, satisfied))
         return scores
     slacks = [0] * len(words)
+    # the one-word testers read int64 entries: each row is widened as it is read
+    wide = (TensorWord._from_valid(code.field, w.astype(np.int64)) for w in words)
     if spec.kind == "robustness":
         statistic, coefficient = "robustness_exact", robustness_lower_bound
-        values = [
-            robustness_exact(TensorWord._from_valid(field, w), code, spec.axis_mode) for w in words
-        ]
+        values = [robustness_exact(word, code, spec.axis_mode) for word in wide]
     elif spec.sample_trials > 0:
         statistic, coefficient = "rejection_sampled", composed_robustness_bound
         sampled = [
-            rejection_probability_sampled(
-                TensorWord._from_valid(field, w), code, spec.sample_trials, seed, spec.axis_mode
-            )
-            for seed, w in zip(seeds, words)
+            rejection_probability_sampled(word, code, spec.sample_trials, seed, spec.axis_mode)
+            for seed, word in zip(seeds, wide)
         ]
         values = [s.estimate for s in sampled]
         slacks = [Fraction(3 * s.standard_error).limit_denominator(10**9) for s in sampled]
@@ -220,12 +217,13 @@ def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list
 
 def _chunk(code: TensorCode, spec: ExperimentSpec, trials: range) -> list[ResultRow]:
     """The rows of a chunk of trials. Each trial draws from its own seeds;
-    the chunk's words are then built, validated and scored as one stack."""
+    the chunk's words are then built, validated and scored as one stack of
+    narrow symbols."""
     seeds = [trial_seed(spec.seed, trial) for trial in trials]
     clean, words = noise.build_words(
         code, spec.mode, [noise.word_draws(code, spec.mode, spec.errors, seed) for seed in seeds]
     )
-    code.field.validate(words)
+    code.field.check(words)
     return [
         ResultRow(trial, spec.kind, spec.mode, code.m, code.n, seed, str(delta), distance_mode,
                   statistic, str(value), str(bound), str(satisfied).lower())
@@ -250,6 +248,8 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     elif spec.m < 3:
         raise ShapeError(f"{spec.kind} experiments need m >= 3, got m = {spec.m}")
     code = TensorCode(base, spec.m)
+    if spec.mode == "errors":  # a usage error, reported before any cap
+        noise.check_errors(spec.errors, code.blocklength)
     if exceeds_cap(code.n, code.m, FILE_CAP):
         raise CapacityError(
             f"experiment words of {code.n}^{code.m} entries exceed cap {FILE_CAP}"
@@ -294,12 +294,23 @@ def write_csv(rows: list[ResultRow], fh) -> None:
         fh.write(",".join(row.csv_values()) + "\n")
 
 
+# A row of write_json: its keys sorted, indented as json.dump's indent 2
+# puts an object inside the "rows" list, and for each value the encoder
+# json.dumps calls for its field's type, C code for a str.
+JSON_FIELDS = sorted(fields(ResultRow), key=lambda field: field.name)
+JSON_ROW = "{{\n" + ",\n".join(f'      "{f.name}": {{}}' for f in JSON_FIELDS) + "\n    }}"
+JSON_ENCODERS = tuple(
+    (f.name, int.__repr__ if f.type in (int, "int") else encode_basestring_ascii) for f in JSON_FIELDS
+)
+
+
 def write_json(rows: list[ResultRow], fh) -> None:
     """``{"schema": 1, "rows": [...]}`` as ``json.dump`` writes it with
-    indent 2 and sorted keys, one row at a time."""
+    indent 2 and sorted keys, one row at a time, each row through the
+    fixed template: an indented ``json.dumps`` of a row would run json's
+    pure-Python encoder."""
     fh.write('{\n  "rows": [')
     for i, row in enumerate(rows):
-        values = {name: getattr(row, name) for name in CSV_COLUMNS}
-        text = json.dumps(values, indent=2, sort_keys=True).replace("\n", "\n    ")
+        text = JSON_ROW.format(*[encode(getattr(row, name)) for name, encode in JSON_ENCODERS])
         fh.write(("," if i else "") + "\n    " + text)
     fh.write(("\n  " if rows else "") + '],\n  "schema": 1\n}\n')

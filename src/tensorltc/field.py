@@ -32,8 +32,9 @@ def _is_prime(p: int) -> bool:
 class PrimeField:
     """The field GF(p) for a prime modulus p with 2 <= p < 2**16.
 
-    Arrays it makes or checks hold ints reduced into [0, p). Instances are
-    immutable and safe to share.
+    Arrays it makes or checks hold ints reduced into [0, p). ``dtype``,
+    ``np.min_scalar_type(p - 1)``, is the narrow dtype the package holds
+    its symbol stacks in. Instances are immutable and safe to share.
     """
 
     def __init__(self, p: int):
@@ -43,6 +44,7 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
+        self.dtype = np.min_scalar_type(p - 1)
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
@@ -64,7 +66,9 @@ class PrimeField:
         """Copy ``data`` into an int64 array reduced mod p."""
         return np.array(data, dtype=np.int64) % self.p
 
-    def validate(self, arr: np.ndarray) -> np.ndarray:
+    def check(self, arr: np.ndarray) -> np.ndarray:
+        """``arr`` as it is, after checking that every entry lies in [0, p):
+        a narrow stack is checked without a copy."""
         arr = np.asarray(arr)
         if arr.dtype.kind in "iu":
             # a negative entry reads as a huge unsigned one: one max checks both ends
@@ -73,7 +77,11 @@ class PrimeField:
             bad = arr.size and (arr.min() < 0 or arr.max() >= self.p)
         if bad:
             raise ValueError(f"entries must lie in [0, {self.p})")
-        return arr.astype(np.int64, copy=False)
+        return arr
+
+    def validate(self, arr: np.ndarray) -> np.ndarray:
+        """:meth:`check`, then the entries as int64."""
+        return self.check(arr).astype(np.int64, copy=False)
 
     def parse(self, tokens) -> np.ndarray:
         """Text tokens as a 1-d array of symbols; ValueError unless each is

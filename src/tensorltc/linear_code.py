@@ -89,10 +89,21 @@ class LinearCode:
         G, pivots, rank = rref(field, generator)
         if rank == 0:
             raise ZeroCodeError("generator matrix has rank 0; codes need k >= 1")
+        self._set(field, G[:rank], pivots)
+
+    @classmethod
+    def _from_rref(cls, field: PrimeField, G: np.ndarray, pivots) -> LinearCode:
+        """A code over an int64 generator this package made in RREF, of
+        nonzero rank, with these pivot columns. Nothing is row-reduced or
+        rechecked."""
+        code = object.__new__(cls)
+        code._set(field, G, pivots)
+        return code
+
+    def _set(self, field: PrimeField, G: np.ndarray, pivots) -> None:
         self.field = field
-        self.G = G[:rank]
-        self.n = self.G.shape[1]
-        self.k = rank
+        self.G = G
+        self.k, self.n = G.shape
         self.pivots = np.array(pivots, dtype=np.intp)  # G[:, pivots] = I_k
         self.pivots.flags.writeable = False
         self._distance: int | None = None
@@ -109,6 +120,18 @@ class LinearCode:
         H[np.arange(free.size), free] = 1
         H[:, self.pivots] = (-self.G[:, free].T) % self.p
         return H
+
+    @functools.cached_property
+    def _narrow_H(self) -> np.ndarray:
+        """H in the narrowest unsigned dtype that holds n(p - 1)^2, the
+        largest sum in a syndrome: its product with the field's narrow
+        symbols stays narrow and cannot overflow."""
+        return self.H.astype(np.min_scalar_type(self.n * (self.p - 1) ** 2))
+
+    def _checks(self, words: np.ndarray) -> np.ndarray:
+        """The H that ``words`` are multiplied by without a cast: narrow for
+        the field's narrow symbols, int64 for int64 words."""
+        return self._narrow_H if words.dtype == self.field.dtype else self.H
 
     # -- basic descriptors ------------------------------------------------
 
@@ -187,14 +210,14 @@ class LinearCode:
 
     def codewords(self) -> np.ndarray:
         """All p**k codewords, row i encoding the i-th message in lex order,
-        unpacked once from the packed blocks."""
+        unpacked once from the packed blocks into the field's narrow dtype."""
         if exceeds_cap(self.p, self.k, CODEBOOK_CAP):
             raise CapacityError(
                 f"codebook of {self.p}^{self.k} codewords exceeds cap {CODEBOOK_CAP}"
             )
         if self._codebook is None:
             blocks = [columns for _, columns in self._packed_blocks()]
-            self._codebook = self._unpack_columns(np.concatenate(blocks, axis=-1)).astype(np.int64)
+            self._codebook = self._unpack_columns(np.concatenate(blocks, axis=-1))
         return self._codebook
 
     def minimum_distance(self) -> int:
@@ -256,10 +279,10 @@ class LinearCode:
 
     def _unpack_columns(self, columns: np.ndarray) -> np.ndarray:
         """The (count, n) symbols of column-wise packed codewords, in the
-        narrow dtype ``np.min_scalar_type(p - 1)``."""
+        field's narrow dtype."""
         packed = np.ascontiguousarray(columns.transpose(2, 0, 1))
         bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=self.n, bitorder="little")
-        symbols = bits[:, 0].astype(np.min_scalar_type(self.p - 1))
+        symbols = bits[:, 0].astype(self.field.dtype)
         for j in range(1, bits.shape[1]):
             symbols |= bits[:, j].astype(symbols.dtype) << j
         return symbols
@@ -315,7 +338,7 @@ class LinearCode:
 
     def _nearest(self, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`nearest_batch` of valid (t, n) words of any integer dtype,
-        unchecked, the codewords in the narrow dtype of :meth:`_unpack_columns`."""
+        unchecked, the codewords in the field's narrow dtype."""
         check_search(self.p, self.k)
         packed = self._pack(words)
         for start, columns in self._packed_blocks():
@@ -372,12 +395,14 @@ class LinearCode:
         return codewords[0] if status[0] is None else status[0]
 
     def _coset_table(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted syndrome keys and the coset leader of each.
+        """Sorted syndrome keys and the negated coset leader of each.
 
         A syndrome's key is its base-p integer, below p**(n-k). Its leader
         is the first error pattern of weight <= radius that has it, in the
-        order weight, positions, values. The table holds at most one row
-        per pattern, whatever p**(n-k) is.
+        order weight, positions, values; it is held as (-leader) % p in the
+        narrowest dtype that holds 2p - 2, so adding it to a narrow word
+        cannot overflow. The table holds at most one row per pattern,
+        whatever p**(n-k) is.
         """
         if radius not in self._coset_tables:
             p, n = self.p, self.n
@@ -393,12 +418,15 @@ class LinearCode:
                 blocks.append(block.reshape(-1, n))
             patterns = np.concatenate(blocks)
             keys, first = np.unique(self._syndrome_keys(patterns), return_index=True)
-            self._coset_tables[radius] = (keys, patterns[first])
+            negated = (-patterns[first]) % p
+            self._coset_tables[radius] = (keys, negated.astype(np.min_scalar_type(2 * p - 2)))
         return self._coset_tables[radius]
 
     def _syndrome_keys(self, words: np.ndarray) -> np.ndarray:
-        """Each valid word's syndrome read as a base-p integer, unchecked."""
-        return (words @ self.H.T) % self.p @ self.p ** np.arange(self.n - self.k, dtype=np.int64)
+        """Each valid word's syndrome read as a base-p integer below
+        p**(n-k) <= SYNDROME_CAP, unchecked."""
+        powers = self.p ** np.arange(self.n - self.k, dtype=np.min_scalar_type(SYNDROME_CAP))
+        return (words @ self._checks(words).T) % self.p @ powers
 
     def _pattern_count(self, radius: int) -> int:
         return sum(
@@ -407,21 +435,21 @@ class LinearCode:
 
     def _decode_lines(self, words: np.ndarray, radius: int) -> tuple[np.ndarray, np.ndarray]:
         """``(codewords, failed)`` for valid (t, n) words of any integer
-        dtype, unchecked, the codewords in the narrow dtype of
-        :meth:`_unpack_columns`: failed[i] is True, and row i is zero, when
-        no codeword lies within ``radius`` of row i. The codeword is unique
-        for radius <= floor((d-1)/2); above that it is some codeword in
-        range. One coset-table lookup when the syndrome space and pattern
-        count are small, else one pass of the nearest-codeword oracle."""
+        dtype, unchecked, the codewords in the field's narrow dtype:
+        failed[i] is True, and row i is zero, when no codeword lies within
+        ``radius`` of row i. The codeword is unique for radius <=
+        floor((d-1)/2); above that it is some codeword in range. One
+        coset-table lookup when the syndrome space and pattern count are
+        small, else one pass of the nearest-codeword oracle."""
         if (
             not exceeds_cap(self.p, self.n - self.k, SYNDROME_CAP)
             and self._pattern_count(radius) <= PATTERN_CAP
         ):
-            keys, leaders = self._coset_table(radius)
+            keys, negated = self._coset_table(radius)
             syndrome_keys = self._syndrome_keys(words)
             at = np.minimum(np.searchsorted(keys, syndrome_keys), keys.size - 1)
             failed = keys[at] != syndrome_keys
-            codewords = ((words - leaders[at]) % self.p).astype(np.min_scalar_type(self.p - 1))
+            codewords = ((words + negated[at]) % self.p).astype(self.field.dtype, copy=False)
         elif not exceeds_cap(self.p, self.k):
             codewords, dists, _ = self._nearest(words)
             failed = dists > radius

@@ -13,10 +13,15 @@ from .errors import ShapeError
 from .tensor_code import PlaneIndex, TensorCode, TensorWord, plane_index
 
 
-def _error_draws(size: int, t: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """``t`` distinct positions below ``size`` and a nonzero offset for each."""
+def check_errors(t: int, size: int) -> None:
+    """Refuse an error count outside [0, size]."""
     if not 0 <= t <= size:
         raise ShapeError(f"error count {t} outside [0, {size}]")
+
+
+def _error_draws(size: int, t: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` distinct positions below ``size`` and a nonzero offset for each."""
+    check_errors(t, size)
     rng = np.random.default_rng(seed)
     return rng.choice(size, size=t, replace=False), rng.integers(1, p, size=t)
 
@@ -68,13 +73,15 @@ def word_draws(code: TensorCode, mode: str, t: int, seed: int) -> tuple:
 
 
 def build_words(code: TensorCode, mode: str, draws: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
-    """(clean, words): the (W, n, ..., n) stacks of W words' draws, clean
-    holding the codewords before their errors in mode ``errors`` and the
-    words otherwise. A planted word is a codeword with one plane overwritten
-    by another codeword's, which makes plane opinions disagree."""
-    columns = [np.stack(c) for c in zip(*draws)]
+    """(clean, words): the (W, n, ..., n) stacks of W words' draws in the
+    field's narrow dtype, clean holding the codewords before their errors
+    in mode ``errors`` and the words otherwise. A planted word is a
+    codeword with one plane overwritten by another codeword's, which makes
+    plane opinions disagree."""
     if mode == "random":
-        return columns[0], columns[0]
+        words = np.stack([d[0] for d in draws], dtype=code.field.dtype, casting="unsafe")
+        return words, words
+    columns = [np.stack(c) for c in zip(*draws)]
     clean = code.encode_batch(columns[0])
     if mode == "errors":
         return clean, _add_errors(clean, columns[1], columns[2], code.field.p)

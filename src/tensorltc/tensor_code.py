@@ -44,8 +44,9 @@ class TensorWord:
     @classmethod
     def _from_valid(cls, field: PrimeField, entries: np.ndarray) -> TensorWord:
         """A word over entries this package made valid (int64 symbols in
-        [0, p), equal axes): encoder output, or a word of a validated stack.
-        Nothing is rechecked; the check is about a fifth of a small encode."""
+        [0, p), equal axes): encoder output, or a widened word of a
+        validated stack. Nothing is rechecked; the check is about a fifth
+        of a small encode."""
         word = object.__new__(cls)
         object.__setattr__(word, "field", field)
         object.__setattr__(word, "entries", entries)
@@ -138,7 +139,8 @@ def point_index(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def line_syndromes(base: LinearCode, entries: np.ndarray, m: int | None = None) -> np.ndarray:
     """Syndromes of every axis-parallel line of a validated m-axis array,
-    or of a (W, n, ..., n) stack of them.
+    or of a (W, n, ..., n) stack of them; narrow for a stack of the
+    field's narrow symbols.
 
     Shape (m, n - k, n^(m-1) * W), W = 1 for one array: column [a, :, j * W
     + w] is the syndrome of line j of word w parallel to (0-based) axis a,
@@ -151,7 +153,7 @@ def line_syndromes(base: LinearCode, entries: np.ndarray, m: int | None = None) 
     views = plane_index(n, m)
     # one array: a flat gather costs a third of a stack's
     lines = entries.reshape(-1)[views] if ndim == m else entries.reshape(-1, n**m).T[views]
-    return (base.H @ lines.reshape(m, n, -1)) % base.p
+    return (base._checks(lines) @ lines.reshape(m, n, -1)) % base.p
 
 
 def complete_subcube(
@@ -259,38 +261,56 @@ class TensorCode:
     def encode(self, message, counter: EncodeCounter | None = None) -> TensorWord:
         """Encode k^m symbols: ``encode_batch`` of a one-row stack."""
         messages = np.asarray(message).reshape(1, -1)
-        return TensorWord._from_valid(self.field, self.encode_batch(messages, counter)[0])
+        entries = self.encode_batch(messages, counter)[0].astype(np.int64)
+        return TensorWord._from_valid(self.field, entries)
+
+    @functools.cached_property
+    def _generator_t(self) -> np.ndarray:
+        """G^T in the narrowest unsigned dtype that holds k(p - 1)^2, the
+        largest sum in one encoding product."""
+        base = self.base
+        return base.G.T.astype(np.min_scalar_type(base.k * (base.p - 1) ** 2))
 
     def encode_batch(self, messages, counter: EncodeCounter | None = None) -> np.ndarray:
-        """Encode each row of a (W, k^m) message array: shape (W, n, ..., n).
+        """Encode each row of a (W, k^m) message array: shape (W, n, ..., n),
+        in the field's narrow dtype.
 
         Each message is viewed as a k x ... x k array and every line along
         one axis at a time, of all W messages, is encoded by one product,
         last axis first; the counter grows by the lines each product encodes.
         """
-        entries = self.field.validate(np.asarray(messages))
+        entries = self.field.check(messages)
         if entries.ndim != 2 or entries.shape[1] != self.dimension:
             raise ShapeError(f"message length {entries.shape[-1]} != k^m = {self.dimension}")
-        base, words = self.base, entries.shape[0]
+        base, words, generator_t = self.base, entries.shape[0], self._generator_t
+        entries = entries.astype(generator_t.dtype, copy=False)
         for axis in reversed(range(self.m)):
             # axes before ``axis`` still hold k message symbols, later ones n
             lines = entries.reshape(words * base.k**axis, base.k, -1)
             if counter is not None:
                 counter.base_calls += lines.shape[0] * lines.shape[2]
-            entries = (base.G.T @ lines) % base.p
-        return entries.reshape((words,) + (self.n,) * self.m)
+            entries = (generator_t @ lines) % base.p
+        return entries.astype(self.field.dtype, copy=False).reshape((words,) + (self.n,) * self.m)
 
     # -- flat (Kronecker) view ------------------------------------------------
 
     def flattened(self) -> LinearCode:
         """The same code as a flat [n^m, k^m] linear code, its generator the
-        m-fold Kronecker power of the base generator (cached)."""
+        m-fold Kronecker power of the base generator (cached).
+
+        The Kronecker product of two RREF generators is in RREF: row (i, j)
+        of A (x) B leads at column (a_i, b_j), so its pivot is a_i * n_B +
+        b_j, and the pivot columns, products of identity columns, hold the
+        identity. So the power is built by broadcast products and taken as
+        it is, with no row reduction."""
         cached = getattr(self, "_flattened", None)
         if cached is None:
-            generator = functools.reduce(
-                lambda a, b: np.kron(a, b) % self.field.p, [self.base.G] * self.m
-            )
-            cached = LinearCode(self.field, generator)
+            base = self.base
+            G, pivots = base.G, base.pivots
+            for _ in range(self.m - 1):
+                G = (G[:, None, :, None] * base.G[:, None, :] % base.p).reshape(len(G) * base.k, -1)
+                pivots = (pivots[:, None] * base.n + base.pivots).reshape(-1)
+            cached = LinearCode._from_rref(self.field, G, pivots)
             self._flattened = cached
         return cached
 
@@ -328,9 +348,10 @@ class TensorCode:
         memo = getattr(self, "_plane_memo", None)
         if memo is not None and memo[0] == key and memo[1].shape[0] >= axes:
             return memo[1][:axes], memo[2][:axes]
+        # the views of a valid word are valid: the unchecked oracle serves them
         views = word.entries.reshape(-1)[plane_index(n, m)[: axes * n]]
-        nearest, distances, _ = self.sub().flattened().nearest_batch(views)
-        nearest, distances = nearest.reshape(axes, n, -1), distances.reshape(axes, n)
+        nearest, distances, _ = self.sub().flattened()._nearest(views)
+        nearest, distances = nearest.astype(np.int64).reshape(axes, n, -1), distances.reshape(axes, n)
         nearest.flags.writeable = distances.flags.writeable = False
         self._plane_memo = (key, nearest, distances)
         return nearest, distances

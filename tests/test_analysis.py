@@ -95,13 +95,13 @@ def test_tester_and_analyzer_share_one_oracle_call(parity3, monkeypatch):
     code = TensorCode(parity3, 4)
     word = random_word(code, 3)
     calls = Counter()
-    nearest_batch = LinearCode.nearest_batch
+    nearest = LinearCode._nearest
 
-    def counting_nearest_batch(self, words):
+    def counting_nearest(self, words):
         calls[self.n] += 1
-        return nearest_batch(self, words)
+        return nearest(self, words)
 
-    monkeypatch.setattr(LinearCode, "nearest_batch", counting_nearest_batch)
+    monkeypatch.setattr(LinearCode, "_nearest", counting_nearest)
     rho = robustness_exact(word, code)
     table = compute_opinions(word, code)
     # an equal word in a new array, and the other axis mode, hit the memo too
@@ -115,13 +115,13 @@ def test_first_three_oracle_sees_only_three_axes_of_planes(monkeypatch):
     code = TensorCode(repetition_code(2), 5)
     word = random_word(code, 5)
     rows = []
-    nearest_batch = LinearCode.nearest_batch
+    nearest = LinearCode._nearest
 
-    def counting_nearest_batch(self, words):
+    def counting_nearest(self, words):
         rows.append(len(words))
-        return nearest_batch(self, words)
+        return nearest(self, words)
 
-    monkeypatch.setattr(LinearCode, "nearest_batch", counting_nearest_batch)
+    monkeypatch.setattr(LinearCode, "_nearest", counting_nearest)
     rho_three = robustness_exact(word, code, "first-three")
     assert rows == [3 * code.n]  # not 5 * n
     rho = robustness_exact(word, code)

@@ -449,6 +449,20 @@ def test_base_distance_refusal_comes_before_any_word_is_drawn(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("family, n", [("parity:3", 3), ("parity:26", 26)])
+@pytest.mark.parametrize("errors", ["999999", "-1"])
+def test_error_count_outside_the_word_exits_one_before_any_cap(capsys, tmp_path, family, n, errors):
+    """An --errors count outside [0, n^m] is a usage error, reported before
+    the caps: parity(26)'s search over 2^25 codewords is never reached."""
+    out = tmp_path / "rows.csv"
+    code, _, err = run_cli(
+        capsys, "experiment", "--kind", "rejection", "--family", family, "--m", "3",
+        "--mode", "errors", "--errors", errors, "--trials", "1", "--out", str(out),
+    )
+    assert code == 1 and f"error count {errors} outside [0, {n**3}]" in err
+    assert not out.exists()
+
+
 def test_plane_oracle_refuses_before_building_its_flat_code(capsys, tmp_path, monkeypatch):
     """parity(64)^3's plane views would be searched over 2^(63^2)
     codewords: the cap is hit without the Kronecker generator being built.
@@ -516,7 +530,14 @@ def test_experiment_json_mirrors_csv(capsys, tmp_path):
 
 def test_write_json_matches_json_dump_of_the_whole_payload():
     """Rows are written one at a time, in the bytes ``json.dump`` writes
-    for the whole payload, for rows of every kind and for no rows."""
+    for the whole payload, for rows of every kind, for no rows, and for
+    rows whose text holds quotes, backslashes, control and non-ASCII
+    characters."""
+    texts = ['say "hi"', "back\\slash", "tab\tnew\nline\x00", "Größe ∞", "\U0001f600", ""]
+    odd = [
+        ResultRow(i, text, "random", 3, 2, 2**64 + i, "1/2", text[::-1], "s", "v", "b", "true")
+        for i, text in enumerate(texts)
+    ]
     specs = [
         ExperimentSpec(kind="robustness", base="parity:3", m=3, mode="planted", trials=3),
         ExperimentSpec(kind="rejection", base="parity:3", m=3, trials=3),
@@ -524,7 +545,7 @@ def test_write_json_matches_json_dump_of_the_whole_payload():
         ExperimentSpec(kind="rejection", base="parity:3", m=5, mode="errors", trials=1),
         ExperimentSpec(kind="decode", base="hamming74", m=2, mode="errors", errors=2, trials=3),
     ]
-    for rows in [[]] + [run_experiment(spec) for spec in specs]:
+    for rows in [[], odd] + [run_experiment(spec) for spec in specs]:
         out = io.StringIO()
         write_json(rows, out)
         payload = {"schema": 1, "rows": [dataclasses.asdict(row) for row in rows]}

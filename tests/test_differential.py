@@ -434,7 +434,7 @@ def test_enumeration_matches_reencoding_reference(code, block):
         mp.setattr(linear_code, "_BLOCK", block)
         codebook = code.codewords()
         distance = code.minimum_distance()
-    assert codebook.dtype == np.int64
+    assert codebook.dtype == code.field.dtype
     assert np.array_equal(codebook, reference.codewords(code))
     assert distance == reference.minimum_distance(code)
 
@@ -456,6 +456,7 @@ def test_sixteen_plane_code_matches_reencoding_reference(path, n):
         assert np.array_equal(got, expected)
     assert distance == reference.minimum_distance(code)
     if not path:
+        assert code.codewords().dtype == np.uint16
         assert np.array_equal(code.codewords(), reference.codewords(code))
 
 
@@ -669,15 +670,17 @@ def square_stack(code: LinearCode, rng: np.random.Generator, count: int) -> np.n
 
 
 def check_stacked_decoder(module, code, radius, threshold, enumerate_, count, seed):
-    """The stacked decoder against the per-line reference on each word of
-    a mixed stack: output word, status and trace JSON."""
+    """The stacked decoder, given the stack in the field's narrow dtype as
+    experiments build it, against the per-line int64 reference on each
+    word of a mixed stack: output word, status and trace JSON."""
     cfg = DecoderConfig.for_code(code, radius=radius, removal_threshold=threshold)
     words = square_stack(code, np.random.default_rng(seed), count)
     with pytest.MonkeyPatch.context() as mp:
         if enumerate_:  # the nearest-codeword path of pass 1
             mp.setattr(linear_code, "SYNDROME_CAP", 1)
-        stack = module.decode_stack(words, cfg)
+        stack = module.decode_stack(words.astype(code.field.dtype), cfg)
         expected = [reference.decode_square(TensorWord(code.field, w), cfg) for w in words]
+    assert stack.output.dtype == code.field.dtype
     assert stack.status == [trace.status for _, trace in expected]
     for w, (decoded, trace) in enumerate(expected):
         assert stack.trace(w).to_json_dict() == trace.to_json_dict()
@@ -839,6 +842,7 @@ def test_noise_builders_match_one_word_generators(base, m, mode, count, seed):
             assert noise.planted_word(code, s) == expected
         assert np.array_equal(entries, expected.entries)
         assert np.array_equal(clean_entries, expected_clean.entries)
+    assert clean.dtype == words.dtype == code.field.dtype
 
 
 # kind, mode and sampled draws of every valid experiment; decode words are
@@ -922,3 +926,170 @@ def test_exact_rejection_weighted_sum_passes_int64():
     assert rejection_probability_exact(word, code) == 1
     stack = np.stack([entries, np.zeros_like(entries)])
     assert local_testing.rejection_probability_exact_batch(stack, code) == [1, 0]
+
+
+# -- narrow symbols: stacks in the field's dtype, products that cannot overflow ----
+
+# GF(13) symbols fill a uint8 and their sums need uint16; GF(65521) symbols
+# take uint16 and their products 64 bits; k = 1 keeps its 65,521 codewords
+# in memory.
+NARROW_PRIMES = [2, 3, 5, 13, 65521]
+NARROW_MAX_K = {2: 4, 3: 3, 5: 2, 13: 2, 65521: 1}
+narrow_codes = codes(p=st.sampled_from(NARROW_PRIMES), n=st.integers(1, 4), max_k=NARROW_MAX_K)
+NARROW_ARGS = (narrow_codes, st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**32 - 1))
+
+
+def int64_line_syndromes(base: LinearCode, words: np.ndarray) -> np.ndarray:
+    """Each line's syndrome from the int64 one-line API, laid out as
+    ``line_syndromes`` lays it out: [axis, :, line * W + word]."""
+    count, n = len(words), base.n
+    per_axis = []
+    for axis in range(1, words.ndim):
+        lines = np.moveaxis(words.astype(np.int64), axis, -1).reshape(count, -1, n)
+        syndromes = base.syndrome(lines).transpose(2, 1, 0)  # (n - k, line, word)
+        per_axis.append(syndromes.reshape(n - base.k, lines.shape[1] * count))
+    return np.stack(per_axis)
+
+
+def check_narrow_products(modules, code, m, count, seed):
+    """Stacks of W words in the field's narrow dtype, built by
+    ``encode_batch`` and ``build_words`` and read by ``line_syndromes``,
+    hold the values of the int64 one-word references and stay narrow; the
+    syndromes come back in the narrowest dtype that holds n(p - 1)^2."""
+    linear, tensor = modules
+    base = linear.LinearCode(code.field, code.G)
+    power = tensor.TensorCode(base, m)
+    p, dtype = base.p, base.field.dtype
+    rng = np.random.default_rng(seed)
+    messages = rng.integers(0, p, size=(count, power.dimension))
+    encoded = power.encode_batch(messages)
+    assert encoded.dtype == dtype
+    for message, entries in zip(messages, encoded):
+        assert np.array_equal(entries, reference.encode(power, message).entries)
+    words = np.concatenate([encoded, rng.integers(0, p, size=encoded.shape).astype(dtype)])
+    syndromes = tensor.line_syndromes(base, words, m)
+    assert syndromes.dtype == np.min_scalar_type(base.n * (p - 1) ** 2)
+    assert np.array_equal(syndromes, int64_line_syndromes(base, words))
+    seeds = [seed + i for i in range(count)]
+    references = (reference.random_word, reference.planted_word, reference.codeword_plus_errors)
+    for mode, one_word in zip(("random", "planted", "errors"), references):
+        t = seed % (power.blocklength + 1)
+        clean, built = noise.build_words(power, mode, [noise.word_draws(power, mode, t, s) for s in seeds])
+        assert clean.dtype == built.dtype == dtype
+        for s, entries in zip(seeds, built):
+            expected = one_word(power, t, s)[1] if mode == "errors" else one_word(power, s)
+            assert np.array_equal(entries, expected.entries)
+
+
+@PROPERTY
+@given(*NARROW_ARGS)
+def test_narrow_stacks_match_int64_references(code, m, count, seed):
+    check_narrow_products((linear_code, tensor_code), code, m, count, seed)
+
+
+# A product dtype that holds one symbol, not the sums of products, wraps
+# at p = 65521, where a product of two symbols passes 2^32.
+NARROW_MUTATIONS = {
+    "parity checks in the symbol dtype": (
+        linear_code,
+        "np.min_scalar_type(self.n * (self.p - 1) ** 2)",
+        "np.min_scalar_type(self.p - 1)",
+    ),
+    "generator in the symbol dtype": (
+        tensor_code,
+        "np.min_scalar_type(base.k * (base.p - 1) ** 2)",
+        "np.min_scalar_type(base.p - 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_MUTATIONS))
+def test_narrow_product_property_catches_a_planted_overflow(monkeypatch, name):
+    module, old, new = NARROW_MUTATIONS[name]
+    mutant = load_mutant(monkeypatch, module, old, new)
+    modules = (mutant, tensor_code) if module is linear_code else (linear_code, mutant)
+    args = (codes(p=st.just(65521), n=st.integers(2, 4), max_k=NARROW_MAX_K), *NARROW_ARGS[1:])
+    assert_property_fails(check_narrow_products, modules, args)
+
+
+@settings(PROPERTY, max_examples=40)
+@given(
+    codes(p=st.sampled_from(NARROW_PRIMES), n=st.integers(2, 4), max_k=NARROW_MAX_K),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+)
+def test_narrow_decode_stack_matches_int64_reference(code, count, seed):
+    """The stacked decoder over GF(13) and GF(65521), too; its line
+    decoder reads the narrow stack as it is."""
+    dtypes = []
+    decode_lines = LinearCode._decode_lines
+
+    def spy(self, words, radius):
+        dtypes.append(words.dtype)
+        return decode_lines(self, words, radius)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LinearCode, "_decode_lines", spy)
+        check_stacked_decoder(decoding, code, None, None, False, count, seed)
+    assert dtypes == [code.field.dtype]
+
+
+def test_experiment_stacks_reach_the_testers_and_decoder_narrow(monkeypatch):
+    """No experiment stack is widened on its way in: the chunk's check
+    returns the built stack itself, and each stacked layer reads the stack,
+    or a slice of it, in the field's narrow dtype."""
+    built, seen = [], []
+    build_words = noise.build_words
+
+    def build_spy(*args):
+        clean, words = build_words(*args)
+        built.append(words)
+        return clean, words
+
+    monkeypatch.setattr(noise, "build_words", build_spy)
+    # each layer, and the position of the stack among its arguments
+    for module, name, at in (
+        (experiment, "rejection_probability_exact_batch", 0),
+        (experiment, "word_relative_distance_batch", 1),
+        (experiment, "decode_stack", 0),
+        (PrimeField, "check", 1),
+    ):
+        layer = getattr(module, name)
+
+        def spy(*args, layer=layer, name=name, at=at):
+            result = layer(*args)
+            if any(np.shares_memory(args[at], words) for words in built):
+                seen.append((name, args[at].dtype, name != "check" or result is args[at]))
+            return result
+
+        monkeypatch.setattr(module, name, spy)
+    for spec, layers in (
+        (
+            ExperimentSpec(kind="rejection", base="random:4,2,13,1", m=3, mode="planted", trials=3),
+            {"check", "rejection_probability_exact_batch", "word_relative_distance_batch"},
+        ),
+        (
+            ExperimentSpec(kind="decode", base="repetition:5", m=2, mode="errors", errors=2, trials=3),
+            {"check", "decode_stack"},
+        ),
+    ):
+        built.clear()
+        seen.clear()
+        run_experiment(spec)
+        assert {name for name, _, _ in seen} == layers
+        assert all(dtype == np.uint8 and same for _, dtype, same in seen)
+
+
+@PROPERTY
+@given(codes(), st.integers(1, 4))
+def test_flattened_code_matches_row_reduced_kronecker_power(base, m):
+    """The Kronecker power taken as RREF, its pivots combined as
+    p1 * n + p2, is the code ``LinearCode`` row-reduces from it."""
+    flat = TensorCode(base, m).flattened()
+    generator = base.G
+    for _ in range(m - 1):
+        generator = np.kron(generator, base.G) % base.p
+    expected = LinearCode(base.field, generator)
+    assert (flat.n, flat.k) == (expected.n, expected.k)
+    assert flat.G.dtype == np.int64 and np.array_equal(flat.G, expected.G)
+    assert np.array_equal(flat.pivots, expected.pivots) and not flat.pivots.flags.writeable
