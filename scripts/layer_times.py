@@ -205,8 +205,10 @@ def decoder_times(kind: str) -> dict[str, list[float]]:
         per_stack = pass_us(lambda stack: decode_stack(stack, cfg), stacks)
         times[f"stack W={size}"] = [t / size for t in per_stack]
     times["pass1"] = pass_us(lambda line: base._decode_lines(line, cfg.radius), lines)
-    # the check decode_stack makes in pass 5, on one word
-    times["pass5"] = pass_us(lambda out: ((base.H @ out[:, base.pivots]) % base.p).any(), rows)
+    # the check decode_stack makes in pass 5, on one word's narrow rows
+    times["pass5"] = pass_us(
+        lambda out: ((base._checks(out) @ out[:, base.pivots]) % base.p).any(), rows
+    )
     return times
 
 

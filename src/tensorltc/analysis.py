@@ -36,8 +36,8 @@ class OpinionTable:
     """Nearest-subcode-codeword opinions for all m*n planes of a word.
 
     Plane (b + 1, i) sits at index [b, i]: ``nearest`` holds its flattened
-    opinion, shape (m, n, n^(m-1)), and ``distances`` its distance from the
-    plane's view, shape (m, n).
+    opinion in the field's narrow dtype, shape (m, n, n^(m-1)), and
+    ``distances`` its distance from the plane's view, shape (m, n).
     """
 
     code: TensorCode
@@ -226,7 +226,7 @@ def extend_from_subcube(
     failure = complete_subcube(code.base, values, axis_sets)
     if failure is not None:
         return failure[1]
-    result = TensorWord(code.field, values % code.field.p)
+    result = TensorWord._from_valid(code.field, values)
     if not code.contains(result):
         return ErasureFailure.INCONSISTENT
     return result

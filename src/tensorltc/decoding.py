@@ -180,7 +180,7 @@ def decode_stack(words: np.ndarray, cfg: DecoderConfig) -> StackedDecode:
     # are all codewords exactly when the pivot columns are.
     distance: list[int | None] = [None] * count
     if "ok" in status:
-        wrong = ((base._narrow_H @ output[:, :, base.pivots]) % base.p).any(axis=(1, 2)).tolist()
+        wrong = ((base._checks(output) @ output[:, :, base.pivots]) % base.p).any(axis=(1, 2)).tolist()
         distances = np.count_nonzero(output != words, axis=(1, 2)).tolist()
         beyond = (base.minimum_distance() ** 2 - 1) // 2
         for w in [w for w in range(count) if status[w] == "ok"]:

@@ -190,16 +190,16 @@ def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list
                 scores.append((delta, mode, "decode_exact", int(success), budget, satisfied))
         return scores
     slacks = [0] * len(words)
-    # the one-word testers read int64 entries: each row is widened as it is read
-    wide = (TensorWord._from_valid(code.field, w.astype(np.int64)) for w in words)
+    # the one-word testers read each row's narrow symbols, checked with the chunk
+    rows = (TensorWord._from_valid(code.field, w) for w in words)
     if spec.kind == "robustness":
         statistic, coefficient = "robustness_exact", robustness_lower_bound
-        values = [robustness_exact(word, code, spec.axis_mode) for word in wide]
+        values = [robustness_exact(word, code, spec.axis_mode) for word in rows]
     elif spec.sample_trials > 0:
         statistic, coefficient = "rejection_sampled", composed_robustness_bound
         sampled = [
             rejection_probability_sampled(word, code, spec.sample_trials, seed, spec.axis_mode)
-            for seed, word in zip(seeds, wide)
+            for seed, word in zip(seeds, rows)
         ]
         values = [s.estimate for s in sampled]
         slacks = [Fraction(3 * s.standard_error).limit_denominator(10**9) for s in sampled]

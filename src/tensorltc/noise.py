@@ -51,7 +51,7 @@ def erase_planes(
     entries = word.entries.copy()
     entries.reshape(-1)[plane_index(n, m)[[(b - 1) * n + i for b, i in erased]]] = 0
     sets = tuple(tuple(i for i in range(n) if (b, i) not in erased) for b in range(1, m + 1))
-    return TensorWord(word.field, entries), sets
+    return TensorWord._from_valid(word.field, entries), sets
 
 
 def word_draws(code: TensorCode, mode: str, t: int, seed: int) -> tuple:

@@ -20,8 +20,8 @@ from .errors import CapacityError, ShapeError
 from .field import PrimeField
 from .linear_code import FILE_CAP, ErasureFailure, LinearCode, check_search, exceeds_cap
 
-# numpy arrays have at most 64 axes; bounding m also keeps n^m cheap to compute
-MAX_AXES = 64
+# a stack of m-axis arrays needs m + 1 of numpy's 64 axes; the bound keeps n^m cheap
+MAX_AXES = 63
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,10 +43,10 @@ class TensorWord:
 
     @classmethod
     def _from_valid(cls, field: PrimeField, entries: np.ndarray) -> TensorWord:
-        """A word over entries this package made valid (int64 symbols in
-        [0, p), equal axes): encoder output, or a widened word of a
-        validated stack. Nothing is rechecked; the check is about a fifth
-        of a small encode."""
+        """A word over entries this package made or checked (symbols in [0,
+        p), equal axes): int64, or the field's narrow dtype for a row of a
+        checked stack that never leaves the package. Nothing is rechecked;
+        the check is about a fifth of a small encode."""
         word = object.__new__(cls)
         object.__setattr__(word, "field", field)
         object.__setattr__(word, "entries", entries)
@@ -332,11 +332,11 @@ class TensorCode:
 
         Plane (b + 1, i) sits at index [b, i] of both results, so planes run
         axis by axis, coordinates ascending: ``nearest`` has shape
-        (axes, n, n^(m-1)) and ``distances`` shape (axes, n). All axes*n
-        views are gathered through ``plane_index`` into one oracle call. The
-        last word's results are memoised on its entries' bytes, and a call
-        for fewer axes is served from their prefix, so the tester and the
-        analyzer share them; the arrays are read-only.
+        (axes, n, n^(m-1)) in the field's narrow dtype and ``distances`` shape
+        (axes, n). All axes*n views are gathered through ``plane_index`` into
+        one oracle call. The tester and the analyzer share the last word's
+        read-only results, memoised on its entries' bytes (which keep narrow
+        and int64 entries apart); a call for fewer axes reads their prefix.
         """
         self.check_shape(word)
         m, n = self.m, self.n
@@ -351,7 +351,7 @@ class TensorCode:
         # the views of a valid word are valid: the unchecked oracle serves them
         views = word.entries.reshape(-1)[plane_index(n, m)[: axes * n]]
         nearest, distances, _ = self.sub().flattened()._nearest(views)
-        nearest, distances = nearest.astype(np.int64).reshape(axes, n, -1), distances.reshape(axes, n)
+        nearest, distances = nearest.reshape(axes, n, -1), distances.reshape(axes, n)
         nearest.flags.writeable = distances.flags.writeable = False
         self._plane_memo = (key, nearest, distances)
         return nearest, distances
@@ -396,4 +396,4 @@ def load_tensor(source) -> TensorWord:
     values = source.read().split()
     if len(values) != n**m:
         raise ValueError(f"expected {n ** m} entries, found {len(values)}")
-    return TensorWord(field, field.parse(values).reshape((n,) * m))
+    return TensorWord._from_valid(field, field.parse(values).reshape((n,) * m))

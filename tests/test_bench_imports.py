@@ -3,7 +3,8 @@ outside the tier-1 run, so a deleted library name would only break them
 when they next run. Check statically that every name they take from
 ``tensorltc`` still exists, and conversely that every name the library
 defines is called by the library, the scripts, the benchmark or the
-references the tests compare against."""
+references the tests compare against. A last scan keeps the package's
+int64 conversions at its public boundary."""
 
 import ast
 import importlib
@@ -109,3 +110,55 @@ def test_every_library_definition_has_a_caller_outside_tests():
         if name not in called and not (name.startswith("__") and name.endswith("__"))
     ]
     assert sorted(set(uncalled) - CALLED_BY_THE_STANDARD_LIBRARY) == []
+
+
+# The package holds symbols narrow and widens them to int64 only where a word
+# leaves it: the validated public input, and the codewords, decodings and
+# encodings the one-word API returns.
+INT64_BOUNDARY = {
+    "PrimeField.validate",
+    "LinearCode.nearest_batch",
+    "LinearCode.bounded_distance_decode",
+    "TensorCode.encode",
+    "decode_square",
+}
+
+
+def enclosing_names(tree: ast.AST, matches, prefix: str = ""):
+    """The qualified name of the function, method or class around each
+    node for which ``matches`` is true ("" at module level)."""
+    for child in ast.iter_child_nodes(tree):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from enclosing_names(child, matches, f"{prefix}{child.name}.")
+        else:
+            if matches(child):
+                yield prefix.rstrip(".")
+            yield from enclosing_names(child, matches, prefix)
+
+
+def is_int64_cast(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "astype"
+        and bool(node.args)
+        and ast.unparse(node.args[0]) == "np.int64"
+    )
+
+
+def test_symbols_widen_to_int64_only_at_the_public_boundary():
+    """Every ``.astype(np.int64)`` sits in a boundary function, and only
+    ``LinearCode`` reads the narrow parity checks: a stack multiplies by
+    ``LinearCode._checks``, which picks the matrix for its dtype."""
+    casts, narrow_reads = [], []
+    for path in sorted((ROOT / "src" / "tensorltc").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        casts += [(path.name, where) for where in enclosing_names(tree, is_int64_cast)]
+        narrow_reads += [
+            (path.name, where)
+            for where in enclosing_names(
+                tree, lambda node: isinstance(node, ast.Attribute) and node.attr == "_narrow_H"
+            )
+        ]
+    assert [site for site in casts if site[1] not in INT64_BOUNDARY] == []
+    assert [site for site in narrow_reads if not site[1].startswith("LinearCode.")] == []

@@ -223,15 +223,43 @@ def test_oversized_headers_exit_one_before_reading_the_body(capsys, tmp_path):
     assert code == 1 and "header" in err
 
 
-@pytest.mark.parametrize("m", ["99999999999999999999", "65"])
-def test_tensor_exponent_outside_1_to_64_exits_one(capsys, tmp_path, m):
+@pytest.mark.parametrize("m", ["99999999999999999999", "64"])
+def test_tensor_exponent_outside_1_to_63_exits_one(capsys, tmp_path, m):
     code, _, err = run_cli(capsys, "params", "--family", "parity:3", "--m", m)
-    assert code == 1 and "[1, 64]" in err
+    assert code == 1 and "[1, 63]" in err
     code, _, err = run_cli(
         capsys, "experiment", "--kind", "robustness", "--family", "parity:3",
         "--m", m, "--trials", "1", "--out", str(tmp_path / "rows.csv"),
     )
-    assert code == 1 and "[1, 64]" in err
+    assert code == 1 and "[1, 63]" in err
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_every_command_runs_at_63_axes_and_refuses_64(capsys, tmp_path, m):
+    """Only n = 1 codes reach m = 63 under the file cap. A stack of words,
+    or of plane views, takes a 64th axis, numpy's limit, so every command
+    runs at m = 63 and refuses m = 64 by its range, not by a traceback."""
+    word, out = tmp_path / "w.txt", str(tmp_path / "rows.csv")
+    word.write_text(f"2 {m} 1\n0\n")
+    commands = [
+        ["params"],
+        ["membership", "--word", str(word)],
+        ["test", "--word", str(word), "--trials", "10"],
+        ["test", "--word", str(word), "--exact"],
+        ["robustness", "--word", str(word)],
+        ["analyze", "--word", str(word)],
+    ]
+    for kind, sample in (("robustness", "0"), ("rejection", "0"), ("rejection", "10")):
+        for mode in ("random", "errors", "planted"):
+            commands.append(
+                ["experiment", "--kind", kind, "--mode", mode, "--trials", "3",
+                 "--sample-trials", sample, "--out", out]
+            )
+    for command in commands:
+        argv = [command[0], "--family", "repetition:1", "--m", str(m), *command[1:]]
+        code, _, err = run_cli(capsys, *argv)
+        assert "Traceback" not in err, argv
+        assert (code == 0) if m == 63 else (code == 1 and "[1, 63]" in err), (argv, err)
 
 
 @pytest.mark.parametrize(
@@ -253,10 +281,10 @@ def test_capacity_message_writes_the_codeword_count_as_a_power(capsys):
     assert code == 2 and "2^399" in err and len(err.encode()) < 120
 
 
-@pytest.mark.parametrize("kind, m", [("rejection", "30"), ("robustness", "64")])
+@pytest.mark.parametrize("kind, m", [("rejection", "30"), ("robustness", "63")])
 def test_experiment_words_above_the_file_cap_exit_two_at_once(capsys, tmp_path, kind, m):
     """n^m is checked against the word-file cap before any word or code is
-    built: 3^30 entries would need petabytes, and 3^64 a 2^(2^64) count."""
+    built: 3^30 entries would need petabytes, and 3^63 a 2^(2^63) count."""
     out = tmp_path / "rows.csv"
     start = time.perf_counter()
     code, _, err = run_cli(

@@ -27,6 +27,7 @@ from tensorltc.experiment import (
     MODES,
     ExperimentSpec,
     distance_lower_bound_batch,
+    resolve_base_code,
     run_experiment,
 )
 from tensorltc.field import PrimeField
@@ -39,7 +40,11 @@ from tensorltc.linear_code import (
     random_linear_code,
     repetition_code,
 )
-from tensorltc.local_testing import rejection_probability_exact, robustness_exact
+from tensorltc.local_testing import (
+    rejection_probability_exact,
+    rejection_probability_sampled,
+    robustness_exact,
+)
 from tensorltc.noise import codeword_plus_errors, planted_word, random_word
 from tensorltc.tensor_code import EncodeCounter, PlaneIndex, TensorCode, TensorWord
 
@@ -1078,6 +1083,61 @@ def test_experiment_stacks_reach_the_testers_and_decoder_narrow(monkeypatch):
         run_experiment(spec)
         assert {name for name, _, _ in seen} == layers
         assert all(dtype == np.uint8 and same for _, dtype, same in seen)
+
+
+# GF(2) and GF(3) symbols take uint8, GF(257) symbols uint16.
+NARROW_TESTER_CASES = [("parity:3", 3), ("parity:3", 4), ("random:4,2,3,1", 3), ("random:3,1,257,0", 3)]
+
+
+@pytest.mark.parametrize("axis_mode", AXIS_MODES)
+@pytest.mark.parametrize("base, m", NARROW_TESTER_CASES)
+def test_one_word_testers_receive_the_chunks_narrow_rows(monkeypatch, base, m, axis_mode):
+    """Robustness and sampled-rejection experiments hand each row of the
+    chunk's checked stack to the one-word tester as it is, in the field's
+    narrow dtype, and their rows stay those of the int64 per-trial loop."""
+    received = []
+    for name in ("robustness_exact", "rejection_probability_sampled"):
+
+        def spy(word, *args, tester=getattr(experiment, name)):
+            received.append(word.entries.dtype)
+            return tester(word, *args)
+
+        monkeypatch.setattr(experiment, name, spy)
+    dtype = resolve_base_code(base).field.dtype
+    for kind, sample in (("robustness", 0), ("rejection", 40)):
+        for mode in MODES:
+            spec = ExperimentSpec(
+                kind=kind, base=base, m=m, mode=mode, errors=2, trials=3, seed=5,
+                axis_mode=axis_mode, sample_trials=sample,
+            )
+            received.clear()
+            assert run_experiment(spec) == reference.experiment_rows(spec)
+            assert received == [dtype] * spec.trials
+
+
+@pytest.mark.parametrize("axis_mode", AXIS_MODES)
+@pytest.mark.parametrize("base, m", NARROW_TESTER_CASES)
+def test_testers_read_narrow_and_int64_entries_alike(base, m, axis_mode):
+    """A word's narrow and int64 entries get the same plane opinions, in
+    the oracle's narrow symbols either way, and the same tester values."""
+    code = TensorCode(resolve_base_code(base), m)
+    field, axes = code.field, m if axis_mode == "all" else 3
+    for mode in MODES:
+        draws = [noise.word_draws(code, mode, 2, seed) for seed in range(4)]
+        for row in noise.build_words(code, mode, draws)[1]:
+            narrow, wide = TensorWord._from_valid(field, row), TensorWord(field, row)
+            assert narrow.entries.dtype == field.dtype and wide.entries.dtype == np.int64
+            (nearest, distances), (wide_nearest, wide_distances) = (
+                code.plane_opinions(word, axes) for word in (narrow, wide)
+            )
+            assert nearest.dtype == wide_nearest.dtype == field.dtype
+            assert np.array_equal(nearest, wide_nearest)
+            assert np.array_equal(distances, wide_distances)
+            for tester in (robustness_exact, rejection_probability_exact):
+                assert tester(narrow, code, axis_mode) == tester(wide, code, axis_mode)
+            assert rejection_probability_sampled(
+                narrow, code, 50, 7, axis_mode
+            ) == rejection_probability_sampled(wide, code, 50, 7, axis_mode)
 
 
 @PROPERTY
