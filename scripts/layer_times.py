@@ -55,6 +55,18 @@ passes, in microseconds:
   messages and ``rejection_probability_exact`` on parity(3)^3 words,
   each over 300 seeded inputs.
 
+For the sampled tester it prints the same three figures over 7 passes
+over the same 300 random parity(3)^m words, m = 3, 4, 5, in microseconds
+per word, at 10, 300 and 10,000 draws per word:
+
+- ``exact``: ``rejection_probability_exact``, one call per word (it reads
+  no draws, so its three rows measure the same calls);
+- ``one-word``: ``rejection_probability_sampled``, one call per word;
+- ``chunk``: ``rejection_probability_sampled_batch`` on the stack of all
+  300 words in the field's narrow symbols, as an experiment chunk holds
+  them, one call per pass;
+- ``chunk/exact``: the ratio of the two medians.
+
 The spread between the fastest and slowest pass shows how far the host
 drifts during a run; a change smaller than it is not resolved. BLAS is
 pinned to one thread. The package is imported from this checkout's
@@ -65,6 +77,7 @@ pinned to one thread. The package is imported from this checkout's
     python3 scripts/layer_times.py --only decoder   # the decoder table alone
     python3 scripts/layer_times.py --only codebook  # the codebook table alone
     python3 scripts/layer_times.py --only experiment  # the experiment table alone
+    python3 scripts/layer_times.py --only sampled   # the sampled-tester table alone
 """
 
 from __future__ import annotations
@@ -97,7 +110,12 @@ from tensorltc.analysis import (  # noqa: E402
 from tensorltc.decoding import DecoderConfig, decode_square, decode_stack  # noqa: E402
 from tensorltc.errors import InvariantError  # noqa: E402
 from tensorltc.linear_code import random_linear_code  # noqa: E402
-from tensorltc.local_testing import rejection_probability_exact, robustness_exact  # noqa: E402
+from tensorltc.local_testing import (  # noqa: E402
+    rejection_probability_exact,
+    rejection_probability_sampled,
+    rejection_probability_sampled_batch,
+    robustness_exact,
+)
 from tensorltc.noise import codeword_plus_errors, random_word  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -139,6 +157,8 @@ EXPERIMENT_CALLS = {
     ),
 }
 EXPERIMENT_SEEDS = 5  # seeds per call per pass
+SAMPLED_DRAWS = (10, 300, 10000)  # sampled-tester draws per word
+SAMPLED_CASES = ("exact", "one-word", "chunk")
 
 
 def _subcube(report):
@@ -263,10 +283,30 @@ def experiment_times() -> dict[str, list[float]]:
     return times
 
 
+def sampled_times(m: int) -> dict[tuple[str, int], list[float]]:
+    """us per word of each sampled case at each draw count, keyed (case,
+    draws), on WORDS random parity(3)^m words with seeds 0..WORDS-1."""
+    code = TensorCode(parity_code(3), m)
+    rng = np.random.default_rng(m)
+    stack = rng.integers(0, 2, size=(WORDS,) + (code.n,) * m).astype(code.field.dtype)
+    words = [TensorWord(code.field, entries) for entries in stack]
+    seeds = list(range(WORDS))
+    exact = pass_us(lambda word: rejection_probability_exact(word, code), words)
+    times = {}
+    for draws in SAMPLED_DRAWS:
+        times["exact", draws] = exact
+        times["one-word", draws] = pass_us(
+            lambda pair: rejection_probability_sampled(pair[0], code, draws, pair[1]), list(zip(words, seeds))
+        )
+        chunk = pass_us(lambda words: rejection_probability_sampled_batch(words, code, draws, seeds), [stack])
+        times["chunk", draws] = [t / WORDS for t in chunk]
+    return times
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--m", type=int, nargs="+", default=[3, 4, 5], choices=[3, 4, 5])
-    parser.add_argument("--only", choices=["words", "decoder", "codebook", "experiment"])
+    parser.add_argument("--only", choices=["words", "decoder", "codebook", "experiment", "sampled"])
     args = parser.parse_args(argv)
     if args.only in (None, "words"):
         print(f"us per word, median (min-max) of {PASSES} passes, {WORDS} parity(3)^m words")
@@ -291,6 +331,15 @@ def main(argv=None) -> None:
         print(f"{'case':<48}{'us':>24}")
         for case, times in experiment_times().items():
             print(f"{case:<48}" + cell(times, 24))
+    if args.only in (None, "sampled"):
+        print(f"us per word, median (min-max) of {PASSES} passes, {WORDS} parity(3)^m words")
+        print(f"{'m':>2} {'draws':>6}" + "".join(f"{case:>24}" for case in SAMPLED_CASES) + f"{'chunk/exact':>13}")
+        for m in args.m:
+            times = sampled_times(m)
+            for draws in SAMPLED_DRAWS:
+                ratio = median(times["chunk", draws]) / median(times["exact", draws])
+                cells = "".join(cell(times[case, draws], 24) for case in SAMPLED_CASES)
+                print(f"{m:>2} {draws:>6}" + cells + f"{ratio:>13.2f}")
 
 
 if __name__ == "__main__":

@@ -23,8 +23,10 @@ from .errors import CapacityError, ShapeError
 from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 AXIS_MODES = ("all", "first-three")
-# Most draws one sampled-tester call replays; the replay holds a few int64
-# arrays of draws x m entries next to the word's line syndromes.
+# Most draws one sampled-tester call makes per word, and most draws it
+# replays at once. Next to the words' failing slices the replay holds an
+# int8 (m, draws) axis order and a (m - 2, draws) coordinate array, and
+# int64 slice rows of draws entries.
 DRAW_CAP = 1 << 20
 
 
@@ -157,6 +159,34 @@ class SampledRejection:
         return sqrt(phat * (1.0 - phat) / self.trials)
 
 
+def _stage_counts(code: TensorCode, trials: int, axis_mode: str) -> list[int]:
+    """The sampled tester's refusals, then the number of axes it draws
+    from at each stage, levels m down to 3."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    check_draws(trials)
+    _check_composable(code)
+    return [len(_tester_axes(level, axis_mode)) for level in range(code.m, 2, -1)]
+
+
+def _draws(seeds: list[int], trials: int, counts: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one word per seed, one column per draw: an int8 (m,
+    words * trials) array of stage choices followed by two zero rows, and
+    the (m - 2, words * trials) coordinates. Each word's draws come from
+    its own generator in one fixed order, so they depend only on (trials,
+    seed)."""
+    m = len(counts) + 2
+    order = np.zeros((m, len(seeds) * trials), dtype=np.int8)
+    coords = np.empty((m - 2, len(seeds) * trials), dtype=np.min_scalar_type(n - 1))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        draws = slice(i * trials, (i + 1) * trials)
+        for row, count in zip(order, counts):
+            row[draws] = rng.integers(0, count, size=trials)
+        coords[:, draws] = rng.integers(0, n, size=(trials, m - 2)).T
+    return order, coords
+
+
 def rejection_probability_sampled(
     word: TensorWord,
     code: TensorCode,
@@ -170,40 +200,76 @@ def rejection_probability_sampled(
     depends only on (word, trials, seed), not on evaluation order.
     """
     code.check_shape(word)
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    check_draws(trials)
-    _check_composable(code)
-    m = code.m
-    axis_counts = [len(_tester_axes(level, axis_mode)) for level in range(m, 2, -1)]
+    counts = _stage_counts(code, trials, axis_mode)
     # the failing slices first, so the line syndromes they come from are
     # freed before any draw is made
-    fails = np.stack(_pair_fails(word.entries, code))
-    rng = np.random.default_rng(seed)
-    axis_draws = np.column_stack([rng.integers(0, c, size=trials) for c in axis_counts])
-    coord_draws = rng.integers(0, code.n, size=(trials, m - 2))
-    # Replay every draw at once: pop the drawn axis from each trial's
-    # remaining axes and record its coordinate.
-    rows = np.arange(trials)
-    remaining = np.tile(np.arange(m), (trials, 1))
-    point = np.zeros((trials, m), dtype=np.int64)
-    for stage in range(m - 2):
-        rel = axis_draws[:, stage]
-        point[rows, remaining[rows, rel]] = coord_draws[:, stage]
-        keep = np.arange(m - stage)[None, :] != rel[:, None]
-        remaining = remaining[keep].reshape(trials, m - stage - 1)
-    # the number of the free pair (b, c) in ``itertools.combinations``
-    # order, and the row-major rank of the other m - 2 coordinates:
-    # ``point`` without its two free columns, both zero
-    b, c = remaining[:, 0], remaining[:, 1]
-    pair = b * (2 * m - b - 1) // 2 + c - b - 1
-    fixed = np.ones((trials, m), dtype=bool)
-    fixed[rows, b] = fixed[rows, c] = False
-    rank = point[fixed].reshape(trials, m - 2) @ code.n ** np.arange(m - 3, -1, -1)
-    rejections = int(np.count_nonzero(fails.reshape(len(fails), -1)[pair, rank]))
+    fails = np.stack(_pair_fails(word.entries, code)).reshape(-1)
+    rows = _replay(*_draws([seed], trials, counts, code.n), code.n)
+    rejections = int(np.count_nonzero(fails[rows]))
     return SampledRejection(
         estimate=Fraction(rejections, trials),
         rejections=rejections,
         trials=trials,
         seed=seed,
     )
+
+
+def rejection_probability_sampled_batch(
+    words: np.ndarray, code: TensorCode, trials: int, seeds: list[int], axis_mode: str = "all"
+) -> list[SampledRejection]:
+    """``rejection_probability_sampled`` of each word of a validated (W, n,
+    ..., n) stack with its seed, from one ``_pair_fails`` over the stack.
+
+    Each word makes the one-word call's generator calls; the words are
+    then replayed in groups of at most DRAW_CAP draws.
+    """
+    counts = _stage_counts(code, trials, axis_mode)
+    # word-major: word w's stacked slices fill row w
+    fails = np.stack(_pair_fails(words, code)).reshape(-1, len(words)).T.copy()
+    group = DRAW_CAP // trials
+    rejections = []
+    for at in range(0, len(words), group):
+        batch = seeds[at : at + group]
+        rows = _replay(*_draws(batch, trials, counts, code.n), code.n).reshape(len(batch), trials)
+        rows += np.arange(at, at + len(batch))[:, None] * fails.shape[1]
+        rejections += np.count_nonzero(fails.reshape(-1)[rows], axis=1).tolist()
+    return [
+        SampledRejection(estimate=Fraction(r, trials), rejections=r, trials=trials, seed=seed)
+        for r, seed in zip(rejections, seeds)
+    ]
+
+
+@functools.cache
+def _pair_numbers(m: int) -> np.ndarray:
+    """The number of each pair of axes b < c, in ``itertools.combinations``
+    order, at b * m + c; read-only."""
+    numbers = np.zeros((m, m), dtype=np.intp)
+    numbers[np.triu_indices(m, 1)] = np.arange(m * (m - 1) // 2)
+    numbers.flags.writeable = False
+    return numbers.reshape(-1)
+
+
+def _replay(order: np.ndarray, coords: np.ndarray, n: int) -> np.ndarray:
+    """The row of the stacked ``_pair_fails``, pair-major and then by slice
+    rank, that each draw reads, from an int8 (m, draws) array of its stage
+    choices followed by two zeros, decoded in place, and its (m - 2,
+    draws) coordinates.
+
+    At every stage the tester collapses the rel-th smallest remaining
+    axis, in either axis mode, so a draw's column is the Lehmer code of an
+    order of all m axes: the collapsed axes in stage order, then the free
+    pair b < c.
+    """
+    m = len(order)
+    for i in range(m - 2, -1, -1):
+        tail = order[i + 1 :]
+        tail += tail >= order[i]
+    axes, b, c = order[:-2], order[-2], order[-1]
+    # collapsed axis a is the (a - [b < a] - [c < a])-th of the m - 2 fixed
+    # axes, so the row-major rank weighs its coordinate n^(m-1-a-[b>a]-[c>a])
+    exponents = (m - 1) - axes - (b > axes) - (c > axes)
+    powers = n ** np.arange(m - 2)
+    rows = _pair_numbers(m)[b.astype(np.int16) * m + c] * n ** (m - 2)
+    for coord, exponent in zip(coords, exponents):
+        rows += coord * powers[exponent]
+    return rows

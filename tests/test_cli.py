@@ -523,6 +523,26 @@ def test_negative_sample_trials_exit_one(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, m, extra", [("robustness", "4", []), ("decode", "2", ["--mode", "errors", "--errors", "1"])]
+)
+@pytest.mark.parametrize("sample", ["10", "1000000000000"])
+def test_sample_trials_outside_rejection_exit_one(capsys, monkeypatch, tmp_path, kind, m, extra, sample):
+    """Only rejection experiments sample the tester; any other kind
+    refuses ``--sample-trials`` before any draw or cap, a count past the
+    draw cap and a word past the file cap included."""
+    drawn = []
+    monkeypatch.setattr(noise, "word_draws", lambda *args: drawn.append(args))
+    out = tmp_path / "rows.csv"
+    for family in ("parity:3", "parity:4097"):
+        code, _, err = run_cli(
+            capsys, "experiment", "--kind", kind, "--family", family, "--m", m, *extra,
+            "--sample-trials", sample, "--trials", "1000000000000", "--out", str(out),
+        )
+        assert code == 1 and f"sample_trials applies to rejection experiments, not {kind}" in err
+    assert not out.exists() and drawn == []
+
+
 def test_experiment_csv_deterministic(capsys, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
