@@ -61,11 +61,9 @@ per word, at 10, 300 and 10,000 draws per word:
 
 - ``exact``: ``rejection_probability_exact``, one call per word (it reads
   no draws, so its three rows measure the same calls);
-- ``one-word``: ``rejection_probability_sampled``, one call per word;
-- ``chunk``: ``rejection_probability_sampled_batch`` on the stack of all
-  300 words in the field's narrow symbols, as an experiment chunk holds
-  them, one call per pass;
-- ``chunk/exact``: the ratio of the two medians.
+- ``sampled``: ``rejection_probability_sampled``, one call per word, the
+  word's index as its seed;
+- ``sampled/exact``: the ratio of the two medians.
 
 The spread between the fastest and slowest pass shows how far the host
 drifts during a run; a change smaller than it is not resolved. BLAS is
@@ -113,7 +111,6 @@ from tensorltc.linear_code import random_linear_code  # noqa: E402
 from tensorltc.local_testing import (  # noqa: E402
     rejection_probability_exact,
     rejection_probability_sampled,
-    rejection_probability_sampled_batch,
     robustness_exact,
 )
 from tensorltc.noise import codeword_plus_errors, random_word  # noqa: E402
@@ -158,7 +155,7 @@ EXPERIMENT_CALLS = {
 }
 EXPERIMENT_SEEDS = 5  # seeds per call per pass
 SAMPLED_DRAWS = (10, 300, 10000)  # sampled-tester draws per word
-SAMPLED_CASES = ("exact", "one-word", "chunk")
+SAMPLED_CASES = ("exact", "sampled")
 
 
 def _subcube(report):
@@ -288,18 +285,15 @@ def sampled_times(m: int) -> dict[tuple[str, int], list[float]]:
     draws), on WORDS random parity(3)^m words with seeds 0..WORDS-1."""
     code = TensorCode(parity_code(3), m)
     rng = np.random.default_rng(m)
-    stack = rng.integers(0, 2, size=(WORDS,) + (code.n,) * m).astype(code.field.dtype)
-    words = [TensorWord(code.field, entries) for entries in stack]
-    seeds = list(range(WORDS))
-    exact = pass_us(lambda word: rejection_probability_exact(word, code), words)
+    stack = rng.integers(0, 2, size=(WORDS,) + (code.n,) * m)
+    words = list(enumerate(TensorWord(code.field, entries) for entries in stack))
+    exact = pass_us(lambda pair: rejection_probability_exact(pair[1], code), words)
     times = {}
     for draws in SAMPLED_DRAWS:
         times["exact", draws] = exact
-        times["one-word", draws] = pass_us(
-            lambda pair: rejection_probability_sampled(pair[0], code, draws, pair[1]), list(zip(words, seeds))
+        times["sampled", draws] = pass_us(
+            lambda pair: rejection_probability_sampled(pair[1], code, draws, pair[0]), words
         )
-        chunk = pass_us(lambda words: rejection_probability_sampled_batch(words, code, draws, seeds), [stack])
-        times["chunk", draws] = [t / WORDS for t in chunk]
     return times
 
 
@@ -333,13 +327,13 @@ def main(argv=None) -> None:
             print(f"{case:<48}" + cell(times, 24))
     if args.only in (None, "sampled"):
         print(f"us per word, median (min-max) of {PASSES} passes, {WORDS} parity(3)^m words")
-        print(f"{'m':>2} {'draws':>6}" + "".join(f"{case:>24}" for case in SAMPLED_CASES) + f"{'chunk/exact':>13}")
+        print(f"{'m':>2} {'draws':>6}" + "".join(f"{case:>24}" for case in SAMPLED_CASES) + f"{'sampled/exact':>15}")
         for m in args.m:
             times = sampled_times(m)
             for draws in SAMPLED_DRAWS:
-                ratio = median(times["chunk", draws]) / median(times["exact", draws])
+                ratio = median(times["sampled", draws]) / median(times["exact", draws])
                 cells = "".join(cell(times[case, draws], 24) for case in SAMPLED_CASES)
-                print(f"{m:>2} {draws:>6}" + cells + f"{ratio:>13.2f}")
+                print(f"{m:>2} {draws:>6}" + cells + f"{ratio:>15.2f}")
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ from .local_testing import (
     check_draws,
     composed_robustness_bound,
     rejection_probability_exact_batch,
-    rejection_probability_sampled_batch,
+    rejection_probability_sampled,
     robustness_exact,
     robustness_lower_bound,
 )
@@ -192,16 +192,17 @@ def _scores(code: TensorCode, spec: ExperimentSpec, seeds, clean, words) -> list
                 scores.append((delta, mode, "decode_exact", int(success), budget, satisfied))
         return scores
     slacks = [0] * len(words)
+    # the one-word testers read each row's narrow symbols, checked with the chunk
+    rows = (TensorWord._from_valid(code.field, w) for w in words)
     if spec.kind == "robustness":
         statistic, coefficient = "robustness_exact", robustness_lower_bound
-        # the one-word tester reads each row's narrow symbols, checked with the chunk
-        rows = (TensorWord._from_valid(code.field, w) for w in words)
         values = [robustness_exact(word, code, spec.axis_mode) for word in rows]
     elif spec.sample_trials > 0:
         statistic, coefficient = "rejection_sampled", composed_robustness_bound
-        sampled = rejection_probability_sampled_batch(
-            words, code, spec.sample_trials, seeds, spec.axis_mode
-        )
+        sampled = [
+            rejection_probability_sampled(word, code, spec.sample_trials, seed, spec.axis_mode)
+            for seed, word in zip(seeds, rows)
+        ]
         values = [s.estimate for s in sampled]
         slacks = [Fraction(3 * s.standard_error).limit_denominator(10**9) for s in sampled]
     else:

@@ -23,10 +23,9 @@ from .errors import CapacityError, ShapeError
 from .tensor_code import TensorCode, TensorWord, line_syndromes
 
 AXIS_MODES = ("all", "first-three")
-# Most draws one sampled-tester call makes per word, and most draws it
-# replays at once. Next to the words' failing slices the replay holds an
-# int8 (m, draws) axis order and a (m - 2, draws) coordinate array, and
-# int64 slice rows of draws entries.
+# Most draws one sampled-tester call replays. Next to the word's failing
+# slices the replay holds an int8 (m, draws) axis order, a narrow (m - 2,
+# draws) coordinate array and the draws' int64 slice rows.
 DRAW_CAP = 1 << 20
 
 
@@ -159,34 +158,6 @@ class SampledRejection:
         return sqrt(phat * (1.0 - phat) / self.trials)
 
 
-def _stage_counts(code: TensorCode, trials: int, axis_mode: str) -> list[int]:
-    """The sampled tester's refusals, then the number of axes it draws
-    from at each stage, levels m down to 3."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    check_draws(trials)
-    _check_composable(code)
-    return [len(_tester_axes(level, axis_mode)) for level in range(code.m, 2, -1)]
-
-
-def _draws(seeds: list[int], trials: int, counts: list[int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one word per seed, one column per draw: an int8 (m,
-    words * trials) array of stage choices followed by two zero rows, and
-    the (m - 2, words * trials) coordinates. Each word's draws come from
-    its own generator in one fixed order, so they depend only on (trials,
-    seed)."""
-    m = len(counts) + 2
-    order = np.zeros((m, len(seeds) * trials), dtype=np.int8)
-    coords = np.empty((m - 2, len(seeds) * trials), dtype=np.min_scalar_type(n - 1))
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        draws = slice(i * trials, (i + 1) * trials)
-        for row, count in zip(order, counts):
-            row[draws] = rng.integers(0, count, size=trials)
-        coords[:, draws] = rng.integers(0, n, size=(trials, m - 2)).T
-    return order, coords
-
-
 def rejection_probability_sampled(
     word: TensorWord,
     code: TensorCode,
@@ -200,43 +171,29 @@ def rejection_probability_sampled(
     depends only on (word, trials, seed), not on evaluation order.
     """
     code.check_shape(word)
-    counts = _stage_counts(code, trials, axis_mode)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    check_draws(trials)
+    _check_composable(code)
+    m = code.m
+    axis_counts = [len(_tester_axes(level, axis_mode)) for level in range(m, 2, -1)]
     # the failing slices first, so the line syndromes they come from are
     # freed before any draw is made
     fails = np.stack(_pair_fails(word.entries, code)).reshape(-1)
-    rows = _replay(*_draws([seed], trials, counts, code.n), code.n)
-    rejections = int(np.count_nonzero(fails[rows]))
+    rng = np.random.default_rng(seed)
+    # one column per draw: its stage choices, then two zero rows
+    order = np.zeros((m, trials), dtype=np.int8)
+    for row, count in zip(order, axis_counts):
+        row[:] = rng.integers(0, count, size=trials)
+    coords = np.empty((m - 2, trials), dtype=np.min_scalar_type(code.n - 1))
+    coords[:] = rng.integers(0, code.n, size=(trials, m - 2)).T
+    rejections = int(np.count_nonzero(fails[_replay(order, coords, code.n)]))
     return SampledRejection(
         estimate=Fraction(rejections, trials),
         rejections=rejections,
         trials=trials,
         seed=seed,
     )
-
-
-def rejection_probability_sampled_batch(
-    words: np.ndarray, code: TensorCode, trials: int, seeds: list[int], axis_mode: str = "all"
-) -> list[SampledRejection]:
-    """``rejection_probability_sampled`` of each word of a validated (W, n,
-    ..., n) stack with its seed, from one ``_pair_fails`` over the stack.
-
-    Each word makes the one-word call's generator calls; the words are
-    then replayed in groups of at most DRAW_CAP draws.
-    """
-    counts = _stage_counts(code, trials, axis_mode)
-    # word-major: word w's stacked slices fill row w
-    fails = np.stack(_pair_fails(words, code)).reshape(-1, len(words)).T.copy()
-    group = DRAW_CAP // trials
-    rejections = []
-    for at in range(0, len(words), group):
-        batch = seeds[at : at + group]
-        rows = _replay(*_draws(batch, trials, counts, code.n), code.n).reshape(len(batch), trials)
-        rows += np.arange(at, at + len(batch))[:, None] * fails.shape[1]
-        rejections += np.count_nonzero(fails.reshape(-1)[rows], axis=1).tolist()
-    return [
-        SampledRejection(estimate=Fraction(r, trials), rejections=r, trials=trials, seed=seed)
-        for r, seed in zip(rejections, seeds)
-    ]
 
 
 @functools.cache

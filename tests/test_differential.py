@@ -1111,22 +1111,17 @@ NARROW_TESTER_CASES = [("parity:3", 3), ("parity:3", 4), ("random:4,2,3,1", 3), 
 @pytest.mark.parametrize("axis_mode", AXIS_MODES)
 @pytest.mark.parametrize("base, m", NARROW_TESTER_CASES)
 def test_one_word_testers_receive_the_chunks_narrow_rows(monkeypatch, base, m, axis_mode):
-    """Robustness experiments hand each row of the chunk's checked stack to
-    the one-word tester as it is, and sampled-rejection experiments hand
-    the stack itself to the stacked tester, in the field's narrow dtype;
-    their rows stay those of the int64 per-trial loop."""
+    """Robustness and sampled-rejection experiments hand each row of the
+    chunk's checked stack to the one-word tester as it is, in the field's
+    narrow dtype, and their rows stay those of the int64 per-trial loop."""
     received = []
+    for name in ("robustness_exact", "rejection_probability_sampled"):
 
-    def robustness_spy(word, *args, tester=experiment.robustness_exact):
-        received.append(word.entries.dtype)
-        return tester(word, *args)
+        def spy(word, *args, tester=getattr(experiment, name)):
+            received.append(word.entries.dtype)
+            return tester(word, *args)
 
-    def sampled_spy(words, *args, tester=experiment.rejection_probability_sampled_batch):
-        received.extend([words.dtype] * len(words))
-        return tester(words, *args)
-
-    monkeypatch.setattr(experiment, "robustness_exact", robustness_spy)
-    monkeypatch.setattr(experiment, "rejection_probability_sampled_batch", sampled_spy)
+        monkeypatch.setattr(experiment, name, spy)
     dtype = resolve_base_code(base).field.dtype
     for kind, sample in (("robustness", 0), ("rejection", 40)):
         for mode in MODES:
@@ -1137,57 +1132,6 @@ def test_one_word_testers_receive_the_chunks_narrow_rows(monkeypatch, base, m, a
             received.clear()
             assert run_experiment(spec) == reference.experiment_rows(spec)
             assert received == [dtype] * spec.trials
-
-
-# a base code over GF(2), GF(3) and GF(257)
-SAMPLED_BATCH_BASES = ["random:4,2,2,3", "parity:3", "random:3,1,257,0"]
-
-
-@pytest.mark.parametrize("trials", [1, 10, 300])
-@pytest.mark.parametrize("axis_mode", AXIS_MODES)
-@pytest.mark.parametrize("m", [3, 4, 5])
-@pytest.mark.parametrize("base", SAMPLED_BATCH_BASES)
-def test_stacked_sampled_tester_matches_one_word_calls(monkeypatch, base, m, axis_mode, trials):
-    """The stacked sampled tester gives each word of a chunk the one-word
-    call's estimate and rejection count, whether the chunk is replayed in
-    one group or in groups of one or two words, and a sampled experiment
-    writes the same bytes as one that loops over one-word calls."""
-    code = TensorCode(resolve_base_code(base), m)
-    seeds = [experiment.trial_seed(9, trial) for trial in range(5)]
-    counts = set()
-    for mode in MODES:
-        words = noise.build_words(code, mode, [noise.word_draws(code, mode, 2, s) for s in seeds])[1]
-        expected = [
-            rejection_probability_sampled(TensorWord._from_valid(code.field, w), code, trials, s, axis_mode)
-            for w, s in zip(words, seeds)
-        ]
-        counts |= {r.rejections for r in expected}
-        for cap in (local_testing.DRAW_CAP, 2 * trials, trials):
-            monkeypatch.setattr(local_testing, "DRAW_CAP", cap)
-            stacked = local_testing.rejection_probability_sampled_batch(words, code, trials, seeds, axis_mode)
-            assert [(r.estimate, r.rejections, r.trials, r.seed) for r in stacked] == [
-                (r.estimate, r.rejections, r.trials, r.seed) for r in expected
-            ]
-        spec = ExperimentSpec(
-            kind="rejection", base=base, m=m, mode=mode, errors=2, trials=5, seed=9,
-            axis_mode=axis_mode, sample_trials=trials,
-        )
-        csv = []
-        for tester in (local_testing.rejection_probability_sampled_batch, one_word_loop):
-            monkeypatch.setattr(experiment, "rejection_probability_sampled_batch", tester)
-            out = io.StringIO()
-            experiment.write_csv(run_experiment(spec), out)
-            csv.append(out.getvalue().encode())
-        assert csv[0] == csv[1]
-    assert len(counts) > 1  # some words are rejected and some are not, or by different counts
-
-
-def one_word_loop(words, code, trials, seeds, axis_mode):
-    """The stacked sampled tester's results from one one-word call per word."""
-    return [
-        rejection_probability_sampled(TensorWord._from_valid(code.field, w), code, trials, s, axis_mode)
-        for w, s in zip(words, seeds)
-    ]
 
 
 @pytest.mark.parametrize("axis_mode", AXIS_MODES)
