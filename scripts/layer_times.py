@@ -40,7 +40,13 @@ microseconds per call:
   blocks are streamed and never cached;
 - ``oracle``: warm ``nearest_batch`` calls on the parity(3)^4 flat code
   with 1 and with 250 seeded random words, the one-word call being the
-  one an experiment trial makes.
+  one an experiment trial makes;
+- ``codewords``: a cold ``codewords()`` of a fresh code object whose
+  packed blocks are built untimed first, so the row times the unpack
+  alone, for the parity(3)^4 flat code, ``random:20,10,3,0`` and a
+  GF(65521) [5, 1] code (16 bit-planes). Its last column is the traced
+  peak of one such call above the size of the codebook it returns, in
+  MiB (``tracemalloc``, one untimed call).
 
 For the experiment command it prints the same three figures over 7
 passes, in microseconds:
@@ -91,6 +97,7 @@ import dataclasses  # noqa: E402
 import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 from statistics import median  # noqa: E402
 from time import perf_counter  # noqa: E402
@@ -135,6 +142,12 @@ CODEBOOKS = {
     "pack hamming74^2 flat [49,16]": lambda: TensorCode(hamming74(), 2).flattened(),
     "pack random:20,10,3,0 [20,10]": lambda: random_linear_code(20, 10, 3, seed=0),
     "pack streamed [40,22] GF(2)": lambda: random_linear_code(40, 22, 2, seed=0),
+}
+# case -> a fresh code object, its packed blocks built untimed before each pass
+CODEWORDS = {
+    "codewords parity(3)^4 flat [81,16]": CODEBOOKS["pack parity(3)^4 flat [81,16]"],
+    "codewords random:20,10,3,0 [20,10]": CODEBOOKS["pack random:20,10,3,0 [20,10]"],
+    "codewords GF(65521) [5,1]": lambda: random_linear_code(5, 1, 65521, seed=0),
 }
 CODEBOOK_COPIES = 5  # fresh codes enumerated per pass
 ORACLE_CALLS = {1: 300, 250: 4}  # words per oracle call -> calls per pass
@@ -236,11 +249,34 @@ def enumerate_and_pack(code) -> None:
         pass
 
 
+def packed(make):
+    """A fresh code from ``make`` with its packed blocks built."""
+    code = make()
+    code._packed_blocks()
+    return code
+
+
+def codewords_peak_mib(make) -> float:
+    """The traced peak of a cold ``codewords()`` above its result, in MiB."""
+    code = packed(make)
+    tracemalloc.start()
+    try:
+        codebook = code.codewords()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - codebook.nbytes) / 2**20
+
+
 def codebook_times() -> dict[str, list[float]]:
     times = {
         case: pass_us(enumerate_and_pack, [make] * CODEBOOK_COPIES, lambda makers: [m() for m in makers])
         for case, make in CODEBOOKS.items()
     }
+    for case, make in CODEWORDS.items():
+        times[case] = pass_us(
+            lambda code: code.codewords(), [make] * CODEBOOK_COPIES, lambda makers: [packed(m) for m in makers]
+        )
     flat = TensorCode(parity_code(3), 4).flattened()
     rng = np.random.default_rng(0)
     flat.nearest_batch(rng.integers(0, 2, size=(1, flat.n)))  # fills the cache
@@ -316,10 +352,11 @@ def main(argv=None) -> None:
             times = decoder_times(kind)
             print(f"{kind:<8}" + "".join(cell(times[name], 22) for name in DECODER_LAYERS))
     if args.only in (None, "codebook"):
-        print(f"us per call, median (min-max) of {PASSES} passes")
-        print(f"{'case':<38}{'us per call':>24}")
+        print(f"us per call, median (min-max) of {PASSES} passes; codewords: traced peak above the result")
+        print(f"{'case':<38}{'us per call':>24}{'MiB above':>12}")
         for case, times in codebook_times().items():
-            print(f"{case:<38}" + cell(times, 24))
+            peak = f"{codewords_peak_mib(CODEWORDS[case]):12.2f}" if case in CODEWORDS else ""
+            print(f"{case:<38}" + cell(times, 24) + peak)
     if args.only in (None, "experiment"):
         print(f"us per trial or per call, median (min-max) of {PASSES} passes")
         print(f"{'case':<48}{'us':>24}")

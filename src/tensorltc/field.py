@@ -29,6 +29,16 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _refuse_fractions(arr: np.ndarray) -> None:
+    """ValueError unless every entry of ``arr`` is a whole number: of an
+    integer or bool dtype, or real floating point with no fractional part
+    and no NaN. An int64 cast would silently truncate anything else."""
+    if arr.dtype.kind not in "iubf":
+        raise ValueError(f"entries must be real numbers, got dtype {arr.dtype}")
+    if arr.dtype.kind == "f" and not np.array_equal(arr, np.trunc(arr)):
+        raise ValueError("entries must be whole numbers")
+
+
 class PrimeField:
     """The field GF(p) for a prime modulus p with 2 <= p < 2**16.
 
@@ -63,20 +73,24 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def array(self, data) -> np.ndarray:
-        """Copy ``data`` into an int64 array reduced mod p."""
-        return np.array(data, dtype=np.int64) % self.p
+        """Copy ``data`` of whole numbers into an int64 array reduced mod p."""
+        arr = np.asarray(data)
+        _refuse_fractions(arr)
+        return np.array(arr, dtype=np.int64) % self.p
 
     def check(self, arr: np.ndarray) -> np.ndarray:
-        """``arr`` as it is, after checking that every entry lies in [0, p):
-        a narrow stack is checked without a copy."""
+        """``arr`` as it is, after checking that every entry is a whole
+        number in [0, p): a narrow stack is checked without a copy."""
         arr = np.asarray(arr)
         if arr.dtype.kind in "iu":
             # a negative entry reads as a huge unsigned one: one max checks both ends
             bad = arr.size and arr.view(arr.dtype.str.replace("i", "u")).max() >= self.p
-        else:
-            bad = arr.size and (arr.min() < 0 or arr.max() >= self.p)
+        else:  # bool or floating point; any other dtype is refused below
+            bad = arr.dtype.kind in "bf" and arr.size and (arr.min() < 0 or arr.max() >= self.p)
         if bad:
             raise ValueError(f"entries must lie in [0, {self.p})")
+        if arr.dtype.kind not in "iu":
+            _refuse_fractions(arr)
         return arr
 
     def validate(self, arr: np.ndarray) -> np.ndarray:

@@ -128,6 +128,11 @@ class LinearCode:
         symbols stays narrow and cannot overflow."""
         return self.H.astype(np.min_scalar_type(self.n * (self.p - 1) ** 2))
 
+    @functools.cached_property
+    def _plane_weights(self) -> np.ndarray:
+        """2**j for bit-plane j in the field's dtype, which holds their sum."""
+        return _BITS[: (self.p - 1).bit_length(), 0].astype(self.field.dtype)
+
     def _checks(self, words: np.ndarray) -> np.ndarray:
         """The H that ``words`` are multiplied by without a cast: narrow for
         the field's narrow symbols, int64 for int64 words."""
@@ -210,14 +215,17 @@ class LinearCode:
 
     def codewords(self) -> np.ndarray:
         """All p**k codewords, row i encoding the i-th message in lex order,
-        unpacked once from the packed blocks into the field's narrow dtype."""
+        in the field's narrow dtype: allocated once, each packed block
+        unpacked into its own rows (see :meth:`_unpack_columns`), cached."""
         if exceeds_cap(self.p, self.k, CODEBOOK_CAP):
             raise CapacityError(
                 f"codebook of {self.p}^{self.k} codewords exceeds cap {CODEBOOK_CAP}"
             )
         if self._codebook is None:
-            blocks = [columns for _, columns in self._packed_blocks()]
-            self._codebook = self._unpack_columns(np.concatenate(blocks, axis=-1))
+            codebook = np.empty((self.num_codewords(), self.n), dtype=self.field.dtype)
+            for start, columns in self._packed_blocks():
+                self._unpack_columns(columns, codebook[start : start + columns.shape[-1]])
+            self._codebook = codebook
         return self._codebook
 
     def minimum_distance(self) -> int:
@@ -240,15 +248,22 @@ class LinearCode:
 
         Plane j holds bit j of every symbol, so two words differ at a
         position exactly when some plane differs there. The padding bits
-        past position n are zero.
+        past position n are zero. The bits are padded to whole bytes, not
+        words, and widened to words after packing.
         """
         t, n = words.shape
         planes = (self.p - 1).bit_length()
-        bits = np.zeros((t, planes, -(-n // 64) * 64), dtype=bool)
-        np.bitwise_and(
-            words[:, None, :], _BITS[:planes], out=bits[..., :n], casting="unsafe", dtype=words.dtype
-        )
-        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+        bits = np.zeros((t, planes, -(-n // 8) * 8), dtype=bool)
+        if planes == 1:  # a symbol of GF(2) is its one bit
+            bits[:, 0, :n] = words
+        else:
+            np.bitwise_and(
+                words[:, None, :], _BITS[:planes], out=bits[..., :n], casting="unsafe", dtype=words.dtype
+            )
+        packed = np.zeros((t, planes, -(-n // 64)), dtype=np.uint64)
+        # rows of whole bytes pack as one flat run, far faster than row by row
+        packed.view(np.uint8)[..., : -(-n // 8)] = np.packbits(bits, bitorder="little").reshape(t, planes, -1)
+        return packed
 
     def _add(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Packed (a + b) % p of packed a and b, planes on the first axis
@@ -277,15 +292,25 @@ class LinearCode:
         over = carry | ~borrow
         return np.stack([bit ^ (over & flip) for bit, flip in zip(total, flips)])
 
-    def _unpack_columns(self, columns: np.ndarray) -> np.ndarray:
+    def _unpack_columns(self, columns: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The (count, n) symbols of column-wise packed codewords, in the
-        field's narrow dtype."""
-        packed = np.ascontiguousarray(columns.transpose(2, 0, 1))
-        bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=self.n, bitorder="little")
-        symbols = bits[:, 0].astype(self.field.dtype)
-        for j in range(1, bits.shape[1]):
-            symbols |= bits[:, j].astype(symbols.dtype) << j
-        return symbols
+        field's narrow dtype, written into ``out`` (allocated when None)
+        _BLOCK / planes columns at a time. The only temporaries are one
+        chunk transposed to (chunk, planes, words) and its unpacked bits,
+        which are the symbols for p = 2 and are summed with their plane
+        weights otherwise (widened by einsum for a uint16 field)."""
+        rows = columns.transpose(2, 0, 1)
+        if out is None:
+            out = np.empty((len(rows), self.n), dtype=self.field.dtype)
+        step = _BLOCK // columns.shape[0]
+        for lo in range(0, len(rows), step):
+            chunk = np.ascontiguousarray(rows[lo : lo + step])
+            bits = np.unpackbits(chunk.view(np.uint8), axis=-1, count=self.n, bitorder="little")
+            if bits.shape[1] == 1:
+                out[lo : lo + step] = bits[:, 0]
+            else:
+                np.einsum("j,cjn->cn", self._plane_weights, bits, out=out[lo : lo + step])
+        return out
 
     def _packed_blocks(self):
         """The packed blocks of :meth:`_blocks`: a list built on first use
@@ -301,16 +326,19 @@ class LinearCode:
         """Least distance and its first column for each packed word."""
         planes, width, count = columns.shape
         step = max(1, _PAIRS // count)
+        dtype = np.min_scalar_type(self.n)
         best_d = np.empty(words.shape[0], dtype=np.int64)
         best_i = np.empty(words.shape[0], dtype=np.int64)
         for lo in range(0, words.shape[0], step):
             chunk = words[lo : lo + step]
-            dist = np.zeros((chunk.shape[0], count), dtype=np.min_scalar_type(self.n))
             for w in range(width):
                 diff = chunk[:, 0, w, None] ^ columns[0, w]
                 for j in range(1, planes):
                     diff |= chunk[:, j, w, None] ^ columns[j, w]
-                dist += np.bitwise_count(diff)
+                if w == 0:
+                    dist = np.bitwise_count(diff).astype(dtype, copy=False)
+                else:
+                    dist += np.bitwise_count(diff)
             i = dist.argmin(axis=1)  # the first minimum: the smallest message
             best_i[lo : lo + step] = i
             best_d[lo : lo + step] = dist[np.arange(i.size), i]

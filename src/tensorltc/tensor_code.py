@@ -32,14 +32,14 @@ class TensorWord:
     entries: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=np.int64)
+        entries = np.asarray(self.entries)
         if entries.ndim < 1:
             raise ShapeError("tensor words need at least one axis")
         n = entries.shape[0]
         if any(s != n for s in entries.shape):
             raise ShapeError(f"all axes must have equal length, got {entries.shape}")
-        self.field.validate(entries)
-        object.__setattr__(self, "entries", entries)
+        # checked before the int64 cast, which would truncate a fraction
+        object.__setattr__(self, "entries", self.field.validate(entries))
 
     @classmethod
     def _from_valid(cls, field: PrimeField, entries: np.ndarray) -> TensorWord:

@@ -4,6 +4,7 @@ import importlib.util
 import inspect
 import io
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import ceil, factorial
 
@@ -482,6 +483,47 @@ def test_sixteen_plane_code_matches_reencoding_reference(path, n):
     if not path:
         assert code.codewords().dtype == np.uint16
         assert np.array_equal(code.codewords(), reference.codewords(code))
+
+
+# With _BLOCK small each codebook spans many blocks (GF(65521) with k = 1
+# spans one block of p columns), and for odd p a block spans several
+# chunks of _BLOCK // planes columns, so a chunk boundary falls inside it.
+@pytest.mark.parametrize("p, k, block", [(2, 9, 30), (3, 5, 30), (257, 2, 100), (65521, 1, 1 << 10)])
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_codewords_unpacked_block_by_block_match_reference(p, k, block, n):
+    code = random_linear_code(n, k, p, seed=n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear_code, "_BLOCK", block)
+        codebook = code.codewords()
+        columns = [columns.shape[-1] for _, columns in code._packed_blocks()]
+    planes = (p - 1).bit_length()
+    assert len(columns) > 1 or p > block
+    assert p == 2 or max(columns) > block // planes
+    assert codebook.dtype == code.field.dtype and codebook.flags.c_contiguous
+    assert np.array_equal(codebook, reference.codewords(code))
+
+
+CODEBOOKS = {
+    "parity(3)^4 flat": lambda: TensorCode(parity_code(3), 4).flattened(),
+    "random:20,10,3,0": lambda: random_linear_code(20, 10, 3, seed=0),
+    "GF(65521) [5,1]": lambda: random_linear_code(5, 1, 65521, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", CODEBOOKS)
+def test_codewords_peak_stays_within_4_mib_of_the_result(name):
+    """Symbols are unpacked straight into the codebook, a chunk at a time:
+    with the packed blocks built first, the traced peak of a cold
+    ``codewords()`` is its result plus one chunk's temporaries."""
+    code = CODEBOOKS[name]()
+    code._packed_blocks()
+    tracemalloc.start()
+    try:
+        codebook = code.codewords()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= codebook.nbytes + 4 * 2**20
 
 
 # p = 2 adds by XOR; the odd primes take 2, 3, 3, 4 and 16 planes, and n up

@@ -70,8 +70,8 @@ def test_validate_rejects_entries_outside_the_field(dtype, entries):
         PrimeField(3).validate(np.repeat(np.array(entries, dtype=dtype), 2)[::2])
 
 
-def test_validate_truncates_floats_and_keeps_int64_input_uncopied():
-    assert PrimeField(3).validate(np.array([0.5, 2.9])).tolist() == [0, 2]
+def test_validate_takes_whole_floats_and_keeps_int64_input_uncopied():
+    assert PrimeField(3).validate(np.array([0.0, 2.0])).tolist() == [0, 2]
     assert PrimeField(2).validate(np.array([True, False])).tolist() == [1, 0]
     with pytest.raises(ValueError):
         PrimeField(2).validate(np.array(2))  # a 0-d array
@@ -80,6 +80,37 @@ def test_validate_truncates_floats_and_keeps_int64_input_uncopied():
     assert PrimeField(3).validate(entries) is entries
     view = entries.T
     assert PrimeField(3).validate(view) is view
+
+
+FRACTIONS = [[0.5, 2.9], [1.5], [[0.7, 1.2], [1.0, 0.0]], [np.nan], [1.0, -0.0, 2.25]]
+
+
+@pytest.mark.parametrize("entries", FRACTIONS)
+def test_check_and_array_refuse_fractions(entries):
+    """An int64 cast truncates these, so they are refused, not rounded down."""
+    field = PrimeField(3)
+    for dtype in ("float64", "float32", ">f8"):
+        arr = np.array(entries, dtype=dtype)
+        for call in (field.check, field.validate, field.array):
+            with pytest.raises(ValueError, match="whole numbers"):
+                call(arr)
+    with pytest.raises(ValueError, match="whole numbers"):
+        field.array(entries)  # a nested list, as rref takes it
+
+
+@pytest.mark.parametrize("arr", [np.array(["1", "0"]), np.array([1 + 0j]), np.array([1, 0], dtype=object)])
+def test_check_and_array_refuse_non_numeric_dtypes(arr):
+    field = PrimeField(2)
+    for call in (field.check, field.validate, field.array):
+        with pytest.raises(ValueError, match="real numbers"):
+            call(arr)
+
+
+def test_array_reduces_whole_floats_and_bools():
+    field = PrimeField(5)
+    assert field.array([[7.0, -1.0], [0.0, 4.0]]).tolist() == [[2, 4], [0, 4]]
+    assert field.array(np.array([True, False])).tolist() == [1, 0]
+    assert field.array(np.zeros((0, 2))).shape == (0, 2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -11,7 +11,7 @@ from tensorltc.analysis import compute_opinions, inconsistency
 from tensorltc.errors import CapacityError, ShapeError
 from tensorltc.experiment import distance_lower_bound_batch, word_relative_distance
 from tensorltc.field import PrimeField
-from tensorltc.linear_code import parity_code, random_linear_code, repetition_code
+from tensorltc.linear_code import LinearCode, parity_code, random_linear_code, repetition_code
 from tensorltc.local_testing import (
     _pair_fails,
     rejection_probability_exact,
@@ -39,6 +39,22 @@ def test_word_shape_validation():
         TensorWord(gf2, np.full((2, 2), 5))
     w = TensorWord(gf2, np.zeros((2, 2), dtype=int))
     assert (w.m, w.n, w.size) == (2, 2, 4)
+
+
+def test_fractional_entries_are_refused_not_truncated(parity3):
+    gf2 = PrimeField(2)
+    with pytest.raises(ValueError, match="whole numbers"):
+        TensorWord(gf2, np.array([[0.7, 1.2], [1.0, 0.0]]))
+    with pytest.raises(ValueError, match="whole numbers"):
+        parity3.encode([0.9, 1.5])
+    with pytest.raises(ValueError, match="whole numbers"):
+        TensorCode(parity3, 2).encode(np.full((2, 2), 0.5))
+    with pytest.raises(ValueError, match="whole numbers"):
+        LinearCode(gf2, [[1.5, 0]])
+    word = TensorWord(gf2, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert word.entries.dtype == np.int64 and word.entries.tolist() == [[0, 1], [1, 0]]
+    assert parity3.encode([1.0, 0.0]).tolist() == [1, 0, 1]
+    assert LinearCode(gf2, [[1.0, 0.0]]) == LinearCode(gf2, [[1, 0]])
 
 
 def test_linear_index_convention():
